@@ -112,13 +112,19 @@ def _manifest(args: argparse.Namespace, started: float, argv: list[str], **extra
 def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
-    env = os.environ.get("LG_SEED")
-    return int(env) if env else 0
+    try:
+        return int(os.environ.get("LG_SEED") or 0)
+    except ValueError:
+        raise LgError(f"LG_SEED must be an integer, got {os.environ['LG_SEED']!r}") from None
 
 
 def _load_moments(path: str) -> MomentSpec:
     with open(path, encoding="utf-8") as handle:
-        return MomentSpec.from_json_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise LgError(f"{path} is not valid JSON: {exc}") from None
+    return MomentSpec.from_json_dict(payload)
 
 
 def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
@@ -150,7 +156,7 @@ def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
     if args.distinct:
         family = distinct_under_equal_spacing(family)
     payload = _json_bytes(family_to_json_list(family))
-    _emit(args.out, payload, _manifest(args, started, argv=argv, members=len(family.members)))
+    _emit(args.out, payload, _manifest(args, started, argv=argv, members=len(family)))
     return 0
 
 
@@ -270,9 +276,9 @@ def _cmd_mc(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.monotonic()
     seed = _default_seed(args.seed)
     family = _FAMILY_BUILDERS[args.family](args.n)
-    if not 0 <= args.member < len(family.members):
-        raise LgError(f"member index {args.member} out of range for {len(family.members)} members")
-    member = family.members[args.member]
+    if not 0 <= args.member < len(family):
+        raise LgError(f"member index {args.member} out of range for {len(family)} members")
+    member = family[args.member]
     estimate = mc_violation_fraction(member, args.samples, seed)
     payload = estimate.to_json_dict()
     payload["member"] = member.label
@@ -297,12 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-V", "--version", action="version", version=f"lgfeas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *, strict: bool = False) -> None:
         p.add_argument("--out", help="output file (stdout when omitted)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 on infeasible or violating verdicts")
-        p.add_argument("--threads", type=int, default=os.cpu_count(),
-                       help="worker cap for parallel subcommands")
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="exit 1 on infeasible or violating verdicts")
 
     p = sub.add_parser("gen", help="generate an inequality family as JSON")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_BUILDERS))
@@ -317,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide feasibility of a moment file via the LP oracle")
     p.add_argument("--moments", required=True, help="MomentSpec JSON file")
     p.add_argument("--exact", action="store_true", help="rational arithmetic (n <= 6)")
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("fine-build", help="construct a joint distribution from chain data")
     p.add_argument("--moments", required=True, help="MomentSpec JSON file (chain pairs)")
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=_cmd_fine_build)
 
     p = sub.add_parser("conjecture", help="run the n=5 condition-vs-oracle sampling experiment")
@@ -332,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["symmetric", "general"], default="symmetric")
     p.add_argument("--counterexamples", default="counterexamples.jsonl",
                    help="where to write disagreeing samples, one per line")
-    common(p)
+    p.add_argument("--threads", type=int, default=os.cpu_count(),
+                   help="worker processes for the sampling")
+    common(p, strict=True)
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("spin", help="sweep cosine-model slacks over measurement spacing")
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=0.0)
     p.add_argument("--tau-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=2048)
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=_cmd_spin)
 
     p = sub.add_parser("nu", help="violated-fraction curve nu(n)")
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=0.0)
     p.add_argument("--tau-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=2048)
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=_cmd_nu)
 
     p = sub.add_parser("clt", help="normal-limit violating fractions per family")
@@ -388,10 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except LgError as exc:
-        print(f"lgfeas: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LgError, OSError) as exc:
         print(f"lgfeas: error: {exc}", file=sys.stderr)
         return 2
 

@@ -204,10 +204,10 @@ class MomentSpec:
     def from_json_dict(cls, payload: Mapping) -> MomentSpec:
         try:
             n = int(payload["n"])
-            raw = payload.get("moments", {})
-        except (KeyError, TypeError, ValueError) as exc:
+            values = {key: float(value) for key, value in payload.get("moments", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed moment payload: {exc}") from exc
-        return cls(n, {parse_subset_key(k): float(v) for k, v in raw.items()})
+        return cls(n, {parse_subset_key(k): v for k, v in values.items()})
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,17 @@ from .core import (
     OracleError,
     ValidationError,
     _drift_corrected,
+    _walsh_hadamard,
     chain_pairs,
     complete_pairs,
     distribution_from_moments,
     pairwise_probability,
+    subset_to_mask,
 )
 from .inequalities import (
     InequalityFamily,
-    LinearInequality,
     coefficient_arrays,
+    max_violation,
     lg_family,
     ngon_family,
     three_time_complete,
@@ -323,34 +325,14 @@ def c1n_interval(
 # constructive solver over chain data
 # ---------------------------------------------------------------------------
 
-def _violated_chain_members(k: int, cvals: Mapping[tuple[int, int], float]) -> tuple[str, ...]:
-    labels = []
-    best_label, best_slack = "", -math.inf
-    for member in lg_family(k).members:
-        slack = math.fsum(coeff * cvals[pair] for pair, coeff in member.terms.items()) - member.bound
-        if slack > best_slack:
-            best_label, best_slack = member.label, slack
-        if slack > 1e-12:
-            labels.append(member.label)
-    return tuple(labels) if labels else (best_label,)
+def _violated_labels(family: InequalityFamily, data: CorrelatorSet | MomentSpec) -> tuple:
+    """Labels of the members whose slack on the data exceeds 1e-12."""
+    return tuple(family.labels(np.flatnonzero(family.slacks(data) > 1e-12)))
 
 
-def _violated_triple_members(
-    n: int, i: int, j: int, k: int, c_ij: float, c_ik: float, c_jk: float
-) -> tuple[str, ...]:
-    labels = []
-    best_label, best_slack = "", -math.inf
-    for m in range(4):
-        s_j = 1 if not m & 1 else -1
-        s_k = 1 if not (m >> 1) & 1 else -1
-        slack = -(s_j * c_ij + s_k * c_ik + s_j * s_k * c_jk) - 1.0
-        pattern = "".join("+" if s > 0 else "-" for s in (1, s_j, s_k))
-        label = f"three{n}:{i}.{j}.{k}:{pattern}"
-        if slack > best_slack:
-            best_label, best_slack = label, slack
-        if slack > 1e-12:
-            labels.append(label)
-    return tuple(labels) if labels else (best_label,)
+def _named_violations(family: InequalityFamily, data: CorrelatorSet | MomentSpec) -> tuple:
+    """The violated members' labels, or the first best member's when none is violated."""
+    return _violated_labels(family, data) or (max_violation(family, data)[0].label,)
 
 
 def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVerdict:
@@ -384,9 +366,9 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
             c1n_intervals(chain_part, c_next, c_closure, bvec[0], bvec[k - 1]),
         )
         if interval.is_empty:
-            cvals = {(i, i + 1): c_in[(i, i + 1)] for i in range(1, k + 1)}
-            cvals[(1, k + 1)] = c_closure
-            return FeasibilityVerdict(False, violated=_violated_chain_members(k + 1, cvals))
+            values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [c_closure]
+            block = CorrelatorSet(k + 1, dict(zip(chain_pairs(k + 1), values)))
+            return FeasibilityVerdict(False, violated=_named_violations(lg_family(k + 1), block))
         chosen[k] = interval.midpoint()
 
     def c_1k(k: int) -> float:
@@ -408,12 +390,11 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         }
         interval = d_interval(MomentSpec(3, moments))
         if interval.is_empty:
-            return FeasibilityVerdict(
-                False,
-                violated=_violated_triple_members(
-                    n, 1, k, k + 1, moments[(1, 2)], moments[(1, 3)], moments[(2, 3)]
-                ),
-            )
+            pairs = [(1, k), (1, k + 1), (k, k + 1)]
+            block = MomentSpec(n, dict(zip(pairs, [c_1k(k), c_1k(k + 1), c_in[(k, k + 1)]])))
+            three = three_time_complete(n)
+            in_block = three.coefficients[:, [three.pairs.index(p) for p in pairs]].all(axis=1)
+            return FeasibilityVerdict(False, violated=_named_violations(three.take(in_block), block))
         moments[(1, 2, 3)] = interval.midpoint()
         blocks[k] = distribution_from_moments(MomentSpec(3, moments))
 
@@ -432,9 +413,10 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         p *= ratio
 
     certificate = JointDistribution(n, _drift_corrected(p))
-    rows = _constraint_rows(n, tuple(sorted(c_in)))
+    # the moment-matching rows are Walsh characters, so one transform reads them all
+    masks = [subset_to_mask(key) for key in [()] + [(i,) for i in range(1, n + 1)] + sorted(c_in)]
     rhs = np.concatenate(([1.0], bvec, [v for _, v in sorted(c_in.items())]))
-    residual = float(np.abs(rows @ certificate.p - rhs).max())
+    residual = float(np.abs(_walsh_hadamard(certificate.p)[masks] - rhs).max())
     if residual > FEASIBILITY_TOL or not certificate.is_nonnegative():
         raise OracleError(f"product construction failed to certify (residual {residual:.3e})")
     return FeasibilityVerdict(True, certificate)
@@ -486,18 +468,6 @@ def fine_build_from_tables(
 # symmetric even-coefficient search over complete correlator sets
 # ---------------------------------------------------------------------------
 
-def _condition_labels_violated(correlators: CorrelatorSet) -> tuple[str, ...]:
-    labels = []
-    cvec = np.array([correlators.entries[p] for p in complete_pairs(correlators.n)])
-    for family in (three_time_complete(correlators.n), ngon_family(correlators.n)):
-        a, _, bounds, _ = coefficient_arrays(family)
-        slacks = a @ cvec - bounds
-        labels.extend(
-            member.label for member, slack in zip(family.members, slacks) if slack > 1e-12
-        )
-    return tuple(labels)
-
-
 def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
     """Search the even four-subset coefficients making the moment expansion
     non-negative, for a complete correlator set with vanishing odd moments.
@@ -530,20 +500,17 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
         lower = float(np.max(-f[parity > 0]))
         upper = float(np.min(f[parity < 0]))
         interval = Interval(lower, upper)
-        if interval.is_empty:
-            return FeasibilityVerdict(False, violated=_condition_labels_violated(correlators))
-        e_values = [interval.midpoint()]
+        feasible, objective, e_values = not interval.is_empty, None, [interval.midpoint()]
     else:
         count = 1 << n
         a = np.hstack([quad_chars, -quad_chars, -np.eye(count)])
         result = solve_phase1(a, -f)
-        if not result.feasible:
-            return FeasibilityVerdict(
-                False,
-                violated=_condition_labels_violated(correlators),
-                phase1_objective=result.objective,
-            )
+        feasible, objective = result.feasible, result.objective
         e_values = [result.x[k] - result.x[len(quads) + k] for k in range(len(quads))]
+    if not feasible:
+        families = (three_time_complete(n), ngon_family(n))
+        violated = [label for f in families for label in _violated_labels(f, correlators)]
+        return FeasibilityVerdict(False, violated=violated, phase1_objective=objective)
 
     moments: dict[tuple[int, ...], float] = dict(correlators.entries)
     for quad, value in zip(quads, e_values):
@@ -559,14 +526,12 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _condition_system(n: int):
+def _condition_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Term matrix, linear matrix and bounds of the candidate condition set,
+    stacked two-time, three-time, n-gon over ``complete_pairs(n)``."""
     families = (two_time_complete(n), three_time_complete(n), ngon_family(n))
     blocks = [coefficient_arrays(f) for f in families]
-    a = np.vstack([blk[0] for blk in blocks])
-    lin = np.vstack([blk[1] for blk in blocks])
-    bounds = np.concatenate([blk[2] for blk in blocks])
-    labels = tuple(m.label for f in families for m in f.members)
-    return a, lin, bounds, labels
+    return tuple(np.concatenate([blk[part] for blk in blocks]) for part in range(3))
 
 
 def _draw_sample(n: int, mode: str, seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -580,7 +545,7 @@ def _draw_sample(n: int, mode: str, seed: int, index: int) -> tuple[np.ndarray, 
 
 
 def _classify_float(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool, bool]:
-    a, lin, bounds, _ = _condition_system(n)
+    a, lin, bounds = _condition_system(n)
     slacks = a @ c + lin @ b - bounds
     holds = bool(slacks.max() <= 0.0)
     boundary = bool(np.abs(slacks).min() < BOUNDARY_TOL)
@@ -593,19 +558,12 @@ def _classify_float(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool, b
 
 
 def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
-    a, lin, bounds, _ = _condition_system(n)
+    a, lin, bounds = _condition_system(n)
     bf = [Fraction(float(v)) for v in b]
     cf = [Fraction(float(v)) for v in c]
-    holds = True
-    for row_a, row_l, bd in zip(a.astype(int), lin.astype(int), bounds):
-        slack = (
-            sum(int(w) * v for w, v in zip(row_a, cf))
-            + sum(int(w) * v for w, v in zip(row_l, bf))
-            - Fraction(float(bd))
-        )
-        if slack > 0:
-            holds = False
-            break
+    # object arrays evaluate the float path's slack formula in rationals
+    slacks = a.astype(int).astype(object) @ cf + lin.astype(int).astype(object) @ bf
+    holds = bool((slacks - [Fraction(v) for v in bounds.tolist()] <= 0).all())
     rows = _constraint_rows(n, complete_pairs(n)).astype(int).tolist()
     rhs = [Fraction(1)] + bf + cf
     result = solve_phase1_exact(rows, rhs)

@@ -28,6 +28,7 @@ from .core import CorrelatorSet, DimensionError, ValidationError
 from .inequalities import (
     InequalityFamily,
     distinct_under_equal_spacing,
+    gap_weights,
     lg_family,
     ngon_family,
 )
@@ -121,32 +122,19 @@ def _family_for(config: SpinSweepConfig) -> InequalityFamily:
     return distinct_under_equal_spacing(family)
 
 
-def _gap_weights(family: InequalityFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member summed coefficients by time gap; at equal spacing every
-    member's value is sum_d w_d * cos(d*omega*tau)."""
-    n = family.n
-    weights = np.zeros((len(family.members), n - 1))
-    bounds = np.zeros(len(family.members))
-    for row, member in enumerate(family.members):
-        for (i, j), coeff in member.terms.items():
-            weights[row, j - i - 1] += coeff
-        bounds[row] = member.bound
-    return weights, bounds
-
-
 def sweep(config: SpinSweepConfig) -> SweepResult:
     """Evaluate every distinct member of the chosen family on the grid."""
     family = _family_for(config)
-    weights, bounds = _gap_weights(family)
+    weights = gap_weights(family).astype(np.float64)
     grid = config.grid()
     gaps = np.arange(1, config.n)
     cosines = np.cos(config.omega * np.outer(gaps, grid))  # (gaps, points)
-    slacks = weights @ cosines - bounds[:, None]
+    slacks = weights @ cosines - family.bounds[:, None]
     any_violation = (slacks > 0.0).any(axis=0)
     return SweepResult(
         config=config,
         grid=grid,
-        labels=tuple(m.label for m in family.members),
+        labels=tuple(family.labels()),
         slacks=slacks,
         any_violation=any_violation,
         nu=float(any_violation.mean()),

@@ -186,3 +186,39 @@ def test_lg_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert main(["conjecture", "--samples", "25", "--seed", "42", "--out", str(out_flag),
                  "--threads", "1"]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+def test_threads_is_only_a_conjecture_flag(capsys):
+    assert main(["gen", "--family", "lg", "--n", "3", "--threads", "2"]) == 2
+    assert main(["mc", "--n", "3", "--member", "0", "--samples", "10", "--strict"]) == 2
+
+
+def _assert_input_error(capsys, code):
+    assert code == 2
+    assert capsys.readouterr().err.startswith("lgfeas: error:")
+
+
+@pytest.mark.parametrize("content", [b'{"n": 3, "moments": {"1,2": 0.5,', b"\xff\xfe\x00"])
+@pytest.mark.parametrize("sub", ["check", "fine-build"])
+def test_malformed_json_exits_2(tmp_path, capsys, sub, content):
+    spec = tmp_path / "broken.json"
+    spec.write_bytes(content)
+    _assert_input_error(capsys, main([sub, "--moments", str(spec)]))
+
+
+def test_non_numeric_moment_exits_2(tmp_path, capsys):
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"n": 3, "moments": {"1,2": "x"}}))
+    _assert_input_error(capsys, main(["check", "--moments", str(spec)]))
+
+
+def test_non_mapping_moments_exits_2(tmp_path, capsys):
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"n": 3, "moments": [1]}))
+    _assert_input_error(capsys, main(["check", "--moments", str(spec)]))
+
+
+def test_non_integer_lg_seed_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LG_SEED", "abc")
+    monkeypatch.chdir(tmp_path)
+    _assert_input_error(capsys, main(["conjecture", "--samples", "5", "--threads", "1"]))

@@ -30,7 +30,7 @@ from lgfeas import (
     symmetric_e_feasible,
     three_time_complete,
 )
-from lgfeas.feasibility import _classify_float, _draw_sample
+from lgfeas.feasibility import _classify_float, _constraint_rows, _draw_sample
 from util import pair_table_nonneg, sample_nonneg_pair_moments
 
 
@@ -316,6 +316,37 @@ def test_fine_build_from_tables_checks_compatibility():
     tables_bad[(2, 3)] = table(0.4, 0.0, 0.1)  # B_2 disagrees with the (1,2) table
     with pytest.raises(MarginalError):
         fine_build_from_tables(tables_bad, 3)
+
+
+def test_fine_build_names_the_violated_member_at_n20():
+    tau = math.pi / 20
+    values = [math.cos(tau)] * 19 + [math.cos(19 * tau)]
+    verdict = fine_build(None, CorrelatorSet(20, dict(zip(chain_pairs(20), values))))
+    assert not verdict.feasible
+    assert verdict.violated == ("lg20:+++++++++++++++++++-",)
+
+
+def test_fine_build_violated_labels_match_brute_force_evaluation():
+    # data scaled from one member's own coefficients breaks that member, so
+    # the whole chain (the first block fine_build examines) is infeasible
+    family = lg_family(10)
+    for row in (0, 5, 300, 511):
+        pattern = family.members[row].terms
+        for scale in (0.81, 0.9, 1.0):
+            chain = CorrelatorSet(10, {pair: scale * coeff for pair, coeff in pattern.items()})
+            slacks = [(evaluate(m, chain), m.label) for m in family.members]
+            expected = tuple(label for slack, label in slacks if slack > 1e-12)
+            expected = expected or (max(slacks, key=lambda item: item[0])[1],)
+            verdict = fine_build(None, chain)
+            assert not verdict.feasible
+            assert verdict.violated == expected
+
+
+def test_fine_build_residual_does_not_build_the_dense_system():
+    before = _constraint_rows.cache_info()
+    verdict = fine_build(None, CorrelatorSet(20, {pair: 0.5 for pair in chain_pairs(20)}))
+    assert verdict.feasible
+    assert _constraint_rows.cache_info() == before
 
 
 # ---------------------------------------------------------------------------

@@ -239,3 +239,17 @@ def test_family_json_shape():
     assert payload[0]["bound"] == 1.0
     two = family_to_json_list(two_time_complete(2))
     assert two[0]["linear"] == {"1": -1, "2": -1}
+
+
+def test_len_and_indexing_do_not_build_members():
+    big = lg_family(20)
+    assert len(big) == 2**19
+    assert big[0].label == "lg20:+++++++++++++++++++-"
+    assert big[-1].label == "lg20:-------------------+"
+    with pytest.raises(IndexError):
+        big[2**19]
+    assert "members" not in vars(big)
+    for family in (lg_family(5), ngon_family(4, raw=True), three_time_complete(4),
+                   two_time_complete(3)):
+        assert [family[k] for k in range(len(family))] == list(family.members)
+        assert family.members is family.members

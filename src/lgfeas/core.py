@@ -269,15 +269,15 @@ class CorrelatorSet:
     def from_json_dict(cls, payload: Mapping) -> CorrelatorSet:
         try:
             n = int(payload["n"])
-            raw = payload.get("correlators", {})
-        except (KeyError, TypeError, ValueError) as exc:
+            values = {key: float(value) for key, value in payload.get("correlators", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed correlator payload: {exc}") from exc
         entries = {}
-        for key, value in raw.items():
+        for key, value in values.items():
             subset = parse_subset_key(key)
             if len(subset) != 2:
                 raise ValidationError(f"correlator key {key!r} is not a pair")
-            entries[subset] = float(value)
+            entries[subset] = value
         return cls(n, entries)
 
 

@@ -54,7 +54,7 @@ from .inequalities import (
     three_time_complete,
     two_time_complete,
 )
-from .simplex import FEASIBILITY_TOL, solve_phase1, solve_phase1_exact
+from .simplex import FEASIBILITY_TOL, solve_phase1
 
 ORACLE_MAX_TIMES = 12
 EXACT_MAX_TIMES = 6
@@ -195,8 +195,8 @@ def lp_feasible(
 
     ``b`` fixes every one-time average (None means all zero).  The stored
     correlator keys are the fixed pairs; absent pairs are unconstrained.
-    ``exact=True`` switches to rational arithmetic (n <= 6), which settles
-    verdicts on knife-edge inputs.
+    ``exact=True`` (n <= 6) re-solves in rational arithmetic from the basis
+    the float solve ends on, which settles verdicts on knife-edge inputs.
     """
     n = correlators.n
     if n > ORACLE_MAX_TIMES:
@@ -206,12 +206,10 @@ def lp_feasible(
     rows = _constraint_rows(n, pairs)
     rhs = np.concatenate(([1.0], bvec, [correlators.entries[p] for p in pairs]))
 
-    if exact:
-        if n > EXACT_MAX_TIMES:
-            raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
-        result = solve_phase1_exact(rows.astype(int).tolist(), [Fraction(v) for v in rhs])
-    else:
-        result = solve_phase1(rows, rhs)
+    if exact and n > EXACT_MAX_TIMES:
+        raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
+    kind = object if exact else np.float64
+    result = solve_phase1(rows.astype(kind, copy=False), rhs.astype(kind, copy=False))
 
     if not result.feasible:
         return FeasibilityVerdict(False, phase1_objective=result.objective)
@@ -564,10 +562,8 @@ def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
     # object arrays evaluate the float path's slack formula in rationals
     slacks = a.astype(int).astype(object) @ cf + lin.astype(int).astype(object) @ bf
     holds = bool((slacks - [Fraction(v) for v in bounds.tolist()] <= 0).all())
-    rows = _constraint_rows(n, complete_pairs(n)).astype(int).tolist()
-    rhs = [Fraction(1)] + bf + cf
-    result = solve_phase1_exact(rows, rhs)
-    return holds, result.feasible
+    rows = _constraint_rows(n, complete_pairs(n)).astype(object)
+    return holds, solve_phase1(rows, np.concatenate(([1.0], b, c)).astype(object)).feasible
 
 
 def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[int, list[int], int, list]:

@@ -1,16 +1,17 @@
 """Phase-1 simplex for linear feasibility: find x >= 0 with A x = b.
 
-Dense-tableau implementation with Bland's anti-cycling rule, plus an exact
-twin over rationals for adjudicating near-boundary cases.  Only phase 1 is
-needed: the minimum of the artificial-variable sum is zero exactly when the
-system is feasible, and the final basic solution is the certificate.
+One dense-tableau kernel with Bland's anti-cycling rule.  float64 input
+pivots with tolerances; object input pivots exactly in ``Fraction``s,
+starting from the basis on which a float solve of the same system ends.
+Only phase 1 is needed: the minimum of the artificial-variable sum is zero
+exactly when the system is feasible, and the final basic solution is the
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from .core import OracleError
 
 FEASIBILITY_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+_TIE_TOL = 1e-12
+
+# int / int in an object array gives a float, so every exact entry is a Fraction
+_fractions = np.frompyfunc(Fraction, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -28,39 +33,52 @@ class Phase1Result:
     iterations: int
 
 
-def solve_phase1(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    tol: float = FEASIBILITY_TOL,
-    max_iter: int | None = None,
-) -> Phase1Result:
+def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result:
     """Minimize the artificial-variable sum for A x = b, x >= 0.
 
     Bland's rule (lowest eligible index for both the entering column and
     the leaving basic variable) guarantees termination; the iteration cap
     is a safety net reported as oracle non-convergence, distinct from an
-    infeasible verdict.
+    infeasible verdict.  If ``a`` or ``b`` is an object array the run is
+    exact (``x`` is rounded to float64 on return) and ``iterations``
+    counts the pivots after the start; it starts from the artificial basis
+    only when the float solve fails or its basis cannot be rebuilt
+    feasibly in rationals.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != object and b.dtype != object:
+        return _phase1(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))[0]
+    try:
+        warm = _phase1(a.astype(np.float64), b.astype(np.float64))[1]
+    except OracleError:
+        warm = None
+    return _phase1(_fractions(a), _fractions(b), warm)[0]
+
+
+def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
+    """The pivot loop in the arithmetic of ``a``, from the artificial basis
+    or from ``warm``; returns the result and the final basis."""
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"rhs shape {b.shape} does not match {m} rows")
+    exact = a.dtype == object
+    tol, pivot_tol, tie_tol = (0, 0, 0) if exact else (FEASIBILITY_TOL, _PIVOT_TOL, _TIE_TOL)
 
     flip = b < 0
-    tableau = np.empty((m, n + m + 1))
+    tableau = np.empty((m, n + m + 1), dtype=a.dtype)
     tableau[:, :n] = np.where(flip[:, None], -a, a)
-    tableau[:, n : n + m] = np.eye(m)
+    tableau[:, n : n + m] = _fractions(np.eye(m, dtype=int)) if exact else np.eye(m)
     tableau[:, -1] = np.where(flip, -b, b)
     basis = np.arange(n, n + m)
 
     # reduced costs for min sum(artificials) with the artificial basis
-    obj = np.zeros(n + m + 1)
+    obj = np.zeros(n + m + 1, dtype=a.dtype)
     obj[:n] = -tableau[:, :n].sum(axis=0)
     obj[-1] = -tableau[:, -1].sum()
+    if warm is not None and not _enter_basis(tableau, obj, basis, warm):
+        return _phase1(a, b)
 
-    cap = max_iter if max_iter is not None else 200 * (m + n + 10)
+    cap = 200 * (m + n + 10)
     iterations = 0
     while True:
         negative = np.flatnonzero(obj[: n + m] < -tol)
@@ -68,104 +86,50 @@ def solve_phase1(
             break
         col = int(negative[0])
         column = tableau[:, col]
-        eligible = np.flatnonzero(column > _PIVOT_TOL)
+        eligible = np.flatnonzero(column > pivot_tol)
         if eligible.size == 0:
             raise OracleError("phase-1 objective unbounded below; numerical breakdown")
         ratios = tableau[eligible, -1] / column[eligible]
-        best = ratios.min()
-        ties = eligible[ratios <= best + 1e-12]
-        row = int(ties[np.argmin(basis[ties])])
-
-        tableau[row] /= tableau[row, col]
-        factors = tableau[:, col].copy()
-        factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row])
-        obj = obj - obj[col] * tableau[row]
-        basis[row] = col
+        ties = eligible[ratios <= ratios.min() + tie_tol]
+        _pivot(tableau, obj, basis, int(ties[np.argmin(basis[ties])]), col)
 
         iterations += 1
         if iterations > cap:
             raise OracleError(f"phase-1 simplex exceeded {cap} iterations")
 
     objective = -obj[-1]
-    x = np.zeros(n + m)
+    x = np.zeros(n + m, dtype=a.dtype)
     x[basis] = tableau[:, -1]
-    return Phase1Result(bool(objective <= tol), x[:n].copy(), float(objective), iterations)
+    feasible = bool(objective <= tol)
+    return Phase1Result(feasible, x[:n].astype(np.float64), float(objective), iterations), basis
 
 
-def solve_phase1_exact(
-    a: Sequence[Sequence[Fraction | int | float]],
-    b: Sequence[Fraction | int | float],
-    *,
-    max_iter: int | None = None,
-) -> Phase1Result:
-    """Same algorithm over exact rationals; the verdict carries no rounding.
+def _enter_basis(
+    tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, target: np.ndarray
+) -> bool:
+    """Pivot each real column of ``target`` into a row held by an artificial
+    that ``target`` does not keep; False if some column finds no such row or
+    the basis reached has a negative basic value."""
+    n = tableau.shape[1] - len(basis) - 1
+    keep = set(target[target >= n].tolist())
+    for col in target[target < n].tolist():
+        rows = [i for i, var in enumerate(basis.tolist())
+                if var >= n and var not in keep and tableau[i, col] != 0]
+        if not rows:
+            return False
+        _pivot(tableau, obj, basis, rows[0], col)
+    return not (tableau[:, -1] < 0).any()
 
-    Intended for small systems (certificate columns up to 2^6); floats in
-    the input are converted exactly.
-    """
-    rows = [[Fraction(v) for v in row] for row in a]
-    rhs = [Fraction(v) for v in b]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if len(rhs) != m:
-        raise ValueError("rhs length does not match row count")
 
-    tableau = []
-    for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
-        row = [sign * v for v in rows[i]]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(sign * rhs[i])
-        tableau.append(row)
-    basis = list(range(n, n + m))
-
-    width = n + m + 1
-    obj = [Fraction(0)] * width
-    for j in range(n):
-        obj[j] = -sum(tableau[i][j] for i in range(m))
-    obj[-1] = -sum(tableau[i][-1] for i in range(m))
-
-    cap = max_iter if max_iter is not None else 500 * (m + n + 10)
-    iterations = 0
-    while True:
-        col = next((j for j in range(n + m) if obj[j] < 0), None)
-        if col is None:
-            break
-        row_choice = None
-        best_ratio = None
-        for i in range(m):
-            if tableau[i][col] > 0:
-                ratio = tableau[i][-1] / tableau[i][col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[row_choice])
-                ):
-                    best_ratio = ratio
-                    row_choice = i
-        if row_choice is None:
-            raise OracleError("exact phase-1 objective unbounded below")
-
-        pivot = tableau[row_choice][col]
-        tableau[row_choice] = [v / pivot for v in tableau[row_choice]]
-        pivot_row = tableau[row_choice]
-        for i in range(m):
-            if i != row_choice and tableau[i][col] != 0:
-                factor = tableau[i][col]
-                tableau[i] = [v - factor * pv for v, pv in zip(tableau[i], pivot_row)]
-        if obj[col] != 0:
-            factor = obj[col]
-            obj = [v - factor * pv for v, pv in zip(obj, pivot_row)]
-        basis[row_choice] = col
-
-        iterations += 1
-        if iterations > cap:
-            raise OracleError(f"exact phase-1 simplex exceeded {cap} iterations")
-
-    objective = -obj[-1]
-    x = [Fraction(0)] * (n + m)
-    for i, var in enumerate(basis):
-        x[var] = tableau[i][-1]
-    xs = np.array([float(v) for v in x[:n]])
-    return Phase1Result(objective == 0, xs, float(objective), iterations)
+def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0
+    if tableau.dtype == object:
+        # rational arithmetic dominates the cost, so rows already zero in col stay as they are
+        rows = np.flatnonzero(factors)
+        tableau[rows] -= np.outer(factors[rows], tableau[row])
+    else:
+        tableau -= np.outer(factors, tableau[row])
+    obj -= obj[col] * tableau[row]
+    basis[row] = col

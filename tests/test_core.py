@@ -198,6 +198,16 @@ def test_correlator_set_patterns():
         CorrelatorSet(4, {(1, 2): 0.1, (3, 4): 0.2})
 
 
+def test_correlator_set_from_json_rejects_non_numeric_value():
+    with pytest.raises(ValidationError):
+        CorrelatorSet.from_json_dict({"n": 3, "correlators": {"1,2": "x"}})
+
+
+def test_correlator_set_from_json_rejects_non_mapping_correlators():
+    with pytest.raises(ValidationError):
+        CorrelatorSet.from_json_dict({"n": 3, "correlators": [1]})
+
+
 def test_correlator_set_lookup():
     chain = CorrelatorSet(4, {pair: 0.1 for pair in chain_pairs(4)})
     assert chain.value(1, 4) == 0.1

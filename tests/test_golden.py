@@ -33,6 +33,17 @@ MOMENT_FILES = {
                     "1,8": math.cos(7 * math.pi / 8)},
     },
     "tsirelson3.json": {"n": 3, "moments": {"1,2": 0.5, "2,3": 0.5, "1,3": -0.5}},
+    "complete5.json": {
+        "n": 5,
+        "moments": {"1": 0.1, "2": -0.2, "3": 0.05, "4": 0.0, "5": 0.15,
+                    "1,2": 0.27, "1,3": 0.22, "1,4": 0.17, "1,5": 0.12, "2,3": 0.29,
+                    "2,4": 0.24, "2,5": 0.19, "3,4": 0.31, "3,5": 0.26, "4,5": 0.33},
+    },
+    "cosine4-complete.json": {
+        "n": 4,
+        "moments": {f"{i},{j}": math.cos((j - i) * math.pi / 4)
+                    for i in range(1, 5) for j in range(i + 1, 5)},
+    },
 }
 
 CASES = {
@@ -54,6 +65,13 @@ CASES = {
                        "--seed", "7", "--exact"],
     "mc-ngon4-m5.json": ["mc", "--family", "ngon", "--n", "4", "--member", "5",
                          "--samples", "20000", "--seed", "11", "--exact"],
+    "check-complete5.json": ["check", "--moments", "@complete5.json"],
+    "check-complete5-exact.json": ["check", "--moments", "@complete5.json", "--exact"],
+    "check-cosine4-complete.json": ["check", "--moments", "@cosine4-complete.json"],
+    "check-cosine4-complete-exact.json": ["check", "--moments", "@cosine4-complete.json",
+                                          "--exact"],
+    "check-chsh.json": ["check", "--moments", "@chsh.json"],
+    "check-chsh-exact.json": ["check", "--moments", "@chsh.json", "--exact"],
     "fine-build-chsh.json": ["fine-build", "--moments", "@chsh.json"],
     "fine-build-chain6.json": ["fine-build", "--moments", "@chain6.json"],
     "fine-build-cosine8.json": ["fine-build", "--moments", "@cosine8.json"],

@@ -3,7 +3,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lgfeas.simplex import solve_phase1, solve_phase1_exact
+import lgfeas.simplex as simplex
+from lgfeas.core import CorrelatorSet, complete_pairs
+from lgfeas.feasibility import _constraint_rows, _draw_sample, lp_feasible
+from lgfeas.simplex import solve_phase1
+
+
+def _fractions(values):
+    return np.frompyfunc(Fraction, 1, 1)(np.array(values, dtype=object))
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Records, per exact solve, whether the float basis could be rebuilt."""
+    seen = []
+    enter_basis = simplex._enter_basis
+
+    def spy(*args):
+        seen.append(enter_basis(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(simplex, "_enter_basis", spy)
+    return seen
 
 
 def test_feasible_square_system():
@@ -56,7 +77,7 @@ def test_exact_matches_float_on_small_rationals():
         a = rng.integers(-3, 4, size=(m, n)).astype(float)
         b = rng.integers(-3, 4, size=m).astype(float)
         float_result = solve_phase1(a, b)
-        exact_result = solve_phase1_exact(a.tolist(), [Fraction(v) for v in b])
+        exact_result = solve_phase1(_fractions(a), _fractions(b))
         assert float_result.feasible == exact_result.feasible
         if exact_result.feasible:
             residual = a @ exact_result.x - b
@@ -66,7 +87,71 @@ def test_exact_matches_float_on_small_rationals():
 def test_exact_is_decisive_on_knife_edge():
     # x1 - x2 = 0, x1 + x2 = 1 forces x = (1/2, 1/2); exact objective is 0
     a = [[1, -1], [1, 1]]
-    result = solve_phase1_exact(a, [0, 1])
+    result = solve_phase1(_fractions(a), _fractions([0, 1]))
     assert result.feasible
     assert result.objective == 0.0
     assert np.allclose(result.x, [0.5, 0.5])
+
+
+def _triangle_rhs(c12):
+    # complete n = 3 with zero averages; C12 + C13 + C23 >= -1 is the binding facet
+    third = Fraction(-1, 3)
+    return np.array([Fraction(1), 0, 0, 0, c12, third, third], dtype=object)
+
+
+def test_exact_confirms_float_basis_on_the_triangle_facet(routes):
+    a = _constraint_rows(3, complete_pairs(3)).astype(object)
+    on_facet = solve_phase1(a, _triangle_rhs(Fraction(-1, 3)))
+    assert on_facet.feasible and on_facet.objective == 0.0
+    beyond = _triangle_rhs(Fraction(-1, 3) - Fraction(1, 2**60))
+    assert solve_phase1(a.astype(float), beyond.astype(float)).feasible
+    result = solve_phase1(a, beyond)
+    assert not result.feasible
+    assert result.objective > 0.0
+    assert routes == [True, True]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exact_keeps_the_artificials_of_an_infeasible_float_basis(routes, n):
+    # the float basis keeps artificials at positive level; evicting one while
+    # rebuilding would leave a different basis and cost further rational pivots
+    a = _constraint_rows(n, complete_pairs(n))
+    rhs = np.concatenate(([1.0] + [0.0] * n,
+                          [np.cos(1.2 * (j - i)) for i, j in complete_pairs(n)]))
+    result = solve_phase1(a.astype(object), rhs.astype(object))
+    assert routes == [True]
+    assert not result.feasible
+    assert result.iterations == 0
+
+
+def test_exact_continues_pivoting_from_the_float_basis(routes):
+    # the float run stops with reduced cost -2^-40 on x2; exact pivots it in
+    delta = Fraction(1, 2**40)
+    a = _fractions([[1, 1], [1, 1 + delta]])
+    b = _fractions([1, 1 + delta])
+    float_result = solve_phase1(a.astype(float), b.astype(float))
+    assert float_result.feasible and np.array_equal(float_result.x, [1.0, 0.0])
+    result = solve_phase1(a, b)
+    assert routes == [True]
+    assert result.iterations == 1
+    assert result.feasible and result.objective == 0.0
+    assert np.array_equal(result.x, [0.0, 1.0])
+
+
+def test_exact_restarts_cold_when_float_basis_is_infeasible(routes):
+    b = [-0.6666666666666666, -0.6666666666666666, 0.3333333333333333]
+    data = CorrelatorSet(3, {(1, 2): 1.0, (1, 3): -0.6666666666666666,
+                             (2, 3): -0.6666666666666666})
+    assert lp_feasible(b, data, exact=True).feasible
+    assert routes == [False]
+
+
+def test_float_pivot_path_on_the_n5_probe():
+    # the total the benchmark's complete-n5 simplex probe reports
+    a = _constraint_rows(5, complete_pairs(5))
+    total = 0
+    for mode in ("symmetric", "general"):
+        for index in range(16):
+            b, c = _draw_sample(5, mode, 190604865, index)
+            total += solve_phase1(a, np.concatenate(([1.0], b, c))).iterations
+    assert total == 1098

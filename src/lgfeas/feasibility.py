@@ -59,6 +59,9 @@ from .simplex import FEASIBILITY_TOL, solve_phase1
 ORACLE_MAX_TIMES = 12
 EXACT_MAX_TIMES = 6
 BOUNDARY_TOL = 1e-7
+# samples per stacked phase-1 solve in the sampling experiment; deeper
+# stacks measured slower, and the bound caps the memory of long runs
+CONJECTURE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -542,17 +545,21 @@ def _draw_sample(n: int, mode: str, seed: int, index: int) -> tuple[np.ndarray, 
     return b, c
 
 
-def _classify_float(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool, bool]:
+def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bool, bool]]:
+    """(holds, feasible, boundary) of each sample in rows of ``b`` and ``c``,
+    from one stacked float phase-1 solve."""
     a, lin, bounds = _condition_system(n)
-    slacks = a @ c + lin @ b - bounds
-    holds = bool(slacks.max() <= 0.0)
-    boundary = bool(np.abs(slacks).min() < BOUNDARY_TOL)
-
     rows = _constraint_rows(n, complete_pairs(n))
-    result = solve_phase1(rows, np.concatenate(([1.0], b, c)))
-    feasible = result.feasible
-    boundary = boundary or (FEASIBILITY_TOL < result.objective < BOUNDARY_TOL)
-    return holds, feasible, boundary
+    results = solve_phase1(rows, np.hstack((np.ones((len(b), 1)), b, c)))
+    verdicts = []
+    for b_k, c_k, result in zip(b, c, results):
+        # per sample: a stacked matmul rounds differently in the last bits
+        slacks = a @ c_k + lin @ b_k - bounds
+        holds = bool(slacks.max() <= 0.0)
+        boundary = bool(np.abs(slacks).min() < BOUNDARY_TOL)
+        boundary = boundary or (FEASIBILITY_TOL < result.objective < BOUNDARY_TOL)
+        verdicts.append((holds, result.feasible, boundary))
+    return verdicts
 
 
 def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
@@ -571,17 +578,20 @@ def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[int, list[i
     tallies = [0, 0, 0, 0]  # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
     boundary_count = 0
     counterexamples = []
-    for index in range(start, stop):
-        b, c = _draw_sample(n, mode, seed, index)
-        holds, feasible, boundary = _classify_float(n, b, c)
-        if boundary:
-            boundary_count += 1
-        elif holds != feasible:
-            # knife-edge floats can misclassify either side; settle exactly
-            holds, feasible = _classify_exact(n, b, c)
-            if holds != feasible:
-                counterexamples.append((index, b.tolist(), c.tolist()))
-        tallies[(0 if holds else 2) + (0 if feasible else 1)] += 1
+    for first in range(start, stop, CONJECTURE_BLOCK):
+        indices = range(first, min(first + CONJECTURE_BLOCK, stop))
+        b, c = map(np.array, zip(*[_draw_sample(n, mode, seed, i) for i in indices]))
+        for index, b_k, c_k, (holds, feasible, boundary) in zip(
+            indices, b, c, _classify_stack(n, b, c)
+        ):
+            if boundary:
+                boundary_count += 1
+            elif holds != feasible:
+                # knife-edge floats can misclassify either side; settle exactly
+                holds, feasible = _classify_exact(n, b_k, c_k)
+                if holds != feasible:
+                    counterexamples.append((index, b_k.tolist(), c_k.tolist()))
+            tallies[(0 if holds else 2) + (0 if feasible else 1)] += 1
     return start, tallies, boundary_count, counterexamples
 
 
@@ -609,6 +619,11 @@ def conjecture_check(
     infeasible" is the one the sufficiency claim forbids, while the
     converse would indicate a necessity bug.  Results are reproducible
     bit-for-bit for a fixed (seed, samples) and independent of ``workers``.
+
+    The oracle's float LPs are solved ``CONJECTURE_BLOCK`` samples at a
+    time in one stacked ``solve_phase1`` call, whose rows pivot exactly as
+    one-sample solves would; condition slacks are evaluated per sample, and
+    disagreements are re-adjudicated one sample at a time.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")

@@ -3,9 +3,10 @@
 One dense-tableau kernel with Bland's anti-cycling rule.  float64 input
 pivots with tolerances; object input pivots exactly in ``Fraction``s,
 starting from the basis on which a float solve of the same system ends.
-Only phase 1 is needed: the minimum of the artificial-variable sum is zero
-exactly when the system is feasible, and the final basic solution is the
-certificate.
+A stack of float right-hand sides against one matrix pivots in lock step,
+each row taking the pivots its own solve would take.  Only phase 1 is
+needed: the minimum of the artificial-variable sum is zero exactly when
+the system is feasible, and the final basic solution is the certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Phase1Result:
     iterations: int
 
 
-def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result:
+def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result | list[Phase1Result]:
     """Minimize the artificial-variable sum for A x = b, x >= 0.
 
     Bland's rule (lowest eligible index for both the entering column and
@@ -44,8 +45,17 @@ def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result:
     counts the pivots after the start; it starts from the artificial basis
     only when the float solve fails or its basis cannot be rebuilt
     feasibly in rationals.
+
+    A 2-D float ``b`` of shape (S, m) is a stack of right-hand sides: the
+    result is a list of S results, each identical to the solve of that row
+    alone, and the call raises if the solve of any row would.  Exact input
+    takes one right-hand side.
     """
     a, b = np.asarray(a), np.asarray(b)
+    if b.ndim == 2:
+        if a.dtype == object or b.dtype == object:
+            raise ValueError("a stack of right-hand sides takes float input only")
+        return _phase1_stacked(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
     if a.dtype != object and b.dtype != object:
         return _phase1(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))[0]
     try:
@@ -55,26 +65,46 @@ def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result:
     return _phase1(_fractions(a), _fractions(b), warm)[0]
 
 
+def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tableau, reduced costs and basis of the artificial start, for one
+    right-hand side or for each row of a stack of them."""
+    m, n = a.shape
+    if b.ndim > 2 or b.shape[-1:] != (m,):
+        raise ValueError(f"rhs shape {b.shape} does not match {m} rows")
+    exact = a.dtype == object
+    stack = b.shape[:-1]
+
+    flip = b < 0
+    tableau = np.empty(stack + (m, n + m + 1), dtype=a.dtype)
+    tableau[..., :n] = np.where(flip[..., None], -a, a)
+    tableau[..., n : n + m] = _fractions(np.eye(m, dtype=int)) if exact else np.eye(m)
+    tableau[..., -1] = np.where(flip, -b, b)
+    basis = np.tile(np.arange(n, n + m), stack + (1,))
+
+    # reduced costs for min sum(artificials) with the artificial basis
+    obj = np.zeros(stack + (n + m + 1,), dtype=a.dtype)
+    obj[..., :n] = -tableau[..., :n].sum(axis=-2)
+    obj[..., -1] = -tableau[..., -1].sum(axis=-1)
+    return tableau, obj, basis
+
+
+def _result(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, iterations: int) -> Phase1Result:
+    m, width = tableau.shape
+    n = width - m - 1
+    objective = -obj[-1]
+    x = np.zeros(n + m, dtype=tableau.dtype)
+    x[basis] = tableau[:, -1]
+    feasible = bool(objective <= (0 if tableau.dtype == object else FEASIBILITY_TOL))
+    return Phase1Result(feasible, x[:n].astype(np.float64), float(objective), iterations)
+
+
 def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
     """The pivot loop in the arithmetic of ``a``, from the artificial basis
     or from ``warm``; returns the result and the final basis."""
     m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError(f"rhs shape {b.shape} does not match {m} rows")
+    tableau, obj, basis = _start(a, b)
     exact = a.dtype == object
     tol, pivot_tol, tie_tol = (0, 0, 0) if exact else (FEASIBILITY_TOL, _PIVOT_TOL, _TIE_TOL)
-
-    flip = b < 0
-    tableau = np.empty((m, n + m + 1), dtype=a.dtype)
-    tableau[:, :n] = np.where(flip[:, None], -a, a)
-    tableau[:, n : n + m] = _fractions(np.eye(m, dtype=int)) if exact else np.eye(m)
-    tableau[:, -1] = np.where(flip, -b, b)
-    basis = np.arange(n, n + m)
-
-    # reduced costs for min sum(artificials) with the artificial basis
-    obj = np.zeros(n + m + 1, dtype=a.dtype)
-    obj[:n] = -tableau[:, :n].sum(axis=0)
-    obj[-1] = -tableau[:, -1].sum()
     if warm is not None and not _enter_basis(tableau, obj, basis, warm):
         return _phase1(a, b)
 
@@ -97,11 +127,56 @@ def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
         if iterations > cap:
             raise OracleError(f"phase-1 simplex exceeded {cap} iterations")
 
-    objective = -obj[-1]
-    x = np.zeros(n + m, dtype=a.dtype)
-    x[basis] = tableau[:, -1]
-    feasible = bool(objective <= tol)
-    return Phase1Result(feasible, x[:n].astype(np.float64), float(objective), iterations), basis
+    return _result(tableau, obj, basis, iterations), basis
+
+
+def _phase1_stacked(a: np.ndarray, b: np.ndarray) -> list[Phase1Result]:
+    """The float pivot loop of ``_phase1`` over the rows of ``b`` in lock
+    step.  Each pass pivots every unfinished row on the column and row its
+    own run would choose, with the same arithmetic, so every row ends as
+    its own run would; a row leaves the stack once no reduced cost is
+    negative."""
+    m, n = a.shape
+    tableau, obj, basis = _start(a, b)
+    order = np.arange(len(b))  # input row of each stack row
+    results: list[Phase1Result | None] = [None] * len(b)
+
+    cap = 200 * (m + n + 10)
+    iterations = 0
+    while True:
+        negative = obj[:, : n + m] < -FEASIBILITY_TOL
+        done = ~negative.any(axis=1)
+        if done.any():
+            for k in np.flatnonzero(done).tolist():
+                results[order[k]] = _result(tableau[k], obj[k], basis[k], iterations)
+            live = ~done
+            tableau, obj, basis, order, negative = (
+                tableau[live], obj[live], basis[live], order[live], negative[live]
+            )
+        if order.size == 0:
+            return results
+        stack = np.arange(order.size)
+        cols = negative.argmax(axis=1)
+        column = tableau[stack, :, cols]
+        eligible = column > _PIVOT_TOL
+        if not eligible.any(axis=1).all():
+            raise OracleError("phase-1 objective unbounded below; numerical breakdown")
+        ratios = np.divide(tableau[:, :, -1], column, out=np.full(column.shape, np.inf),
+                           where=eligible)
+        ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE_TOL
+        rows = np.where(ties, basis, n + m).argmin(axis=1)
+
+        # _pivot on every stack row at once
+        tableau[stack, rows] /= tableau[stack, rows, cols][:, None]
+        factors = tableau[stack, :, cols]
+        factors[stack, rows] = 0
+        tableau -= factors[:, :, None] * tableau[stack, rows][:, None, :]
+        obj -= obj[stack, cols][:, None] * tableau[stack, rows]
+        basis[stack, rows] = cols
+
+        iterations += 1
+        if iterations > cap:
+            raise OracleError(f"phase-1 simplex exceeded {cap} iterations")
 
 
 def _enter_basis(

@@ -30,7 +30,18 @@ from lgfeas import (
     symmetric_e_feasible,
     three_time_complete,
 )
-from lgfeas.feasibility import _classify_float, _constraint_rows, _draw_sample
+from lgfeas.feasibility import (
+    BOUNDARY_TOL,
+    CONJECTURE_BLOCK,
+    ConjectureReport,
+    _classify_exact,
+    _classify_stack,
+    _condition_system,
+    _constraint_rows,
+    _draw_sample,
+    _sample_to_spec,
+)
+from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
 from util import pair_table_nonneg, sample_nonneg_pair_moments
 
 
@@ -408,7 +419,7 @@ def test_symmetric_validates_input():
 # ---------------------------------------------------------------------------
 
 def test_classify_zero_sample_holds_and_feasible():
-    holds, feasible, boundary = _classify_float(5, np.zeros(5), np.zeros(10))
+    [(holds, feasible, boundary)] = _classify_stack(5, np.zeros((1, 5)), np.zeros((1, 10)))
     assert holds and feasible and not boundary
 
 
@@ -433,6 +444,35 @@ def test_conjecture_small_run_tallies():
     assert report.condition_fails_and_feasible == 0  # necessity
     payload = report.to_json_dict()
     assert payload["samples"] == 300 and payload["counterexamples"] == []
+
+
+def _reference_report(samples, seed, mode):
+    # one sample at a time: per-sample slacks, a 1-D float solve, exact re-adjudication
+    a, lin, bounds = _condition_system(5)
+    rows = _constraint_rows(5, complete_pairs(5))
+    tallies, boundary_count, counterexamples = [0, 0, 0, 0], 0, []
+    for index in range(samples):
+        b, c = _draw_sample(5, mode, seed, index)
+        slacks = a @ c + lin @ b - bounds
+        result = solve_phase1(rows, np.concatenate(([1.0], b, c)))
+        holds, feasible = bool(slacks.max() <= 0.0), result.feasible
+        if (np.abs(slacks).min() < BOUNDARY_TOL
+                or FEASIBILITY_TOL < result.objective < BOUNDARY_TOL):
+            boundary_count += 1
+        elif holds != feasible:
+            holds, feasible = _classify_exact(5, b, c)
+            if holds != feasible:
+                counterexamples.append(_sample_to_spec(5, mode, b, c))
+        tallies[(0 if holds else 2) + (0 if feasible else 1)] += 1
+    return ConjectureReport(5, mode, samples, seed, *tallies, boundary_count, counterexamples)
+
+
+def test_conjecture_blocks_match_a_per_sample_reference():
+    # seed 6 puts one sample where the conditions hold
+    samples = 2 * CONJECTURE_BLOCK + 3
+    report = conjecture_check(samples, 6, "general")
+    assert report == _reference_report(samples, 6, "general")
+    assert report.condition_holds_and_feasible == 1
 
 
 def test_conjecture_workers_do_not_change_the_report():

@@ -94,6 +94,14 @@ def format_subset_key(subset: Sequence[int]) -> str:
     return ",".join(str(i) for i in subset)
 
 
+def _json_n(payload: Mapping) -> int:
+    """The ``n`` of a JSON payload; only a JSON integer is accepted."""
+    n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValidationError(f"n must be a JSON integer, got {n!r}")
+    return n
+
+
 def parse_subset_key(key: str) -> tuple[int, ...]:
     try:
         subset = tuple(int(part) for part in key.split(","))
@@ -203,7 +211,7 @@ class MomentSpec:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> MomentSpec:
         try:
-            n = int(payload["n"])
+            n = _json_n(payload)
             values = {key: float(value) for key, value in payload.get("moments", {}).items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed moment payload: {exc}") from exc
@@ -268,7 +276,7 @@ class CorrelatorSet:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> CorrelatorSet:
         try:
-            n = int(payload["n"])
+            n = _json_n(payload)
             values = {key: float(value) for key, value in payload.get("correlators", {}).items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed correlator payload: {exc}") from exc
@@ -339,9 +347,10 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> JointDistribution:
         try:
-            return cls(int(payload["n"]), np.asarray(payload["p"], dtype=np.float64))
-        except (KeyError, TypeError) as exc:
+            n, p = _json_n(payload), np.asarray(payload["p"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed distribution payload: {exc}") from exc
+        return cls(n, p)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Two independent routes answer the same question:
 
-* a linear-feasibility oracle (``lp_feasible``) over the 2^n outcome
+* an LP feasibility oracle (``lp_feasible``) over the 2^n outcome
   probabilities, built on the in-package phase-1 simplex; and
 * constructive solvers that assemble an explicit distribution: the
   three-time coefficient interval (``d_interval``), the free-correlator
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,21 +157,26 @@ class ConjectureReport:
 
 
 # ---------------------------------------------------------------------------
-# the linear-feasibility oracle
+# the LP feasibility oracle
 # ---------------------------------------------------------------------------
+
+def _characters(n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """One float64 row prod_{i in T} s_i over the 2^n outcomes per subset T
+    of the times 0..n; s_0 = +1, so time 0 adds no bit ((1 << 0) >> 1 == 0)."""
+    masks = np.array([sum((1 << i) >> 1 for i in t) for t in subsets], dtype=np.int64)
+    return 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1)
+
+
+def _suspended(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The pairs (0, i), whose correlators are the averages B_i, then ``pairs``."""
+    return tuple((0, i) for i in range(1, n + 1)) + tuple(pairs)
+
 
 @lru_cache(maxsize=128)
 def _constraint_rows(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Rows of the moment-matching system over the 2^n outcome columns:
-    normalization, then one sign row per time, then one per fixed pair."""
-    idx = np.arange(1 << n)
-    rows = [np.ones(1 << n)]
-    for i in range(1, n + 1):
-        rows.append(1.0 - 2.0 * ((idx >> (i - 1)) & 1).astype(np.float64))
-    for i, j in pairs:
-        parity = ((idx >> (i - 1)) & 1) ^ ((idx >> (j - 1)) & 1)
-        rows.append(1.0 - 2.0 * parity.astype(np.float64))
-    a = np.vstack(rows)
+    normalization, then one character row per pair; a pair (0, i) fixes B_i."""
+    a = _characters(n, ((),) + pairs)
     a.setflags(write=False)
     return a
 
@@ -206,7 +211,7 @@ def lp_feasible(
         raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES}, got {n}")
     bvec = _validate_b(b, n)
     pairs = tuple(sorted(correlators.entries))
-    rows = _constraint_rows(n, pairs)
+    rows = _constraint_rows(n, _suspended(n, pairs))
     rhs = np.concatenate(([1.0], bvec, [correlators.entries[p] for p in pairs]))
 
     if exact and n > EXACT_MAX_TIMES:
@@ -239,6 +244,11 @@ def lp_feasible_from_spec(spec: MomentSpec, *, exact: bool = False) -> Feasibili
 # ---------------------------------------------------------------------------
 # interval solvers
 # ---------------------------------------------------------------------------
+
+def _triangle_interval(x: float, y: float) -> Interval:
+    """Range of C_jk on a triangle (i, j, k) with C_ij = x and C_ik = y."""
+    return Interval(-1.0 + abs(x + y), 1.0 - abs(x - y))
+
 
 def _check_pair_nonneg(b_i: float, b_j: float, c_ij: float, pair: tuple[int, int]) -> None:
     for s_i in (1, -1):
@@ -300,15 +310,14 @@ def c1n_intervals(
     the block whose closure C_1k is free; ``c_next`` and ``c_closure`` are
     the correlators C_{k,k+1} and C_{1,k+1} of the adjoining three-time
     block.  Returned in order: the chain-family bound, the three-time
-    bound, and the pair-probability bound.
+    bound, and the pair-probability bound, which is the three-time bound
+    on the times (0, 1, k) with C_{01} = B_1 and C_{0k} = B_k.
     """
     if len(chain) < 2:
         raise DimensionError("chain must fix at least two consecutive correlators")
     bound = float(len(chain) - 1)
     chain_iv = Interval(-bound + _parity_max(chain, 0), bound - _parity_max(chain, 1))
-    three_iv = Interval(-1.0 + abs(c_next + c_closure), 1.0 - abs(c_next - c_closure))
-    pair_iv = Interval(-1.0 + abs(b_first + b_last), 1.0 - abs(b_first - b_last))
-    return chain_iv, three_iv, pair_iv
+    return chain_iv, _triangle_interval(c_next, c_closure), _triangle_interval(b_first, b_last)
 
 
 def c1n_interval(
@@ -406,8 +415,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     p = blocks[2].p[bit(1) | (bit(2) << 1) | (bit(3) << 2)].copy()
     for k in range(3, n):
         numerator = blocks[k].p[bit(1) | (bit(k) << 1) | (bit(k + 1) << 2)]
-        denominator = (1.0 + bvec[0] * sign(1) + bvec[k - 1] * sign(k)
-                       + c_1k(k) * sign(1) * sign(k)) / 4.0
+        denominator = pairwise_probability(bvec[0], bvec[k - 1], c_1k(k), sign(1), sign(k))
         ratio = np.zeros_like(p)
         usable = denominator > 1e-14
         ratio[usable] = numerator[usable] / denominator[usable]
@@ -421,48 +429,6 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     if residual > FEASIBILITY_TOL or not certificate.is_nonnegative():
         raise OracleError(f"product construction failed to certify (residual {residual:.3e})")
     return FeasibilityVerdict(True, certificate)
-
-
-def chain_marginals_from_tables(
-    tables: Mapping[tuple[int, int], Mapping[tuple[int, int], float]],
-    n: int,
-) -> tuple[list[float], CorrelatorSet]:
-    """Extract averages and correlators from raw chain pair-probability
-    tables, enforcing mutual compatibility of the shared one-time marginals.
-
-    Each table maps outcome pairs (s_i, s_j) to probabilities.  Raises
-    ``MarginalError`` when a table is unnormalized or the B_i read from
-    different tables disagree beyond 1e-9.
-    """
-    expected = frozenset(chain_pairs(n))
-    if frozenset(tables) != expected:
-        raise MarginalError(f"tables must cover exactly the chain pairs {sorted(expected)}")
-    b_seen: dict[int, float] = {}
-    entries: dict[tuple[int, int], float] = {}
-    for (i, j), table in sorted(tables.items()):
-        total = math.fsum(table.get((s_i, s_j), 0.0) for s_i in (1, -1) for s_j in (1, -1))
-        if abs(total - 1.0) > NONNEGATIVITY_TOL:
-            raise MarginalError(f"pair table {(i, j)} sums to {total!r}, not 1")
-        b_i = math.fsum(s_i * table.get((s_i, s_j), 0.0) for s_i in (1, -1) for s_j in (1, -1))
-        b_j = math.fsum(s_j * table.get((s_i, s_j), 0.0) for s_i in (1, -1) for s_j in (1, -1))
-        entries[(i, j)] = math.fsum(
-            s_i * s_j * table.get((s_i, s_j), 0.0) for s_i in (1, -1) for s_j in (1, -1)
-        )
-        for t, value in ((i, b_i), (j, b_j)):
-            if t in b_seen and abs(b_seen[t] - value) > NONNEGATIVITY_TOL:
-                raise MarginalError(
-                    f"incompatible marginals: B_{t} reads {b_seen[t]!r} and {value!r}"
-                )
-            b_seen.setdefault(t, value)
-    b = [b_seen[i] for i in range(1, n + 1)]
-    return b, CorrelatorSet(n, entries)
-
-
-def fine_build_from_tables(
-    tables: Mapping[tuple[int, int], Mapping[tuple[int, int], float]], n: int
-) -> FeasibilityVerdict:
-    b, chain = chain_marginals_from_tables(tables, n)
-    return fine_build(b, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +451,11 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
         raise ValidationError("symmetric coefficient search needs the complete pattern")
 
     pairs = complete_pairs(n)
-    rows = _constraint_rows(n, pairs)
     cvec = np.array([correlators.entries[p] for p in pairs])
-    f = 1.0 + rows[1 + n :].T @ cvec  # f(s) = 1 + sum s_i s_j C_ij over all outcomes
+    f = 1.0 + _characters(n, pairs).T @ cvec  # f(s) = 1 + sum s_i s_j C_ij over all outcomes
 
     quads = tuple(combinations(range(1, n + 1), 4))
-    quad_chars = np.stack(
-        [1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n) & sum(1 << (i - 1) for i in q)) & 1)
-         for q in quads],
-        axis=1,
-    )
+    quad_chars = _characters(n, quads).T
 
     if n == 4:
         parity = quad_chars[:, 0]
@@ -527,12 +488,12 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _condition_system(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Term matrix, linear matrix and bounds of the candidate condition set,
-    stacked two-time, three-time, n-gon over ``complete_pairs(n)``."""
+def _condition_system(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Term matrix over the pairs of the times 0..n and bounds of the
+    candidate condition set, stacked two-time, three-time, n-gon."""
     families = (two_time_complete(n), three_time_complete(n), ngon_family(n))
     blocks = [coefficient_arrays(f) for f in families]
-    return tuple(np.concatenate([blk[part] for blk in blocks]) for part in range(3))
+    return tuple(np.concatenate([blk[part] for blk in blocks]) for part in range(2))
 
 
 def _draw_sample(n: int, mode: str, seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -548,13 +509,13 @@ def _draw_sample(n: int, mode: str, seed: int, index: int) -> tuple[np.ndarray, 
 def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bool, bool]]:
     """(holds, feasible, boundary) of each sample in rows of ``b`` and ``c``,
     from one stacked float phase-1 solve."""
-    a, lin, bounds = _condition_system(n)
-    rows = _constraint_rows(n, complete_pairs(n))
-    results = solve_phase1(rows, np.hstack((np.ones((len(b), 1)), b, c)))
+    a, bounds = _condition_system(n)
+    rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
+    rhs = np.hstack((np.ones((len(b), 1)), b, c))
     verdicts = []
-    for b_k, c_k, result in zip(b, c, results):
+    for bc_k, result in zip(rhs[:, 1:], solve_phase1(rows, rhs)):
         # per sample: a stacked matmul rounds differently in the last bits
-        slacks = a @ c_k + lin @ b_k - bounds
+        slacks = a @ bc_k - bounds
         holds = bool(slacks.max() <= 0.0)
         boundary = bool(np.abs(slacks).min() < BOUNDARY_TOL)
         boundary = boundary or (FEASIBILITY_TOL < result.objective < BOUNDARY_TOL)
@@ -563,14 +524,13 @@ def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bo
 
 
 def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
-    a, lin, bounds = _condition_system(n)
-    bf = [Fraction(float(v)) for v in b]
-    cf = [Fraction(float(v)) for v in c]
+    a, bounds = _condition_system(n)
+    bc = np.concatenate((b, c))
     # object arrays evaluate the float path's slack formula in rationals
-    slacks = a.astype(int).astype(object) @ cf + lin.astype(int).astype(object) @ bf
+    slacks = a.astype(int).astype(object) @ [Fraction(float(v)) for v in bc]
     holds = bool((slacks - [Fraction(v) for v in bounds.tolist()] <= 0).all())
-    rows = _constraint_rows(n, complete_pairs(n)).astype(object)
-    return holds, solve_phase1(rows, np.concatenate(([1.0], b, c)).astype(object)).feasible
+    rows = _constraint_rows(n, _suspended(n, complete_pairs(n))).astype(object)
+    return holds, solve_phase1(rows, np.concatenate(([1.0], bc)).astype(object)).feasible
 
 
 def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[int, list[int], int, list]:

@@ -1,5 +1,8 @@
 """Inequality families over two-time correlators.
 
+The one-time averages enter as correlators with a reference time 0 whose
+sign is always +1: B_i = C_{0i}.  Every family is then an integer
+coefficient matrix over pairs of times, with a bound and sign codes.
 Four families constrain the correlators of a macrorealistic model:
 
 * ``lg``: the 2^{n-1} chain inequalities sum_k a_k C_{k,k+1} + a_n C_{1n}
@@ -10,8 +13,8 @@ Four families constrain the correlators of a macrorealistic model:
 * ``three_time``: non-negativity of every three-time block,
   1 + s_i s_j C_ij + s_i s_k C_ik + s_j s_k C_jk >= 0 for all i<j<k.
 * ``two_time``: non-negativity of every pair probability,
-  1 + B_i s_i + B_j s_j + C_ij s_i s_j >= 0; these members carry linear
-  B terms alongside the correlator terms.
+  1 + B_i s_i + B_j s_j + C_ij s_i s_j >= 0; this is the three-time
+  condition on the times (0, i, j), and the only family that reads B.
 
 Every member is normalized to "sum of terms <= bound" so that a positive
 slack uniformly signals a violation.
@@ -58,15 +61,17 @@ def _signs(n: int, size: int, codes: np.ndarray) -> np.ndarray:
 
 
 def _sign_products(signs: np.ndarray) -> np.ndarray:
-    """Coefficients -s_i s_j over ``complete_pairs(n)`` for (members x n) signs."""
-    i, j = np.array(complete_pairs(signs.shape[1])).T - 1
+    """Coefficients -s_i s_j over the lexicographic pairs of the columns of
+    (members x times) signs."""
+    i, j = np.array(list(combinations(range(signs.shape[1]), 2))).T
     return -(signs[:, i] * signs[:, j])
 
 
 @dataclass(frozen=True)
 class LinearInequality:
-    """One member: sum of integer-weighted correlators (plus optional linear
-    B terms) bounded above.  Slack = value - bound; violation <=> slack > 0."""
+    """One member: sum of integer-weighted correlators (plus the B terms
+    ``linear``, which a family stores as its (0, i) columns) bounded above.
+    Slack = value - bound; violation <=> slack > 0."""
 
     terms: Mapping[tuple[int, int], int]
     bound: float
@@ -96,13 +101,13 @@ class LinearInequality:
 @dataclass(frozen=True, eq=False)
 class InequalityFamily:
     """Members as rows: row r reads sum_c coefficients[r, c] * C_{pairs[c]}
-    + sum_i linear[r, i - 1] * B_i <= bounds[r], with int8 matrices.
+    <= bounds[r], with an int8 matrix and C_{0i} = B_i.
 
-    ``pairs`` is ``chain_pairs(n)`` for ``lg``, else ``complete_pairs(n)``;
-    ``linear`` has no columns except for ``two_time``.  ``codes[r]`` is the
-    sign code row r was generated from and fixes its label: the signs of
-    all n times for ``lg`` and ``ngon``, else the signs of the triple's or
-    pair's times in the low bits and its rank above them.  Labels and
+    ``pairs`` is ``chain_pairs(n)`` for ``lg``, the pairs of the times 0..n
+    for ``two_time``, else ``complete_pairs(n)``.  ``codes[r]`` is the sign
+    code row r was generated from and fixes its label: the signs of all n
+    times for ``lg`` and ``ngon``, else the signs of the triple's or pair's
+    times in the low bits and its rank above them.  Labels and
     ``LinearInequality`` objects are built from the rows on demand.
     """
 
@@ -110,14 +115,13 @@ class InequalityFamily:
     n: int
     pairs: tuple[tuple[int, int], ...]
     coefficients: np.ndarray
-    linear: np.ndarray
     bounds: np.ndarray
     codes: np.ndarray
 
     def __post_init__(self) -> None:
         if self.name not in _LABEL_TAGS:
             raise ValidationError(f"unknown family name {self.name!r}")
-        for array in (self.coefficients, self.linear, self.bounds, self.codes):
+        for array in (self.coefficients, self.bounds, self.codes):
             array.setflags(write=False)
 
     def __len__(self) -> int:
@@ -136,8 +140,10 @@ class InequalityFamily:
         return tuple(map(self._member, range(len(self)), self.labels()))
 
     def _member(self, row: int, label: str) -> LinearInequality:
-        terms = {p: c for p, c in zip(self.pairs, self.coefficients[row].tolist()) if c}
-        linear = {i: c for i, c in enumerate(self.linear[row].tolist(), start=1) if c}
+        """The (0, i) columns map back to the B terms ``linear``."""
+        entries = [(p, c) for p, c in zip(self.pairs, self.coefficients[row].tolist()) if c]
+        terms = {p: c for p, c in entries if p[0]}
+        linear = {j: c for (i, j), c in entries if not i}
         return LinearInequality(terms, float(self.bounds[row]), label, linear)
 
     def labels(self, rows: Sequence[int] | np.ndarray | None = None) -> list[str]:
@@ -152,36 +158,33 @@ class InequalityFamily:
 
     def take(self, rows: np.ndarray) -> InequalityFamily:
         """The sub-family of the given rows, in the given order."""
-        arrays = ("coefficients", "linear", "bounds", "codes")
+        arrays = ("coefficients", "bounds", "codes")
         return replace(self, **{name: getattr(self, name)[rows] for name in arrays})
 
     def slacks(self, data: CorrelatorSet | MomentSpec) -> np.ndarray:
         """Signed slack of every member on the data; positive means violated."""
-        return _slacks(self.pairs, self.coefficients, self.linear, self.bounds, data)
+        return _slacks(self.pairs, self.coefficients, self.bounds, data)
 
 
-def _slacks(pairs: Sequence[tuple[int, int]], coefficients: np.ndarray, linear: np.ndarray,
+def _slacks(pairs: Sequence[tuple[int, int]], coefficients: np.ndarray,
             bounds: np.ndarray, data: CorrelatorSet | MomentSpec) -> np.ndarray:
-    """coefficients @ C + linear @ B - bounds, with C read at ``pairs``, B at
-    the times 1..linear.shape[1], and the data conventions of ``evaluate``."""
-    times = range(1, linear.shape[1] + 1)
+    """coefficients @ C - bounds, with C read at ``pairs`` under the data
+    conventions of ``evaluate``; C_{0j} is B_j."""
     if isinstance(data, CorrelatorSet):
-        values, singles = [data.value(i, j) for i, j in pairs], [0.0 for _ in times]
+        values = [data.value(i, j) if i else 0.0 for i, j in pairs]
     elif isinstance(data, MomentSpec):
-        values, singles = [data.get(pair) for pair in pairs], [data.get((i,)) for i in times]
+        values = [data.get((i, j) if i else (j,)) for i, j in pairs]
     else:
         raise TypeError(f"cannot evaluate against {type(data).__name__}")
     # equal values enter once with an integer weight, so equal term multisets tie exactly
-    unique, inverse = np.unique(values + singles, return_inverse=True)
+    unique, inverse = np.unique(values, return_inverse=True)
     onehot = (inverse[:, None] == np.arange(unique.size)).astype(np.float64)
-    return (np.hstack([coefficients, linear]) @ onehot) @ unique - bounds
+    return (coefficients @ onehot) @ unique - bounds
 
 
-def _family(name, n, pairs, coefficients, bound, codes, linear=None) -> InequalityFamily:
-    """A family whose members share one bound; no linear matrix means no B terms."""
-    if linear is None:
-        linear = np.zeros((codes.size, 0), dtype=np.int8)
-    return InequalityFamily(name, n, pairs, coefficients, linear, np.full(codes.size, bound), codes)
+def _family(name, n, pairs, coefficients, bound, codes) -> InequalityFamily:
+    """A family whose members share one bound."""
+    return InequalityFamily(name, n, pairs, coefficients, np.full(codes.size, bound), codes)
 
 
 def lg_family(n: int) -> InequalityFamily:
@@ -227,13 +230,15 @@ def three_time_complete(n: int) -> InequalityFamily:
 def two_time_complete(n: int) -> InequalityFamily:
     """Every pair-probability condition 1 + B_i s_i + B_j s_j + C_ij s_i s_j >= 0.
 
-    All four sign choices per pair are distinct members (the B terms break
-    the global-flip symmetry), giving 2n(n-1) members.
+    This is the three-time family on the times 0..n, restricted to the
+    triples (0, i, j) with s_0 = +1: those are the first C(n, 2) triples,
+    and their three-time codes are the codes here shifted left by one bit.
+    All four sign choices per pair are distinct members, giving 2n(n-1).
     """
     _check_n(n, minimum=2)
     codes = np.arange(4 * math.comb(n, 2))
-    signs = _signs(n, 2, codes)
-    return _family("two_time", n, complete_pairs(n), _sign_products(signs), 1.0, codes, -signs)
+    coefficients = _sign_products(_signs(n + 1, 3, codes << 1))
+    return _family("two_time", n, tuple(combinations(range(n + 1), 2)), coefficients, 1.0, codes)
 
 
 def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
@@ -243,28 +248,30 @@ def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
     (linear terms evaluate against 0).  A MomentSpec reads pairs and
     singletons with the usual absent-means-zero convention.
     """
-    linear = np.array([[ineq.linear.get(i, 0) for i in range(1, max(ineq.linear, default=0) + 1)]])
-    coefficients = np.array([list(ineq.terms.values())])
-    return float(_slacks(tuple(ineq.terms), coefficients, linear, np.array([ineq.bound]), data)[0])
+    times = range(1, max(ineq.linear, default=0) + 1)
+    pairs = tuple((0, i) for i in times) + tuple(ineq.terms)
+    coefficients = np.array([[ineq.linear.get(i, 0) for i in times] + list(ineq.terms.values())])
+    return float(_slacks(pairs, coefficients, np.array([ineq.bound]), data)[0])
 
 
 def coefficient_arrays(
     family: InequalityFamily,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """Dense float64 (members x pairs) term matrix over ``complete_pairs(n)``,
-    (members x n) linear matrix and bound vector for batch slack
-    evaluation: slack = A @ c + L @ b - bounds."""
-    pairs = complete_pairs(family.n)
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """Dense float64 (members x pairs) term matrix over the pairs of the
+    times 0..n, and the bound vector, for batch slack evaluation:
+    slack = A @ concat(b, c) - bounds with c over ``complete_pairs(n)``."""
+    pairs = tuple(combinations(range(family.n + 1), 2))
     a = np.zeros((len(family), len(pairs)))
     a[:, [pairs.index(pair) for pair in family.pairs]] = family.coefficients
-    lin = np.zeros((len(family), family.n))
-    lin[:, : family.linear.shape[1]] = family.linear
-    return a, lin, family.bounds.copy(), pairs
+    return a, family.bounds.copy(), pairs
 
 
 def gap_weights(family: InequalityFamily) -> np.ndarray:
     """(members x n-1) int8 per-gap coefficient sums: under equal spacing
-    C_ij = g(j - i) member r reads sum_d w[r, d - 1] * g(d) <= bound."""
+    C_ij = g(j - i) member r reads sum_d w[r, d - 1] * g(d) <= bound.
+    The averages B_i = C_{0i} are no function of a gap."""
+    if family.name == "two_time":
+        raise ValidationError("gap weights need a family without B terms")
     weights = np.zeros((len(family), family.n - 1), dtype=np.int8)
     for col, (i, j) in enumerate(family.pairs):
         weights[:, j - i - 1] += family.coefficients[:, col]

@@ -227,8 +227,8 @@ def test_criterion_9_necessity_suite():
             three_time_complete(n),
             two_time_complete(n),
         ):
-            a, lin, bounds, _ = coefficient_arrays(family)
-            slack = c @ a.T + b @ lin.T - bounds
+            a, bounds, _ = coefficient_arrays(family)
+            slack = np.hstack((b, c)) @ a.T - bounds
             worst = max(worst, float(slack.max()))
     assert worst <= 1e-9
 

@@ -212,6 +212,14 @@ def test_non_numeric_moment_exits_2(tmp_path, capsys):
     _assert_input_error(capsys, main(["check", "--moments", str(spec)]))
 
 
+@pytest.mark.parametrize("n", [3.9, "3", True])
+@pytest.mark.parametrize("sub", ["check", "fine-build"])
+def test_non_integer_n_exits_2(tmp_path, capsys, sub, n):
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"n": n, "moments": {"1,2": 0.5, "2,3": 0.5, "1,3": 0.5}}))
+    _assert_input_error(capsys, main([sub, "--moments", str(spec)]))
+
+
 def test_non_mapping_moments_exits_2(tmp_path, capsys):
     spec = tmp_path / "m.json"
     spec.write_text(json.dumps({"n": 3, "moments": [1]}))

@@ -208,6 +208,25 @@ def test_correlator_set_from_json_rejects_non_mapping_correlators():
         CorrelatorSet.from_json_dict({"n": 3, "correlators": [1]})
 
 
+_JSON_READERS = [
+    lambda n: MomentSpec.from_json_dict({"n": n, "moments": {"1,2": 0.5}}),
+    lambda n: CorrelatorSet.from_json_dict({"n": n, "correlators": {"1,2": 0.5}}),
+    lambda n: JointDistribution.from_json_dict({"n": n, "p": [0.25] * 4}),
+]
+
+
+@pytest.mark.parametrize("n", [2.9, 2.0, "2", True])
+@pytest.mark.parametrize("read", _JSON_READERS)
+def test_json_n_must_be_a_json_integer(read, n):
+    with pytest.raises(ValidationError):
+        read(n)
+
+
+def test_joint_distribution_from_json_rejects_non_numeric_p():
+    with pytest.raises(ValidationError):
+        JointDistribution.from_json_dict({"n": 2, "p": ["x", 0.5, 0.25, 0.25]})
+
+
 def test_correlator_set_lookup():
     chain = CorrelatorSet(4, {pair: 0.1 for pair in chain_pairs(4)})
     assert chain.value(1, 4) == 0.1

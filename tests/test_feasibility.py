@@ -11,6 +11,7 @@ from lgfeas import (
     Interval,
     MarginalError,
     MomentSpec,
+    SignVector,
     ValidationError,
     c1n_interval,
     c1n_intervals,
@@ -20,13 +21,11 @@ from lgfeas import (
     d_interval,
     evaluate,
     fine_build,
-    fine_build_from_tables,
     lg_family,
     lp_feasible,
     lp_feasible_from_spec,
     moments_from_distribution,
     ngon_family,
-    pairwise_probability,
     symmetric_e_feasible,
     three_time_complete,
 )
@@ -40,6 +39,7 @@ from lgfeas.feasibility import (
     _constraint_rows,
     _draw_sample,
     _sample_to_spec,
+    _suspended,
 )
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
 from util import pair_table_nonneg, sample_nonneg_pair_moments
@@ -307,28 +307,6 @@ def test_fine_build_equivalent_to_oracle_and_chain_family():
         assert lp_feasible(b, CorrelatorSet(n, c)).feasible == family_ok
 
 
-def test_fine_build_from_tables_checks_compatibility():
-    def table(b_i, b_j, c_ij):
-        return {
-            (s_i, s_j): pairwise_probability(b_i, b_j, c_ij, s_i, s_j)
-            for s_i in (1, -1)
-            for s_j in (1, -1)
-        }
-
-    tables = {
-        (1, 2): table(0.2, -0.1, 0.3),
-        (2, 3): table(-0.1, 0.0, 0.1),
-        (1, 3): table(0.2, 0.0, -0.2),
-    }
-    verdict = fine_build_from_tables(tables, 3)
-    assert verdict.feasible
-
-    tables_bad = dict(tables)
-    tables_bad[(2, 3)] = table(0.4, 0.0, 0.1)  # B_2 disagrees with the (1,2) table
-    with pytest.raises(MarginalError):
-        fine_build_from_tables(tables_bad, 3)
-
-
 def test_fine_build_names_the_violated_member_at_n20():
     tau = math.pi / 20
     values = [math.cos(tau)] * 19 + [math.cos(19 * tau)]
@@ -351,6 +329,17 @@ def test_fine_build_violated_labels_match_brute_force_evaluation():
             verdict = fine_build(None, chain)
             assert not verdict.feasible
             assert verdict.violated == expected
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("pattern", [chain_pairs, complete_pairs])
+def test_constraint_rows_are_sign_products(pattern, n):
+    pairs = _suspended(n, pattern(n))
+    columns = []
+    for index in range(1 << n):
+        s = (1,) + SignVector.from_index(index, n).signs  # s_0 = +1
+        columns.append([1] + [s[i] * s[j] for i, j in pairs])
+    assert np.array_equal(_constraint_rows(n, pairs), np.array(columns, dtype=float).T)
 
 
 def test_fine_build_residual_does_not_build_the_dense_system():
@@ -448,12 +437,12 @@ def test_conjecture_small_run_tallies():
 
 def _reference_report(samples, seed, mode):
     # one sample at a time: per-sample slacks, a 1-D float solve, exact re-adjudication
-    a, lin, bounds = _condition_system(5)
-    rows = _constraint_rows(5, complete_pairs(5))
+    a, bounds = _condition_system(5)
+    rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     tallies, boundary_count, counterexamples = [0, 0, 0, 0], 0, []
     for index in range(samples):
         b, c = _draw_sample(5, mode, seed, index)
-        slacks = a @ c + lin @ b - bounds
+        slacks = a @ np.concatenate((b, c)) - bounds
         result = solve_phase1(rows, np.concatenate(([1.0], b, c)))
         holds, feasible = bool(slacks.max() <= 0.0), result.feasible
         if (np.abs(slacks).min() < BOUNDARY_TOL

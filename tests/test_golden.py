@@ -65,6 +65,8 @@ CASES = {
                        "--seed", "7", "--exact"],
     "mc-ngon4-m5.json": ["mc", "--family", "ngon", "--n", "4", "--member", "5",
                          "--samples", "20000", "--seed", "11", "--exact"],
+    "mc-two3-m5.json": ["mc", "--family", "two", "--n", "3", "--member", "5",
+                        "--samples", "20000", "--seed", "1", "--exact"],
     "check-complete5.json": ["check", "--moments", "@complete5.json"],
     "check-complete5-exact.json": ["check", "--moments", "@complete5.json", "--exact"],
     "check-cosine4-complete.json": ["check", "--moments", "@cosine4-complete.json"],

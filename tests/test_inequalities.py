@@ -8,6 +8,7 @@ from lgfeas import (
     DimensionError,
     MissingCorrelatorError,
     MomentSpec,
+    ValidationError,
     chain_pairs,
     complete_pairs,
     distinct_under_equal_spacing,
@@ -19,7 +20,7 @@ from lgfeas import (
     three_time_complete,
     two_time_complete,
 )
-from lgfeas.inequalities import coefficient_arrays, family_to_json_list
+from lgfeas.inequalities import coefficient_arrays, family_to_json_list, gap_weights
 from util import random_nonneg_distribution
 
 
@@ -161,6 +162,11 @@ def test_distinct_counts():
     assert len(distinct_under_equal_spacing(ngon_family(10)).members) == 272
 
 
+def test_gap_weights_refuse_the_b_terms():
+    with pytest.raises(ValidationError):
+        gap_weights(two_time_complete(3))
+
+
 def test_distinct_classes_agree_on_random_equal_spacing():
     # every collapsed member must match its representative's slack for any
     # gap-dependent assignment C_ij = g(j - i)
@@ -218,18 +224,32 @@ def test_ngon4_slack_is_half_the_three_time_average():
 
 def test_coefficient_arrays_match_evaluate():
     family = two_time_complete(4)
-    a, lin, bounds, pairs = coefficient_arrays(family)
+    a, bounds, pairs = coefficient_arrays(family)
     rng = np.random.default_rng(3)
     b = rng.uniform(-1, 1, 4)
-    c = rng.uniform(-1, 1, len(pairs))
+    c = rng.uniform(-1, 1, len(pairs) - 4)
     spec = MomentSpec(
         4,
         {**{(i,): float(b[i - 1]) for i in range(1, 5)},
-         **{pair: float(v) for pair, v in zip(pairs, c)}},
+         **{pair: float(v) for pair, v in zip(pairs[4:], c)}},
     )
-    slacks = a @ c + lin @ b - bounds
+    slacks = a @ np.concatenate((b, c)) - bounds
     for member, fast in zip(family.members, slacks):
         assert evaluate(member, spec) == pytest.approx(float(fast), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_two_time_is_three_time_with_a_reference_time(n):
+    # times 1..n+1 relabelled t -> t - 1: the triples (1, i, j) become
+    # (0, i - 1, j - 1), whose (0, k) terms are the B_k terms
+    def relabelled(member):
+        terms = {(i - 1, j - 1): c for (i, j), c in member.terms.items() if i > 1}
+        linear = {j - 1: c for (i, j), c in member.terms.items() if i == 1}
+        return terms, linear, member.bound
+
+    three = [m for m in three_time_complete(n + 1) if any(i == 1 for i, _ in m.terms)]
+    two = [(m.terms, m.linear, m.bound) for m in two_time_complete(n)]
+    assert [relabelled(m) for m in three] == two
 
 
 def test_family_json_shape():

@@ -5,7 +5,7 @@ import pytest
 
 import lgfeas.simplex as simplex
 from lgfeas.core import CorrelatorSet, complete_pairs
-from lgfeas.feasibility import _constraint_rows, _draw_sample, lp_feasible
+from lgfeas.feasibility import _constraint_rows, _draw_sample, _suspended, lp_feasible
 from lgfeas.simplex import solve_phase1
 
 
@@ -100,7 +100,7 @@ def _triangle_rhs(c12):
 
 
 def test_exact_confirms_float_basis_on_the_triangle_facet(routes):
-    a = _constraint_rows(3, complete_pairs(3)).astype(object)
+    a = _constraint_rows(3, _suspended(3, complete_pairs(3))).astype(object)
     on_facet = solve_phase1(a, _triangle_rhs(Fraction(-1, 3)))
     assert on_facet.feasible and on_facet.objective == 0.0
     beyond = _triangle_rhs(Fraction(-1, 3) - Fraction(1, 2**60))
@@ -115,7 +115,7 @@ def test_exact_confirms_float_basis_on_the_triangle_facet(routes):
 def test_exact_keeps_the_artificials_of_an_infeasible_float_basis(routes, n):
     # the float basis keeps artificials at positive level; evicting one while
     # rebuilding would leave a different basis and cost further rational pivots
-    a = _constraint_rows(n, complete_pairs(n))
+    a = _constraint_rows(n, _suspended(n, complete_pairs(n)))
     rhs = np.concatenate(([1.0] + [0.0] * n,
                           [np.cos(1.2 * (j - i)) for i, j in complete_pairs(n)]))
     result = solve_phase1(a.astype(object), rhs.astype(object))
@@ -148,7 +148,7 @@ def test_exact_restarts_cold_when_float_basis_is_infeasible(routes):
 
 def test_float_pivot_path_on_the_n5_probe():
     # the total the benchmark's complete-n5 simplex probe reports
-    a = _constraint_rows(5, complete_pairs(5))
+    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     total = 0
     for mode in ("symmetric", "general"):
         for index in range(16):
@@ -171,7 +171,7 @@ def _n5_rhs(mode, seed, indices):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("mode", ["symmetric", "general"])
 def test_stacked_solve_matches_each_row_alone(mode, seed):
-    a = _constraint_rows(5, complete_pairs(5))
+    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     rhs = _n5_rhs(mode, seed, range(60))
     results = solve_phase1(a, rhs)
     assert len(results) == len(rhs)
@@ -182,7 +182,7 @@ def test_stacked_solve_matches_each_row_alone(mode, seed):
 
 def test_stacked_rows_leave_at_their_own_iteration_counts():
     # general draws finish in as few as 15 pivots, symmetric ones take up to 62
-    a = _constraint_rows(5, complete_pairs(5))
+    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     rhs = np.vstack([_n5_rhs(mode, 3, range(40)) for mode in ("symmetric", "general")])
     results = solve_phase1(a, rhs)
     iterations = [r.iterations for r in results]
@@ -191,7 +191,7 @@ def test_stacked_rows_leave_at_their_own_iteration_counts():
 
 
 def test_stacked_pivot_path_on_the_n5_probe():
-    a = _constraint_rows(5, complete_pairs(5))
+    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     rhs = np.vstack([_n5_rhs(mode, 190604865, range(16)) for mode in ("symmetric", "general")])
     assert sum(r.iterations for r in solve_phase1(a, rhs)) == 1098
 

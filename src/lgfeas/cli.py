@@ -8,6 +8,11 @@ line, seeds and effective configuration; with fixed flags and seeds the
 data payloads are byte-identical across runs (manifests carry wall time
 and are excluded from that guarantee).
 
+Each subcommand maps its parsed arguments to a payload, its extra manifest
+entries and whether its verdict is negative.  One runner, ``main``, does
+the rest for all of them: it times the call, writes the payload and the
+manifest, and turns a negative verdict into exit 1 under --strict.
+
 Exit codes: 0 success, 1 negative scientific verdict under --strict
 (infeasible data, counterexamples found, violations on a sweep), 2 usage
 or input errors.  The LG_SEED environment variable is the fallback for
@@ -26,25 +31,15 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import (
-    CorrelatorSet,
-    LgError,
-    MomentSpec,
-)
-from .feasibility import (
-    FeasibilityVerdict,
-    conjecture_check,
-    fine_build,
-    lp_feasible_from_spec,
-)
+from .core import CorrelatorSet, LgError, MomentSpec
+from .feasibility import FeasibilityVerdict, conjecture_check, fine_build, lp_feasible_from_spec
 from .inequalities import (
-    InequalityFamily,
+    distinct_under_equal_spacing,
     family_to_json_list,
     lg_family,
     ngon_family,
     three_time_complete,
     two_time_complete,
-    distinct_under_equal_spacing,
 )
 from .cltvolume import exact_violation_fraction, mc_violation_fraction, v_lg, v_ngon
 from .spinmodel import SpinSweepConfig, nu_versus_n, sweep
@@ -55,6 +50,10 @@ _FAMILY_BUILDERS = {
     "three": three_time_complete,
     "two": two_time_complete,
 }
+
+# what a subcommand hands the runner: payload bytes, extra manifest
+# entries, and whether its verdict is negative (exit 1 under --strict)
+Outcome = tuple[bytes, dict, bool]
 
 
 def _fmt(value: float) -> str:
@@ -97,16 +96,15 @@ def _emit(out: str | None, payload: bytes, manifest: dict) -> None:
     manifest_path.write_bytes(_json_bytes(manifest, verbatim=True))
 
 
-def _manifest(args: argparse.Namespace, started: float, argv: list[str], **extra) -> dict:
-    manifest = {
+def _manifest(args: argparse.Namespace, argv: list[str], wall_time_s: float, extra: dict) -> dict:
+    return {
         "tool": "lgfeas",
         "version": __version__,
-        "command": list(argv),
+        "command": argv,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "wall_time_s": time.monotonic() - started,
+        "wall_time_s": wall_time_s,
+        **extra,
     }
-    manifest.update(extra)
-    return manifest
 
 
 def _default_seed(value: int | None) -> int:
@@ -127,7 +125,7 @@ def _load_moments(path: str) -> MomentSpec:
     return MomentSpec.from_json_dict(payload)
 
 
-def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
+def _verdict_outcome(verdict: FeasibilityVerdict) -> Outcome:
     payload: dict = {"feasible": verdict.feasible}
     if verdict.certificate is not None:
         payload["certificate"] = verdict.certificate.to_json_dict()
@@ -135,159 +133,109 @@ def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
         payload["violated"] = list(verdict.violated)
     if verdict.phase1_objective is not None:
         payload["phase1_objective"] = verdict.phase1_objective
-    return payload
+    return _json_bytes(payload), {}, not verdict.feasible
+
+
+def _sweep_options(args: argparse.Namespace) -> dict:
+    """The shared sweep flags as keyword arguments of ``SpinSweepConfig``
+    and ``nu_versus_n``; ``fixed`` is the CLI alias of ``fixed_window``."""
+    return {
+        "family": args.family,
+        "regime": "fixed_window" if args.regime == "fixed" else args.regime,
+        "omega": args.omega,
+        "tau_min": args.tau_min,
+        "tau_max": args.tau_max,
+        "steps": args.steps,
+    }
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
+def _cmd_gen(args: argparse.Namespace) -> Outcome:
     if args.raw and args.family != "ngon":
         raise LgError("--raw applies to the ngon family only")
     if args.distinct and args.family not in ("lg", "ngon"):
         raise LgError("--distinct applies to the lg and ngon families")
-    family: InequalityFamily
     if args.family == "ngon":
         family = ngon_family(args.n, raw=args.raw)
     else:
         family = _FAMILY_BUILDERS[args.family](args.n)
     if args.distinct:
         family = distinct_under_equal_spacing(family)
-    payload = _json_bytes(family_to_json_list(family))
-    _emit(args.out, payload, _manifest(args, started, argv=argv, members=len(family)))
-    return 0
+    return _json_bytes(family_to_json_list(family)), {"members": len(family)}, False
 
 
-def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
-    spec = _load_moments(args.moments)
-    verdict = lp_feasible_from_spec(spec, exact=args.exact)
-    _emit(args.out, _json_bytes(_verdict_payload(verdict)), _manifest(args, started, argv=argv))
-    if args.strict and not verdict.feasible:
-        return 1
-    return 0
+def _cmd_check(args: argparse.Namespace) -> Outcome:
+    return _verdict_outcome(lp_feasible_from_spec(_load_moments(args.moments), exact=args.exact))
 
 
-def _cmd_fine_build(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
+def _cmd_fine_build(args: argparse.Namespace) -> Outcome:
     spec = _load_moments(args.moments)
     if spec.max_order() > 2:
         raise LgError("fine-build input must fix only one- and two-time moments")
-    b = [spec.b(i) for i in range(1, spec.n + 1)]
-    chain = CorrelatorSet(spec.n, spec.pair_values())
-    verdict = fine_build(b, chain)
-    _emit(args.out, _json_bytes(_verdict_payload(verdict)), _manifest(args, started, argv=argv))
-    if args.strict and not verdict.feasible:
-        return 1
-    return 0
+    return _verdict_outcome(fine_build(spec.singles(), CorrelatorSet(spec.n, spec.pair_values())))
 
 
-def _cmd_conjecture(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
+def _cmd_conjecture(args: argparse.Namespace) -> Outcome:
     seed = _default_seed(args.seed)
-    report = conjecture_check(
-        args.samples, seed, args.mode, n=args.n, workers=args.threads or 1
-    )
+    report = conjecture_check(args.samples, seed, args.mode, n=args.n, workers=args.threads)
     payload = report.to_json_dict()
     # counterexamples, if any, are persisted verbatim (full float precision)
+    counterexamples = payload.pop("counterexamples")
+    if counterexamples:
+        lines = "".join(json.dumps(spec) + "\n" for spec in counterexamples)
+        Path(args.counterexamples).write_text(lines, encoding="utf-8")
     payload_bytes = _json_bytes(
-        {**_round_floats({k: v for k, v in payload.items() if k != "counterexamples"}),
-         "counterexamples": payload["counterexamples"]},
-        verbatim=True,
+        {**_round_floats(payload), "counterexamples": counterexamples}, verbatim=True
     )
-    manifest = _manifest(args, started, argv=argv, seed_used=seed)
-    _emit(args.out, payload_bytes, manifest)
-    if report.counterexamples:
-        counter_path = Path(args.counterexamples)
-        lines = [json.dumps(spec.to_json_dict()) for spec in report.counterexamples]
-        counter_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if args.strict:
-            return 1
-    return 0
+    return payload_bytes, {"seed_used": seed}, bool(counterexamples)
 
 
-def _normalize_regime(value: str) -> str:
-    return "fixed_window" if value in ("fixed", "fixed_window") else value
-
-
-def _cmd_spin(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
-    config = SpinSweepConfig(
-        n=args.n,
-        omega=args.omega,
-        tau_min=args.tau_min,
-        tau_max=args.tau_max,
-        steps=args.steps,
-        regime=_normalize_regime(args.regime),
-        family=args.family,
-    )
+def _cmd_spin(args: argparse.Namespace) -> Outcome:
+    config = SpinSweepConfig(n=args.n, **_sweep_options(args))
     result = sweep(config)
-    header = ["tau"] + [f"member_{k}" for k in range(len(result.labels))] + ["any_violation"]
+    columns = [f"member_{k}" for k in range(len(result.labels))]
     rows = [
-        [float(result.grid[p])]
-        + [float(result.slacks[m, p]) for m in range(len(result.labels))]
-        + [int(result.any_violation[p])]
-        for p in range(result.grid.size)
+        [tau, *slacks, int(hit)]
+        for tau, slacks, hit in zip(
+            result.grid.tolist(), result.slacks.T.tolist(), result.any_violation.tolist()
+        )
     ]
-    manifest = _manifest(
-        args,
-        started,
-        argv=argv,
-        member_columns={f"member_{k}": label for k, label in enumerate(result.labels)},
-        nu=result.nu,
-        window_bounds=list(config.window_bounds()),
-    )
-    _emit(args.out, _csv_bytes(header, rows), manifest)
-    if args.strict and result.nu > 0:
-        return 1
-    return 0
+    extra = {
+        "member_columns": dict(zip(columns, result.labels)),
+        "nu": result.nu,
+        "window_bounds": list(config.window_bounds()),
+    }
+    return _csv_bytes(["tau", *columns, "any_violation"], rows), extra, result.nu > 0
 
 
-def _cmd_nu(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
-    curve = nu_versus_n(
-        args.n_min,
-        args.n_max,
-        regime=_normalize_regime(args.regime),
-        omega=args.omega,
-        steps=args.steps,
-        family=args.family,
-        tau_min=args.tau_min,
-        tau_max=args.tau_max,
-    )
+def _cmd_nu(args: argparse.Namespace) -> Outcome:
+    curve = nu_versus_n(args.n_min, args.n_max, **_sweep_options(args))
     payload = _csv_bytes(["n", "nu"], [[n, float(nu)] for n, nu in curve])
-    _emit(args.out, payload, _manifest(args, started, argv=argv))
-    if args.strict and any(nu > 0 for _, nu in curve):
-        return 1
-    return 0
+    return payload, {}, any(nu > 0 for _, nu in curve)
 
 
-def _cmd_clt(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
+def _cmd_clt(args: argparse.Namespace) -> Outcome:
+    if args.n_min > args.n_max:
+        raise LgError(f"need n_min <= n_max, got [{args.n_min}, {args.n_max}]")
     estimator = v_lg if args.family == "lg" else v_ngon
     rows = [[n, estimator(n).value] for n in range(args.n_min, args.n_max + 1)]
-    _emit(args.out, _csv_bytes(["n", "v"], rows), _manifest(args, started, argv=argv))
-    return 0
+    return _csv_bytes(["n", "v"], rows), {}, False
 
 
-def _cmd_mc(args: argparse.Namespace, argv: list[str]) -> int:
-    started = time.monotonic()
+def _cmd_mc(args: argparse.Namespace) -> Outcome:
     seed = _default_seed(args.seed)
     family = _FAMILY_BUILDERS[args.family](args.n)
     if not 0 <= args.member < len(family):
         raise LgError(f"member index {args.member} out of range for {len(family)} members")
     member = family[args.member]
-    estimate = mc_violation_fraction(member, args.samples, seed)
-    payload = estimate.to_json_dict()
+    payload = mc_violation_fraction(member, args.samples, seed).to_json_dict()
     payload["member"] = member.label
     if args.exact and len(set(abs(c) for c in member.terms.values())) == 1:
-        payload["exact"] = exact_violation_fraction(
-            member.bound, len(member.terms)
-        ).value
-    _emit(args.out, _json_bytes(payload), _manifest(args, started, argv=argv, seed_used=seed))
-    return 0
+        payload["exact"] = exact_violation_fraction(member.bound, len(member.terms)).value
+    return _json_bytes(payload), {"seed_used": seed}, False
 
 
 # ---------------------------------------------------------------------------
@@ -303,76 +251,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-V", "--version", action="version", version=f"lgfeas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, strict: bool = False) -> None:
+    def command(name: str, func, help: str, *, strict: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out", help="output file (stdout when omitted)")
         if strict:
             p.add_argument("--strict", action="store_true",
                            help="exit 1 on infeasible or violating verdicts")
+        return p
 
-    p = sub.add_parser("gen", help="generate an inequality family as JSON")
+    def sweep_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--family", choices=["lg", "ngon"], default="lg")
+        p.add_argument("--regime", choices=["extend", "fixed", "fixed_window"], default="extend")
+        p.add_argument("--omega", type=float, default=1.0)
+        p.add_argument("--tau-min", type=float, default=0.0)
+        p.add_argument("--tau-max", type=float, default=None)
+        p.add_argument("--steps", type=int, default=2048)
+
+    p = command("gen", _cmd_gen, "generate an inequality family as JSON")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_BUILDERS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--distinct", action="store_true",
                    help="one representative per equal-spacing class (lg/ngon)")
     p.add_argument("--raw", action="store_true",
                    help="emit all 2^n sign vectors for the ngon family")
-    common(p)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("check", help="decide feasibility of a moment file via the LP oracle")
+    p = command("check", _cmd_check, "decide feasibility of a moment file via the LP oracle",
+                strict=True)
     p.add_argument("--moments", required=True, help="MomentSpec JSON file")
     p.add_argument("--exact", action="store_true", help="rational arithmetic (n <= 6)")
-    common(p, strict=True)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("fine-build", help="construct a joint distribution from chain data")
+    p = command("fine-build", _cmd_fine_build, "construct a joint distribution from chain data",
+                strict=True)
     p.add_argument("--moments", required=True, help="MomentSpec JSON file (chain pairs)")
-    common(p, strict=True)
-    p.set_defaults(func=_cmd_fine_build)
 
-    p = sub.add_parser("conjecture", help="run the n=5 condition-vs-oracle sampling experiment")
+    p = command("conjecture", _cmd_conjecture,
+                "run the n=5 condition-vs-oracle sampling experiment", strict=True)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=["symmetric", "general"], default="symmetric")
     p.add_argument("--counterexamples", default="counterexamples.jsonl",
                    help="where to write disagreeing samples, one per line")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker processes for the sampling")
-    common(p, strict=True)
-    p.set_defaults(func=_cmd_conjecture)
 
-    p = sub.add_parser("spin", help="sweep cosine-model slacks over measurement spacing")
+    p = command("spin", _cmd_spin, "sweep cosine-model slacks over measurement spacing",
+                strict=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=["lg", "ngon"], default="lg")
-    p.add_argument("--regime", choices=["extend", "fixed", "fixed_window"], default="extend")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--tau-min", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=2048)
-    common(p, strict=True)
-    p.set_defaults(func=_cmd_spin)
+    sweep_flags(p)
 
-    p = sub.add_parser("nu", help="violated-fraction curve nu(n)")
+    p = command("nu", _cmd_nu, "violated-fraction curve nu(n)", strict=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--regime", choices=["extend", "fixed", "fixed_window"], default="extend")
-    p.add_argument("--family", choices=["lg", "ngon"], default="lg")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--tau-min", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=2048)
-    common(p, strict=True)
-    p.set_defaults(func=_cmd_nu)
+    sweep_flags(p)
 
-    p = sub.add_parser("clt", help="normal-limit violating fractions per family")
+    p = command("clt", _cmd_clt, "normal-limit violating fractions per family")
     p.add_argument("--family", choices=["lg", "ngon"], required=True)
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=50)
-    common(p)
-    p.set_defaults(func=_cmd_clt)
 
-    p = sub.add_parser("mc", help="Monte Carlo violating fraction of one family member")
+    p = command("mc", _cmd_mc, "Monte Carlo violating fraction of one family member")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--member", type=int, required=True, help="index in generation order")
     p.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), default="lg")
@@ -380,24 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--exact", action="store_true",
                    help="include the exact convolution value when available")
-    common(p)
-    p.set_defaults(func=_cmd_mc)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.monotonic()
     try:
-        return args.func(args, argv)
+        payload, extra, negative = args.func(args)
+        _emit(args.out, payload, _manifest(args, argv, time.monotonic() - started, extra))
     except (LgError, OSError) as exc:
         print(f"lgfeas: error: {exc}", file=sys.stderr)
         return 2
+    return 1 if negative and getattr(args, "strict", False) else 0
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ estimators of that fraction live here:
   tail (Irwin-Hall after rescaling), evaluated in rational arithmetic so
   it can arbitrate the other two.
 
-``erf`` is implemented in-package: a compensated Taylor series on |x| <= 2
-and a Lentz-evaluated continued fraction for the complementary function
-beyond, giving errors near machine precision on |x| <= 6.
+``erf`` is the standard library's ``math.erf``, re-exported under the
+package name.
 """
 
 from __future__ import annotations
@@ -23,71 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import erf
 
 import numpy as np
 
 from .core import ValidationError
 from .inequalities import LinearInequality
-
-_TWO_OVER_SQRT_PI = 1.1283791670955126
-_ONE_OVER_SQRT_PI = 0.5641895835477563
-
-
-def _erf_taylor(x: float) -> float:
-    # alternating series with Kahan compensation; |x| <= 2 needs < 40 terms
-    total = x
-    compensation = 0.0
-    term = x
-    k = 1
-    while True:
-        term *= -x * x / k
-        piece = term / (2 * k + 1)
-        if abs(piece) < 1e-18:
-            break
-        y = piece - compensation
-        t = total + y
-        compensation = (t - total) - y
-        total = t
-        k += 1
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_continued_fraction(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * K, K = 1/(x+ (1/2)/(x+ 1/(x+ (3/2)/(x+ ...))))
-    # modified Lentz evaluation; rapid for x > 2
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    for k in range(1, 300):
-        a = 1.0 if k == 1 else (k - 1) / 2.0
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) * _ONE_OVER_SQRT_PI * f
-
-
-def erf(x: float) -> float:
-    """Error function, odd in x, saturating to +-1 for large arguments."""
-    x = float(x)
-    if math.isnan(x):
-        return x
-    ax = abs(x)
-    if ax <= 2.0:
-        value = _erf_taylor(ax)
-    elif ax >= 27.0:
-        value = 1.0  # exp(-x^2) underflows; erfc indistinguishable from 0
-    else:
-        value = 1.0 - _erfc_continued_fraction(ax)
-    return math.copysign(value, x)
 
 
 @dataclass(frozen=True)

@@ -83,9 +83,6 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float, tol: float = EMPTY_TOL) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
@@ -236,9 +233,8 @@ def lp_feasible_from_spec(spec: MomentSpec, *, exact: bool = False) -> Feasibili
     """Oracle entry point for moment data holding singletons and pairs only."""
     if spec.max_order() > 2:
         raise ValidationError("oracle input must fix only one- and two-time moments")
-    b = [spec.b(i) for i in range(1, spec.n + 1)]
     correlators = CorrelatorSet(spec.n, spec.pair_values())
-    return lp_feasible(b, correlators, exact=exact)
+    return lp_feasible(spec.singles(), correlators, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +367,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         chain_part = [c_in[(i, i + 1)] for i in range(1, k)]
         c_next = c_in[(k, k + 1)]
         c_closure = c_in[(1, n)] if k + 1 == n else chosen[k + 1]
-        interval = reduce(
-            Interval.intersect,
-            c1n_intervals(chain_part, c_next, c_closure, bvec[0], bvec[k - 1]),
-        )
+        interval = c1n_interval(chain_part, c_next, c_closure, bvec[0], bvec[k - 1])
         if interval.is_empty:
             values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [c_closure]
             block = CorrelatorSet(k + 1, dict(zip(chain_pairs(k + 1), values)))
@@ -591,10 +584,12 @@ def conjecture_check(
         raise ValidationError("seed must be non-negative")
     if mode not in ("symmetric", "general"):
         raise ValidationError(f"mode must be symmetric or general, got {mode!r}")
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
     if n != 5:
         raise DimensionError("the sampling experiment is defined for n = 5")
 
-    chunk_size = max(64, samples // (max(1, workers) * 8)) if workers > 1 else samples
+    chunk_size = max(64, samples // (workers * 8)) if workers > 1 else samples
     chunks = [
         (n, mode, seed, start, min(start + chunk_size, samples))
         for start in range(0, samples, chunk_size)

@@ -72,6 +72,8 @@ class SpinSweepConfig:
     def __post_init__(self) -> None:
         if not 3 <= self.n <= 20:
             raise DimensionError(f"n must be in [3, 20], got {self.n}")
+        if not all(math.isfinite(x) for x in (self.omega, self.tau_min, self.tau_max or 0.0)):
+            raise ValidationError("omega, tau_min and tau_max must be finite")
         if self.omega <= 0:
             raise ValidationError("omega must be positive")
         if self.steps < 2:

@@ -230,3 +230,117 @@ def test_non_integer_lg_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LG_SEED", "abc")
     monkeypatch.chdir(tmp_path)
     _assert_input_error(capsys, main(["conjecture", "--samples", "5", "--threads", "1"]))
+
+
+# ---------------------------------------------------------------------------
+# the runner: manifests and --strict exits, for every subcommand
+# ---------------------------------------------------------------------------
+
+_CHAIN4 = {"n": 4, "moments": {"1,2": 1.0, "2,3": 1.0, "3,4": 1.0, "1,4": 1.0}}
+_CHSH = {"n": 4, "moments": {"1,2": 1 / math.sqrt(2), "2,3": 1 / math.sqrt(2),
+                             "3,4": 1 / math.sqrt(2), "1,4": -1 / math.sqrt(2)}}
+
+MANIFEST_CASES = {
+    "gen": (["gen", "--family", "lg", "--n", "4"], {"members"}),
+    "check": (["check", "--moments", "@chain4.json"], set()),
+    "fine-build": (["fine-build", "--moments", "@chain4.json"], set()),
+    "conjecture": (["conjecture", "--samples", "10", "--seed", "3", "--threads", "1"],
+                   {"seed_used"}),
+    "spin": (["spin", "--n", "5", "--steps", "16"],
+             {"member_columns", "nu", "window_bounds"}),
+    "nu": (["nu", "--n-min", "3", "--n-max", "4", "--steps", "16"], set()),
+    "clt": (["clt", "--family", "ngon", "--n-min", "3", "--n-max", "6"], set()),
+    "mc": (["mc", "--n", "3", "--member", "1", "--samples", "100", "--seed", "5"],
+           {"seed_used"}),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(MANIFEST_CASES))
+def test_every_subcommand_writes_its_manifest(tmp_path, capsys, monkeypatch, sub):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain4.json").write_text(json.dumps(_CHAIN4))
+    argv, extras = MANIFEST_CASES[sub]
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    out = tmp_path / "payload.out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes()
+    manifest = json.loads((tmp_path / "payload.out.manifest.json").read_text())
+    base = {"tool", "version", "command", "config", "wall_time_s"}
+    assert set(manifest) == base | extras
+    assert manifest["tool"] == "lgfeas"
+    assert manifest["command"] == argv + ["--out", str(out)]
+    assert manifest["config"]["command"] == sub
+    assert "func" not in manifest["config"]
+    assert manifest["wall_time_s"] >= 0.0
+    if sub == "gen":
+        assert manifest["members"] == len(json.loads(out.read_text()))
+    if sub in ("conjecture", "mc"):
+        assert manifest["seed_used"] == int(argv[argv.index("--seed") + 1])
+    if sub == "spin":
+        assert manifest["window_bounds"] == pytest.approx([0.0, 4 * 2 * math.pi])
+        assert 0.0 <= manifest["nu"] <= 1.0
+        header = out.read_text().splitlines()[0].split(",")
+        assert list(manifest["member_columns"]) == header[1:-1]
+        assert manifest["member_columns"]["member_0"].startswith("lg5:")
+
+
+def test_fine_build_strict_exits_1_on_chsh(tmp_path, capsys):
+    spec = tmp_path / "chsh.json"
+    spec.write_text(json.dumps(_CHSH))
+    assert main(["fine-build", "--moments", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is False
+    assert main(["fine-build", "--moments", str(spec), "--strict"]) == 1
+    assert json.loads(capsys.readouterr().out)["violated"] == ["lg4:+++-"]
+
+
+def test_nu_strict_exits_1_on_violation(tmp_path, capsys):
+    out = tmp_path / "nu.csv"
+    argv = ["nu", "--n-min", "3", "--n-max", "5", "--steps", "64", "--out", str(out)]
+    assert main(argv) == 0
+    assert any(float(line.split(",")[1]) > 0 for line in out.read_text().splitlines()[1:])
+    assert main(argv + ["--strict"]) == 1
+
+
+def test_conjecture_strict_writes_counterexamples(tmp_path, capsys, monkeypatch):
+    from lgfeas import cli
+    from lgfeas.core import MomentSpec
+    from lgfeas.feasibility import ConjectureReport
+
+    counter = MomentSpec(5, {(1, 2): 0.25, (2, 3): -0.5, (4, 5): 0.125})
+
+    def fake_check(samples, seed, mode="symmetric", **kwargs):
+        return ConjectureReport(5, mode, samples, seed, 0, 1, 0, 0, 0, (counter,))
+
+    monkeypatch.setattr(cli, "conjecture_check", fake_check)
+    monkeypatch.chdir(tmp_path)
+    argv = ["conjecture", "--samples", "1", "--seed", "9", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    jsonl = tmp_path / "counterexamples.jsonl"
+    assert [json.loads(line) for line in jsonl.read_text().splitlines()] == [
+        counter.to_json_dict()
+    ]
+    jsonl.unlink()
+    assert main(argv + ["--strict"]) == 1
+    assert jsonl.read_text() == json.dumps(counter.to_json_dict()) + "\n"
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["condition_holds_and_infeasible"] == 1
+    assert report["counterexamples"] == [counter.to_json_dict()]
+
+
+@pytest.mark.parametrize("flag, value", [("--omega", "nan"), ("--omega", "inf"),
+                                         ("--tau-min", "nan"), ("--tau-max", "inf"),
+                                         ("--tau-max", "nan")])
+@pytest.mark.parametrize("head", [["spin", "--n", "4"], ["nu", "--n-min", "3", "--n-max", "4"]])
+def test_non_finite_sweep_flags_exit_2(capsys, head, flag, value):
+    _assert_input_error(capsys, main(head + ["--steps", "8", flag, value, "--strict"]))
+
+
+def test_clt_reversed_range_exits_2(capsys):
+    _assert_input_error(capsys, main(["clt", "--family", "lg", "--n-min", "6", "--n-max", "3"]))
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_conjecture_non_positive_threads_exit_2(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.chdir(tmp_path)
+    _assert_input_error(capsys, main(["conjecture", "--samples", "5", "--seed", "1",
+                                      "--threads", threads]))

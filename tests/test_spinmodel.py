@@ -195,3 +195,12 @@ def test_config_validation():
         SpinSweepConfig(n=4, tau_min=2.0, tau_max=1.0)
     with pytest.raises(DimensionError):
         nu_versus_n(5, 4)
+
+
+@pytest.mark.parametrize("field", ["omega", "tau_min", "tau_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValidationError):
+        SpinSweepConfig(n=4, **{field: value})
+    with pytest.raises(ValidationError):
+        nu_versus_n(3, 4, steps=8, **{field: value})

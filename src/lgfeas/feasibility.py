@@ -158,10 +158,10 @@ class ConjectureReport:
 # ---------------------------------------------------------------------------
 
 def _characters(n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """One float64 row prod_{i in T} s_i over the 2^n outcomes per subset T
+    """One int8 row prod_{i in T} s_i over the 2^n outcomes per subset T
     of the times 0..n; s_0 = +1, so time 0 adds no bit ((1 << 0) >> 1 == 0)."""
     masks = np.array([sum((1 << i) >> 1 for i in t) for t in subsets], dtype=np.int64)
-    return 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1)
+    return 1 - 2 * (np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1).astype(np.int8)
 
 
 def _suspended(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -213,8 +213,10 @@ def lp_feasible(
 
     if exact and n > EXACT_MAX_TIMES:
         raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
-    kind = object if exact else np.float64
-    result = solve_phase1(rows.astype(kind, copy=False), rhs.astype(kind, copy=False))
+    if exact:
+        result = solve_phase1(rows.astype(object), rhs.astype(object))
+    else:
+        result = solve_phase1(rows, rhs)
 
     if not result.feasible:
         return FeasibilityVerdict(False, phase1_objective=result.objective)

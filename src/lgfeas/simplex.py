@@ -1,8 +1,12 @@
 """Phase-1 simplex for linear feasibility: find x >= 0 with A x = b.
 
-One dense-tableau kernel with Bland's anti-cycling rule.  float64 input
-pivots with tolerances; object input pivots exactly in ``Fraction``s,
-starting from the basis on which a float solve of the same system ends.
+One dense-tableau kernel.  The entering column has the most negative
+reduced cost (Dantzig's rule); the leaving row is the lexicographically
+smallest of the min-ratio ties over the columns of the starting basis
+(Dantzig, Orden & Wolfe, *The generalized simplex method*, 1955), which
+cannot cycle.  float64 input pivots with tolerances; object input pivots
+exactly in ``Fraction``s, starting from the basis on which a float solve
+of the same system ends.
 A stack of float right-hand sides against one matrix pivots in lock step,
 each row taking the pivots its own solve would take.  Only phase 1 is
 needed: the minimum of the artificial-variable sum is zero exactly when
@@ -37,8 +41,11 @@ class Phase1Result:
 def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result | list[Phase1Result]:
     """Minimize the artificial-variable sum for A x = b, x >= 0.
 
-    Bland's rule (lowest eligible index for both the entering column and
-    the leaving basic variable) guarantees termination; the iteration cap
+    The column with the most negative reduced cost enters, the lowest
+    index on ties.  The leaving row is the min-ratio row, ties broken
+    lexicographically over the tableau columns of the starting basis taken
+    in row order; the start is lexicographically positive, so in exact
+    arithmetic no basis repeats and the run terminates.  The iteration cap
     is a safety net reported as oracle non-convergence, distinct from an
     infeasible verdict.  If ``a`` or ``b`` is an object array the run is
     exact (``x`` is rounded to float64 on return) and ``iterations``
@@ -52,12 +59,13 @@ def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result | list[Phase1Resu
     takes one right-hand side.
     """
     a, b = np.asarray(a), np.asarray(b)
+    exact = a.dtype == object or b.dtype == object
     if b.ndim == 2:
-        if a.dtype == object or b.dtype == object:
+        if exact:
             raise ValueError("a stack of right-hand sides takes float input only")
-        return _phase1_stacked(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
-    if a.dtype != object and b.dtype != object:
-        return _phase1(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))[0]
+        return _phase1_stacked(a, b.astype(np.float64, copy=False))
+    if not exact:
+        return _phase1(a, b.astype(np.float64, copy=False))[0]
     try:
         warm = _phase1(a.astype(np.float64), b.astype(np.float64))[1]
     except OracleError:
@@ -67,7 +75,8 @@ def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result | list[Phase1Resu
 
 def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tableau, reduced costs and basis of the artificial start, for one
-    right-hand side or for each row of a stack of them."""
+    right-hand side or for each row of a stack of them.  The tableau is
+    exact for object ``a`` and float64 otherwise."""
     m, n = a.shape
     if b.ndim > 2 or b.shape[-1:] != (m,):
         raise ValueError(f"rhs shape {b.shape} does not match {m} rows")
@@ -75,15 +84,17 @@ def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     stack = b.shape[:-1]
 
     flip = b < 0
-    tableau = np.empty(stack + (m, n + m + 1), dtype=a.dtype)
-    tableau[..., :n] = np.where(flip[..., None], -a, a)
+    tableau = np.empty(stack + (m, n + m + 1), dtype=object if exact else np.float64)
+    body = tableau[..., :n]
+    body[...] = a
+    np.negative(body, out=body, where=flip[..., None])
     tableau[..., n : n + m] = _fractions(np.eye(m, dtype=int)) if exact else np.eye(m)
     tableau[..., -1] = np.where(flip, -b, b)
     basis = np.tile(np.arange(n, n + m), stack + (1,))
 
     # reduced costs for min sum(artificials) with the artificial basis
-    obj = np.zeros(stack + (n + m + 1,), dtype=a.dtype)
-    obj[..., :n] = -tableau[..., :n].sum(axis=-2)
+    obj = np.zeros(stack + (n + m + 1,), dtype=tableau.dtype)
+    obj[..., :n] = -body.sum(axis=-2)
     obj[..., -1] = -tableau[..., -1].sum(axis=-1)
     return tableau, obj, basis
 
@@ -107,21 +118,24 @@ def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
     tol, pivot_tol, tie_tol = (0, 0, 0) if exact else (FEASIBILITY_TOL, _PIVOT_TOL, _TIE_TOL)
     if warm is not None and not _enter_basis(tableau, obj, basis, warm):
         return _phase1(a, b)
+    # the ratio column, then the columns of the starting basis in row order
+    keys = [-1] + basis.tolist()
 
     cap = 200 * (m + n + 10)
     iterations = 0
     while True:
-        negative = np.flatnonzero(obj[: n + m] < -tol)
-        if negative.size == 0:
+        col = int(np.argmin(obj[: n + m]))
+        if not obj[col] < -tol:
             break
-        col = int(negative[0])
-        column = tableau[:, col]
-        eligible = np.flatnonzero(column > pivot_tol)
-        if eligible.size == 0:
+        ties = np.flatnonzero(tableau[:, col] > pivot_tol)
+        if ties.size == 0:
             raise OracleError("phase-1 objective unbounded below; numerical breakdown")
-        ratios = tableau[eligible, -1] / column[eligible]
-        ties = eligible[ratios <= ratios.min() + tie_tol]
-        _pivot(tableau, obj, basis, int(ties[np.argmin(basis[ties])]), col)
+        for key in keys:
+            values = tableau[ties, key] / tableau[ties, col]
+            ties = ties[values <= values.min() + tie_tol]
+            if ties.size == 1:
+                break
+        _pivot(tableau, obj, basis, int(ties[0]), col)
 
         iterations += 1
         if iterations > cap:
@@ -140,31 +154,36 @@ def _phase1_stacked(a: np.ndarray, b: np.ndarray) -> list[Phase1Result]:
     tableau, obj, basis = _start(a, b)
     order = np.arange(len(b))  # input row of each stack row
     results: list[Phase1Result | None] = [None] * len(b)
+    keys = [-1] + list(range(n, n + m))  # as in _phase1: the artificial basis
 
     cap = 200 * (m + n + 10)
     iterations = 0
     while True:
-        negative = obj[:, : n + m] < -FEASIBILITY_TOL
-        done = ~negative.any(axis=1)
+        cols = obj[:, : n + m].argmin(axis=1)
+        done = ~(obj[np.arange(order.size), cols] < -FEASIBILITY_TOL)
         if done.any():
             for k in np.flatnonzero(done).tolist():
                 results[order[k]] = _result(tableau[k], obj[k], basis[k], iterations)
             live = ~done
-            tableau, obj, basis, order, negative = (
-                tableau[live], obj[live], basis[live], order[live], negative[live]
+            tableau, obj, basis, order, cols = (
+                tableau[live], obj[live], basis[live], order[live], cols[live]
             )
         if order.size == 0:
             return results
         stack = np.arange(order.size)
-        cols = negative.argmax(axis=1)
         column = tableau[stack, :, cols]
-        eligible = column > _PIVOT_TOL
-        if not eligible.any(axis=1).all():
+        ties = column > _PIVOT_TOL
+        if not ties.any(axis=1).all():
             raise OracleError("phase-1 objective unbounded below; numerical breakdown")
-        ratios = np.divide(tableau[:, :, -1], column, out=np.full(column.shape, np.inf),
-                           where=eligible)
-        ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE_TOL
-        rows = np.where(ties, basis, n + m).argmin(axis=1)
+        # a row already down to one tie keeps it, so going on for the others
+        # changes nothing it would have chosen alone
+        for key in keys:
+            values = np.divide(tableau[:, :, key], column, out=np.full(column.shape, np.inf),
+                               where=ties)
+            ties &= values <= values.min(axis=1, keepdims=True) + _TIE_TOL
+            if ties.sum(axis=1).max() == 1:
+                break
+        rows = ties.argmax(axis=1)
 
         # _pivot on every stack row at once
         tableau[stack, rows] /= tableau[stack, rows, cols][:, None]

@@ -56,8 +56,10 @@ def cosine_correlators(omega: float, times: Sequence[float]) -> CorrelatorSet:
 class SpinSweepConfig:
     """Grid description for one sweep.
 
-    ``tau_min``/``tau_max`` bound the spacing grid; leaving ``tau_max``
-    unset picks the regime default (a full period for ``extend``, a
+    ``tau_min``/``tau_max`` bound the spacing grid.  Spacings are
+    positive, so ``tau_min`` must be >= 0; the default 0 is the degenerate
+    coincident point, which the grid excludes.  Leaving ``tau_max`` unset
+    picks the regime default (a full period for ``extend``, a
     1.5*pi/omega window span divided by n-1 for ``fixed_window``).
     """
 
@@ -76,6 +78,8 @@ class SpinSweepConfig:
             raise ValidationError("omega, tau_min and tau_max must be finite")
         if self.omega <= 0:
             raise ValidationError("omega must be positive")
+        if self.tau_min < 0:
+            raise ValidationError("tau_min must be >= 0: spacings are positive")
         if self.steps < 2:
             raise ValidationError("steps must be >= 2")
         if self.regime not in ("extend", "fixed_window"):

@@ -335,6 +335,14 @@ def test_non_finite_sweep_flags_exit_2(capsys, head, flag, value):
     _assert_input_error(capsys, main(head + ["--steps", "8", flag, value, "--strict"]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["nu", "--n-min", "3", "--n-max", "4", "--steps", "8", "--tau-min", "-3", "--tau-max", "-1"],
+    ["spin", "--n", "4", "--steps", "8", "--tau-min", "-2", "--tau-max", "2"],
+])
+def test_negative_spacing_exits_2(capsys, argv):
+    _assert_input_error(capsys, main(argv))
+
+
 def test_clt_reversed_range_exits_2(capsys):
     _assert_input_error(capsys, main(["clt", "--family", "lg", "--n-min", "6", "--n-max", "3"]))
 

@@ -9,6 +9,7 @@ from lgfeas import (
     CorrelatorSet,
     DimensionError,
     Interval,
+    JointDistribution,
     MarginalError,
     MomentSpec,
     SignVector,
@@ -220,6 +221,44 @@ def test_lp_exact_mode_agrees_with_float():
 def test_lp_from_spec_rejects_higher_moments():
     with pytest.raises(ValidationError):
         lp_feasible_from_spec(MomentSpec(3, {(1, 2, 3): 0.5}))
+
+
+def _assert_certified(verdict, b, correlators):
+    assert verdict.feasible
+    cert = verdict.certificate
+    assert cert.is_nonnegative()
+    spec = moments_from_distribution(cert)
+    residuals = [abs(spec.b(i) - b_i) for i, b_i in enumerate(b, start=1)]
+    residuals += [abs(spec.c(i, j) - value) for (i, j), value in correlators.sorted_items()]
+    assert max(residuals) < FEASIBILITY_TOL
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_lp_decides_complete_zero_data_up_to_the_oracle_cap(n):
+    # all-zero data makes every pivot degenerate; the uniform distribution answers it
+    data = CorrelatorSet(n, {p: 0.0 for p in complete_pairs(n)})
+    _assert_certified(lp_feasible(None, data), [0.0] * n, data)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_lp_certifies_complete_moments_of_a_distribution(n):
+    # half uniform, half Dirichlet: every outcome keeps mass >= 2^-(n+1)
+    rng = np.random.default_rng(n)
+    p = 0.5 / (1 << n) + 0.5 * rng.dirichlet(np.ones(1 << n))
+    spec = moments_from_distribution(JointDistribution(n, p / p.sum()))
+    b = [spec.b(i) for i in range(1, n + 1)]
+    data = CorrelatorSet(n, {pair: spec.c(*pair) for pair in complete_pairs(n)})
+    _assert_certified(lp_feasible(b, data), b, data)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_lp_refutes_complete_cosine_data(n):
+    # tau = pi/3: 1 + C13 - C12 - C23 = -1/2 breaks the (1,2,3) three-time member
+    tau = math.pi / 3
+    data = CorrelatorSet(n, {(i, j): math.cos(tau * (j - i)) for i, j in complete_pairs(n)})
+    verdict = lp_feasible(None, data)
+    assert not verdict.feasible
+    assert verdict.phase1_objective > FEASIBILITY_TOL
 
 
 def test_lp_respects_oracle_scale_cap():

@@ -103,12 +103,8 @@ def test_exact_confirms_float_basis_on_the_triangle_facet(routes):
     a = _constraint_rows(3, _suspended(3, complete_pairs(3))).astype(object)
     on_facet = solve_phase1(a, _triangle_rhs(Fraction(-1, 3)))
     assert on_facet.feasible and on_facet.objective == 0.0
-    beyond = _triangle_rhs(Fraction(-1, 3) - Fraction(1, 2**60))
-    assert solve_phase1(a.astype(float), beyond.astype(float)).feasible
-    result = solve_phase1(a, beyond)
-    assert not result.feasible
-    assert result.objective > 0.0
-    assert routes == [True, True]
+    assert on_facet.iterations == 0
+    assert routes == [True]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -127,10 +123,10 @@ def test_exact_keeps_the_artificials_of_an_infeasible_float_basis(routes, n):
 def test_exact_continues_pivoting_from_the_float_basis(routes):
     # the float run stops with reduced cost -2^-40 on x2; exact pivots it in
     delta = Fraction(1, 2**40)
-    a = _fractions([[1, 1], [1, 1 + delta]])
-    b = _fractions([1, 1 + delta])
+    a = _fractions([[1, 1], [1, 1 - delta]])
+    b = _fractions([1, 1 - delta])
     float_result = solve_phase1(a.astype(float), b.astype(float))
-    assert float_result.feasible and np.array_equal(float_result.x, [1.0, 0.0])
+    assert float_result.feasible and np.array_equal(float_result.x, [1 - 2.0**-40, 0.0])
     result = solve_phase1(a, b)
     assert routes == [True]
     assert result.iterations == 1
@@ -139,11 +135,18 @@ def test_exact_continues_pivoting_from_the_float_basis(routes):
 
 
 def test_exact_restarts_cold_when_float_basis_is_infeasible(routes):
-    b = [-0.6666666666666666, -0.6666666666666666, 0.3333333333333333]
-    data = CorrelatorSet(3, {(1, 2): 1.0, (1, 3): -0.6666666666666666,
-                             (2, 3): -0.6666666666666666})
+    b = [0.3333333333333333, 0.3333333333333333, -0.6666666666666666]
+    data = CorrelatorSet(3, {(1, 2): 1.0, (1, 3): 0.0, (2, 3): 0.0})
     assert lp_feasible(b, data, exact=True).feasible
-    assert routes == [False]
+    # 2^-60 beyond the facet the float run still ends feasible, on a basis
+    # with a negative basic value in rationals
+    a = _constraint_rows(3, _suspended(3, complete_pairs(3))).astype(object)
+    beyond = _triangle_rhs(Fraction(-1, 3) - Fraction(1, 2**60))
+    assert solve_phase1(a.astype(float), beyond.astype(float)).feasible
+    result = solve_phase1(a, beyond)
+    assert not result.feasible
+    assert result.objective > 0.0
+    assert routes == [False, False]
 
 
 def test_float_pivot_path_on_the_n5_probe():
@@ -154,7 +157,7 @@ def test_float_pivot_path_on_the_n5_probe():
         for index in range(16):
             b, c = _draw_sample(5, mode, 190604865, index)
             total += solve_phase1(a, np.concatenate(([1.0], b, c))).iterations
-    assert total == 1098
+    assert total == 427
 
 
 def _same_result(stacked, single):
@@ -181,19 +184,19 @@ def test_stacked_solve_matches_each_row_alone(mode, seed):
 
 
 def test_stacked_rows_leave_at_their_own_iteration_counts():
-    # general draws finish in as few as 15 pivots, symmetric ones take up to 62
+    # general draws finish in as few as 6 pivots, symmetric ones take up to 23
     a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     rhs = np.vstack([_n5_rhs(mode, 3, range(40)) for mode in ("symmetric", "general")])
     results = solve_phase1(a, rhs)
     iterations = [r.iterations for r in results]
-    assert max(iterations) - min(iterations) >= 45
+    assert max(iterations) - min(iterations) >= 15
     assert all(_same_result(r, solve_phase1(a, row)) for r, row in zip(results, rhs))
 
 
 def test_stacked_pivot_path_on_the_n5_probe():
     a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     rhs = np.vstack([_n5_rhs(mode, 190604865, range(16)) for mode in ("symmetric", "general")])
-    assert sum(r.iterations for r in solve_phase1(a, rhs)) == 1098
+    assert sum(r.iterations for r in solve_phase1(a, rhs)) == 427
 
 
 def test_stack_of_exact_or_mismatched_rows_is_refused():

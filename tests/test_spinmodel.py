@@ -197,6 +197,15 @@ def test_config_validation():
         nu_versus_n(5, 4)
 
 
+@pytest.mark.parametrize("tau_min, tau_max", [(-3.0, -1.0), (-2.0, 2.0), (-0.5, None)])
+def test_config_rejects_negative_spacings(tau_min, tau_max):
+    # a negative spacing would mirror positive ones into the grid and count them twice in nu
+    with pytest.raises(ValidationError):
+        SpinSweepConfig(n=4, tau_min=tau_min, tau_max=tau_max)
+    with pytest.raises(ValidationError):
+        nu_versus_n(3, 4, steps=8, tau_min=tau_min, tau_max=tau_max)
+
+
 @pytest.mark.parametrize("field", ["omega", "tau_min", "tau_max"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_values(field, value):

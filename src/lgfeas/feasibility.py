@@ -491,24 +491,63 @@ def _condition_system(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate([blk[part] for blk in blocks]) for part in range(2))
 
 
-def _draw_sample(n: int, mode: str, seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``index`` comes from its own generator seeded with (seed, index);
-    general mode draws the averages first, then the pair correlators in
-    lexicographic pair order."""
-    rng = np.random.default_rng([seed, index])
-    b = rng.uniform(-1.0, 1.0, n) if mode == "general" else np.zeros(n)
-    c = rng.uniform(-1.0, 1.0, n * (n - 1) // 2)
-    return b, c
+def _seed_words(x: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, at least one: the
+    words ``np.random.SeedSequence`` reads from each int of a list seed."""
+    words = [x & 0xFFFFFFFF]
+    while x := x >> 32:
+        words.append(x & 0xFFFFFFFF)
+    return words
+
+
+def _draw_samples(
+    n: int, mode: str, seed: int, indices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Averages and correlators of samples ``indices``, one row each.
+
+    Sample ``index`` comes from its own generator, seeded with the words of
+    (seed, index) exactly as ``default_rng([seed, index])`` would be, minus
+    the list conversion; general mode draws the averages first, then the
+    pair correlators in lexicographic pair order.  Each value is
+    ``uniform(-1, 1)``'s -1 + 2u, applied once to the whole block."""
+    width = n * (n - 1) // 2 + (n if mode == "general" else 0)
+    u = np.empty((len(indices), width))
+    head = _seed_words(seed)
+    for row, index in zip(u, indices):
+        np.random.default_rng(np.array(head + _seed_words(index), dtype=np.uint32)).random(out=row)
+    x = 2.0 * u - 1.0
+    if mode == "general":
+        return x[:, :n], x[:, n:]
+    return np.zeros((len(indices), n)), x
+
+
+@lru_cache(maxsize=8)
+def _sample_rows(n: int, zero_averages: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle rows for complete n-time data, and the positions in (b, c) of
+    the values their right-hand side takes after the normalization 1.
+
+    Zero-average data is decided on the (n-1)-time suspended system with
+    time n as the reference time 0: its outcomes are s_i s_n, so the C_in
+    are its averages.  Symmetrizing a solution under the global flip shows
+    both systems have the same verdict and phase-1 optimum."""
+    position = {pair: k for k, pair in enumerate(_suspended(n, complete_pairs(n)))}
+    m = n - 1 if zero_averages else n
+    pairs = _suspended(m, complete_pairs(m))
+    order = np.array([position[(j, n) if zero_averages and i == 0 else (i, j)] for i, j in pairs])
+    order.setflags(write=False)
+    return _constraint_rows(m, pairs), order
 
 
 def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bool, bool]]:
     """(holds, feasible, boundary) of each sample in rows of ``b`` and ``c``,
-    from one stacked float phase-1 solve."""
+    from one stacked float phase-1 solve; a block whose averages are all
+    zero is solved on the (n-1)-time suspended system of ``_sample_rows``."""
     a, bounds = _condition_system(n)
-    rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
-    rhs = np.hstack((np.ones((len(b), 1)), b, c))
+    rows, order = _sample_rows(n, not b.any())
+    bc = np.hstack((b, c))
+    rhs = np.hstack((np.ones((len(bc), 1)), bc[:, order]))
     verdicts = []
-    for bc_k, result in zip(rhs[:, 1:], solve_phase1(rows, rhs)):
+    for bc_k, result in zip(bc, solve_phase1(rows, rhs)):
         # per sample: a stacked matmul rounds differently in the last bits
         slacks = a @ bc_k - bounds
         holds = bool(slacks.max() <= 0.0)
@@ -524,8 +563,9 @@ def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
     # object arrays evaluate the float path's slack formula in rationals
     slacks = a.astype(int).astype(object) @ [Fraction(float(v)) for v in bc]
     holds = bool((slacks - [Fraction(v) for v in bounds.tolist()] <= 0).all())
-    rows = _constraint_rows(n, _suspended(n, complete_pairs(n))).astype(object)
-    return holds, solve_phase1(rows, np.concatenate(([1.0], bc)).astype(object)).feasible
+    rows, order = _sample_rows(n, not b.any())
+    rhs = np.concatenate(([1.0], bc[order])).astype(object)
+    return holds, solve_phase1(rows.astype(object), rhs).feasible
 
 
 def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[int, list[int], int, list]:
@@ -535,7 +575,7 @@ def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[int, list[i
     counterexamples = []
     for first in range(start, stop, CONJECTURE_BLOCK):
         indices = range(first, min(first + CONJECTURE_BLOCK, stop))
-        b, c = map(np.array, zip(*[_draw_sample(n, mode, seed, i) for i in indices]))
+        b, c = _draw_samples(n, mode, seed, indices)
         for index, b_k, c_k, (holds, feasible, boundary) in zip(
             indices, b, c, _classify_stack(n, b, c)
         ):
@@ -578,7 +618,10 @@ def conjecture_check(
     The oracle's float LPs are solved ``CONJECTURE_BLOCK`` samples at a
     time in one stacked ``solve_phase1`` call, whose rows pivot exactly as
     one-sample solves would; condition slacks are evaluated per sample, and
-    disagreements are re-adjudicated one sample at a time.
+    disagreements are re-adjudicated one sample at a time.  Zero-average
+    blocks (symmetric mode) are decided on the (n-1)-time suspended system,
+    11 x 16 at n = 5 instead of 16 x 32, which has the same verdicts and
+    phase-1 optima; condition slacks stay on the full n-time data.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lgfeas
 from lgfeas.cli import main
 
 
@@ -352,3 +357,22 @@ def test_conjecture_non_positive_threads_exit_2(tmp_path, capsys, monkeypatch, t
     monkeypatch.chdir(tmp_path)
     _assert_input_error(capsys, main(["conjecture", "--samples", "5", "--seed", "1",
                                       "--threads", threads]))
+
+
+def _run_module(*argv):
+    # the package directory's parent goes first on the path, so the child
+    # imports the same lgfeas as this test
+    env = dict(os.environ)
+    path = [str(Path(lgfeas.__file__).parent.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    return subprocess.run([sys.executable, "-m", "lgfeas", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    version = _run_module("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == f"lgfeas {lgfeas.__version__}"
+    bad = _run_module("conjecture", "--samples", "0")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("lgfeas: error:")

@@ -38,7 +38,8 @@ from lgfeas.feasibility import (
     _classify_stack,
     _condition_system,
     _constraint_rows,
-    _draw_sample,
+    _draw_samples,
+    _sample_rows,
     _sample_to_spec,
     _suspended,
 )
@@ -452,11 +453,28 @@ def test_classify_zero_sample_holds_and_feasible():
 
 
 def test_draw_sample_is_reproducible_per_index():
-    b1, c1 = _draw_sample(5, "general", 42, 17)
-    b2, c2 = _draw_sample(5, "general", 42, 17)
-    assert np.array_equal(b1, b2) and np.array_equal(c1, c2)
-    _, c3 = _draw_sample(5, "general", 42, 18)
+    b1, c1 = _draw_samples(5, "general", 42, [17])
+    b2, c2 = _draw_samples(5, "general", 42, [16, 17])
+    assert np.array_equal(b1[0], b2[1]) and np.array_equal(c1[0], c2[1])
+    _, c3 = _draw_samples(5, "general", 42, [18])
     assert not np.array_equal(c1, c3)
+
+
+def _reference_draw(mode, seed, index):
+    # the documented seed convention, one list-seeded generator per sample
+    rng = np.random.default_rng([seed, index])
+    b = rng.uniform(-1.0, 1.0, 5) if mode == "general" else np.zeros(5)
+    return b, rng.uniform(-1.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+def test_draw_samples_match_list_seeded_generators(mode):
+    indices = [0, 1, 17, 2**31, 2**32 - 1, 2**32, 2**33 + 7]
+    for seed in (0, 42, 2**32 - 1, 2**32, 2**40 + 5, 10**20):
+        b, c = _draw_samples(5, mode, seed, indices)
+        for b_k, c_k, index in zip(b, c, indices):
+            ref_b, ref_c = _reference_draw(mode, seed, index)
+            assert b_k.tobytes() == ref_b.tobytes() and c_k.tobytes() == ref_c.tobytes()
 
 
 def test_conjecture_small_run_tallies():
@@ -480,7 +498,7 @@ def _reference_report(samples, seed, mode):
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     tallies, boundary_count, counterexamples = [0, 0, 0, 0], 0, []
     for index in range(samples):
-        b, c = _draw_sample(5, mode, seed, index)
+        b, c = _reference_draw(mode, seed, index)
         slacks = a @ np.concatenate((b, c)) - bounds
         result = solve_phase1(rows, np.concatenate(([1.0], b, c)))
         holds, feasible = bool(slacks.max() <= 0.0), result.feasible
@@ -501,6 +519,54 @@ def test_conjecture_blocks_match_a_per_sample_reference():
     report = conjecture_check(samples, 6, "general")
     assert report == _reference_report(samples, 6, "general")
     assert report.condition_holds_and_feasible == 1
+
+
+def test_symmetric_blocks_match_a_per_sample_reference():
+    # the blocks solve the 4-time suspended system, the reference the full
+    # 5-time one; seed 8 puts three samples where the conditions hold
+    samples = 2 * CONJECTURE_BLOCK + 3
+    report = conjecture_check(samples, 8, "symmetric")
+    assert report == _reference_report(samples, 8, "symmetric")
+    assert report.condition_holds_and_feasible == 3
+
+
+def _zero_average_data():
+    """Near-facet zero-average n = 5 correlators: flip-symmetric mixtures of
+    1-3 point masses with one correlator nudged, plus zero and cosine data."""
+    rng = np.random.default_rng(77)
+    pairs = complete_pairs(5)
+    gaps = np.array([j - i for i, j in pairs])
+    data = [np.zeros(10)] + [np.cos(tau * gaps) for tau in (0.3, math.pi / 5, math.pi / 3, 1.2)]
+    for points in (1, 2, 3):
+        for _ in range(3):
+            s = rng.choice([-1.0, 1.0], size=(points, 5))
+            c = rng.dirichlet(np.ones(points)) @ np.array([s[:, i - 1] * s[:, j - 1] for i, j in pairs]).T
+            for nudge in (1e-13, -1e-13, 1e-3, -1e-3):
+                nudged = c.copy()
+                k = rng.integers(10)
+                nudged[k] = min(1.0, max(-1.0, nudged[k] + nudge))
+                data.append(nudged)
+    return data
+
+
+def test_zero_average_data_is_decided_alike_on_the_suspended_system():
+    rows, order = _sample_rows(5, True)
+    assert rows.shape == (11, 16)
+    band = lambda objective: FEASIBILITY_TOL < objective < BOUNDARY_TOL  # noqa: E731
+    verdicts = set()
+    for c in _zero_average_data():
+        data = CorrelatorSet(5, dict(zip(complete_pairs(5), c.tolist())))
+        rhs = np.concatenate(([1.0], np.concatenate((np.zeros(5), c))[order]))
+        reduced, full = solve_phase1(rows, rhs), lp_feasible(None, data)
+        assert reduced.feasible == full.feasible
+        assert band(reduced.objective) == band(full.phase1_objective)
+        exact = solve_phase1(rows.astype(object), rhs.astype(object))
+        full_exact = lp_feasible(None, data, exact=True)
+        assert exact.feasible == full_exact.feasible == _classify_exact(5, np.zeros(5), c)[1]
+        # symmetrizing under the global flip maps optima onto each other
+        assert exact.objective == full_exact.phase1_objective
+        verdicts.add(exact.feasible)
+    assert verdicts == {True, False}
 
 
 def test_conjecture_workers_do_not_change_the_report():

@@ -5,7 +5,7 @@ import pytest
 
 import lgfeas.simplex as simplex
 from lgfeas.core import CorrelatorSet, complete_pairs
-from lgfeas.feasibility import _constraint_rows, _draw_sample, _suspended, lp_feasible
+from lgfeas.feasibility import _constraint_rows, _draw_samples, _suspended, lp_feasible
 from lgfeas.simplex import solve_phase1
 
 
@@ -154,8 +154,7 @@ def test_float_pivot_path_on_the_n5_probe():
     a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     total = 0
     for mode in ("symmetric", "general"):
-        for index in range(16):
-            b, c = _draw_sample(5, mode, 190604865, index)
+        for b, c in zip(*_draw_samples(5, mode, 190604865, range(16))):
             total += solve_phase1(a, np.concatenate(([1.0], b, c))).iterations
     assert total == 427
 
@@ -168,7 +167,8 @@ def _same_result(stacked, single):
 
 
 def _n5_rhs(mode, seed, indices):
-    return np.array([np.concatenate(([1.0], *_draw_sample(5, mode, seed, i))) for i in indices])
+    b, c = _draw_samples(5, mode, seed, indices)
+    return np.hstack((np.ones((len(b), 1)), b, c))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

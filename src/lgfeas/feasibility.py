@@ -19,7 +19,6 @@ families) against the oracle, and reports disagreements.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -491,6 +490,24 @@ def _condition_system(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate([blk[part] for blk in blocks]) for part in range(2))
 
 
+@lru_cache(maxsize=8)
+def _screen_scales(n: int) -> np.ndarray:
+    """max(|bound|, max |coefficient|) of each ``_condition_system`` row
+    that holds at every +-1 outcome, checked exactly in integers; +inf for
+    any other row, so that only a valid row can refute a sample.
+
+    For a valid row, h . (b, c) - bound <= scale * (the phase-1 objective)
+    on the n-time system: pair the row (-bound, h) with A x = rhs - r."""
+    a, bounds = _condition_system(n)
+    terms, limits = a.astype(np.int64), bounds.astype(np.int64)
+    outcomes = _characters(n, _suspended(n, complete_pairs(n))).astype(np.int64)
+    valid = np.array_equal(terms, a) & np.array_equal(limits, bounds)
+    valid = valid & (terms @ outcomes <= limits[:, None]).all(axis=1)
+    scales = np.where(valid, np.maximum(np.abs(bounds), np.abs(a).max(axis=1)), np.inf)
+    scales.setflags(write=False)
+    return scales
+
+
 def _seed_words(x: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative int, at least one: the
     words ``np.random.SeedSequence`` reads from each int of a list seed."""
@@ -539,22 +556,31 @@ def _sample_rows(n: int, zero_averages: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bool, bool]]:
-    """(holds, feasible, boundary) of each sample in rows of ``b`` and ``c``,
-    from one stacked float phase-1 solve; a block whose averages are all
-    zero is solved on the (n-1)-time suspended system of ``_sample_rows``."""
+    """(holds, feasible, boundary) of each sample in rows of ``b`` and ``c``.
+
+    A sample that violates a valid condition row by more than twice the
+    boundary band, relative to the row's ``_screen_scales`` entry, has a
+    phase-1 optimum above the band, so it is infeasible with no LP.  The
+    others go to one stacked float phase-1 solve; a block whose averages
+    are all zero is solved on the (n-1)-time suspended system of
+    ``_sample_rows``, which has the same phase-1 optimum."""
     a, bounds = _condition_system(n)
-    rows, order = _sample_rows(n, not b.any())
     bc = np.hstack((b, c))
-    rhs = np.hstack((np.ones((len(bc), 1)), bc[:, order]))
-    verdicts = []
-    for bc_k, result in zip(bc, solve_phase1(rows, rhs)):
-        # per sample: a stacked matmul rounds differently in the last bits
-        slacks = a @ bc_k - bounds
-        holds = bool(slacks.max() <= 0.0)
-        boundary = bool(np.abs(slacks).min() < BOUNDARY_TOL)
-        boundary = boundary or (FEASIBILITY_TOL < result.objective < BOUNDARY_TOL)
-        verdicts.append((holds, result.feasible, boundary))
-    return verdicts
+    # per sample: a stacked matmul rounds differently in the last bits
+    slacks = [a @ bc_k - bounds for bc_k in bc]
+    holds = [bool(s.max() <= 0.0) for s in slacks]
+    boundary = [bool(np.abs(s).min() < BOUNDARY_TOL) for s in slacks]
+    feasible = [False] * len(bc)
+    # the screen has twice the band to spare, so the stacked rounding is harmless
+    refuted = ((bc @ a.T - bounds) / _screen_scales(n)).max(axis=1) > 2 * BOUNDARY_TOL
+    unsettled = np.flatnonzero(~refuted)
+    if unsettled.size:
+        rows, order = _sample_rows(n, not b.any())
+        rhs = np.hstack((np.ones((unsettled.size, 1)), bc[unsettled][:, order]))
+        for k, result in zip(unsettled.tolist(), solve_phase1(rows, rhs)):
+            feasible[k] = result.feasible
+            boundary[k] = boundary[k] or FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
+    return list(zip(holds, feasible, boundary))
 
 
 def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
@@ -615,13 +641,20 @@ def conjecture_check(
     converse would indicate a necessity bug.  Results are reproducible
     bit-for-bit for a fixed (seed, samples) and independent of ``workers``.
 
-    The oracle's float LPs are solved ``CONJECTURE_BLOCK`` samples at a
-    time in one stacked ``solve_phase1`` call, whose rows pivot exactly as
-    one-sample solves would; condition slacks are evaluated per sample, and
-    disagreements are re-adjudicated one sample at a time.  Zero-average
-    blocks (symmetric mode) are decided on the (n-1)-time suspended system,
-    11 x 16 at n = 5 instead of 16 x 32, which has the same verdicts and
-    phase-1 optima; condition slacks stay on the full n-time data.
+    Samples are classified ``CONJECTURE_BLOCK`` at a time; condition
+    slacks are evaluated per sample.  A violated condition row is itself
+    a certificate of infeasibility once it is checked to hold at every
+    +-1 outcome: the phase-1 optimum is at least the row's slack divided
+    by max(|bound|, max |coefficient|).  A sample whose scaled slack
+    exceeds twice ``BOUNDARY_TOL`` is therefore tallied infeasible with no
+    LP; the boundary band keeps it apart from the LP's tolerance.  The
+    rest, samples near the band or where every condition holds, go to one
+    stacked float ``solve_phase1`` call, whose rows pivot exactly as
+    one-sample solves would, and disagreements are re-adjudicated one
+    sample at a time.  Zero-average blocks (symmetric mode) are decided on
+    the (n-1)-time suspended system, 11 x 16 at n = 5 instead of 16 x 32,
+    which has the same verdicts and phase-1 optima; condition slacks stay
+    on the full n-time data.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -640,6 +673,9 @@ def conjecture_check(
         for start in range(0, samples, chunk_size)
     ]
     if workers > 1 and len(chunks) > 1:
+        # imported here: the pool machinery is a few MB that serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = sorted(pool.map(_conjecture_chunk, chunks))
     else:

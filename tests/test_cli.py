@@ -359,14 +359,18 @@ def test_conjecture_non_positive_threads_exit_2(tmp_path, capsys, monkeypatch, t
                                       "--threads", threads]))
 
 
-def _run_module(*argv):
+def _run_python(*argv):
     # the package directory's parent goes first on the path, so the child
     # imports the same lgfeas as this test
     env = dict(os.environ)
     path = [str(Path(lgfeas.__file__).parent.parent), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-    return subprocess.run([sys.executable, "-m", "lgfeas", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_module(*argv):
+    return _run_python("-m", "lgfeas", *argv)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -376,3 +380,10 @@ def test_python_dash_m_runs_the_cli():
     bad = _run_module("conjecture", "--samples", "0")
     assert bad.returncode == 2
     assert bad.stderr.startswith("lgfeas: error:")
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only conjecture_check with workers > 1 needs concurrent.futures
+    probe = _run_python("-c", "import sys, lgfeas; print('concurrent.futures' in sys.modules)")
+    assert probe.returncode == 0
+    assert probe.stdout.strip() == "False"

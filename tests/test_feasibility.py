@@ -30,6 +30,7 @@ from lgfeas import (
     symmetric_e_feasible,
     three_time_complete,
 )
+from lgfeas import feasibility
 from lgfeas.feasibility import (
     BOUNDARY_TOL,
     CONJECTURE_BLOCK,
@@ -41,6 +42,7 @@ from lgfeas.feasibility import (
     _draw_samples,
     _sample_rows,
     _sample_to_spec,
+    _screen_scales,
     _suspended,
 )
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
@@ -547,6 +549,64 @@ def _zero_average_data():
                 nudged[k] = min(1.0, max(-1.0, nudged[k] + nudge))
                 data.append(nudged)
     return data
+
+
+def test_screen_scales_pin_every_n5_condition_row_as_valid():
+    # 40 two-time and 40 three-time rows with bound 1, then 16 n-gon rows with bound 2
+    assert _screen_scales(5).tolist() == [1.0] * 80 + [2.0] * 16
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+def test_screened_samples_have_a_phase1_optimum_above_their_scaled_slack(mode):
+    a, bounds = _condition_system(5)
+    rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
+    b, c = _draw_samples(5, mode, 3, range(3000))
+    bc = np.hstack((b, c))
+    scaled = ((bc @ a.T - bounds) / _screen_scales(5)).max(axis=1)
+    screened = np.flatnonzero(scaled > 2 * BOUNDARY_TOL)
+    assert screened.size > 2900
+    rhs = np.hstack((np.ones((len(bc), 1)), bc))[screened]
+    objectives = np.array([
+        result.objective
+        for start in range(0, len(rhs), CONJECTURE_BLOCK)
+        for result in solve_phase1(rows, rhs[start:start + CONJECTURE_BLOCK])
+    ])
+    assert (objectives >= scaled[screened] * (1 - 1e-12)).all()
+
+
+@pytest.mark.parametrize("past, solved", [(1e-8, True), (1e-3, False)])
+def test_only_samples_past_the_band_skip_the_lp(monkeypatch, past, solved):
+    # the triangle (1, 2, 3) row 1 + C_12 + C_13 + C_23 >= 0, overstepped by ``past``
+    c = np.zeros((1, 10))
+    c[0, [0, 1, 4]] = -(1.0 + past) / 3.0
+    stacks = []
+
+    def recording(rows, rhs):
+        stacks.append(len(rhs))
+        return solve_phase1(rows, rhs)
+
+    monkeypatch.setattr(feasibility, "solve_phase1", recording)
+    [(holds, feasible, boundary)] = _classify_stack(5, np.zeros((1, 5)), c)
+    assert stacks == ([1] if solved else [])
+    assert not holds and not feasible and boundary == solved
+
+
+def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(monkeypatch):
+    # lowering an n-gon bound from 2 to 1 makes the row cut off feasible data
+    a, bounds = _condition_system(5)
+    lowered = bounds.copy()
+    lowered[80] = 1.0
+    valid = _screen_scales(5)
+    monkeypatch.setattr(feasibility, "_condition_system", lambda n: (a, lowered))
+    _screen_scales.cache_clear()
+    try:
+        scales = _screen_scales(5)
+        report = conjecture_check(2 * CONJECTURE_BLOCK + 3, 8, "symmetric")
+    finally:
+        _screen_scales.cache_clear()
+    assert np.isinf(scales[80]) and np.array_equal(np.delete(scales, 80), np.delete(valid, 80))
+    assert report.condition_fails_and_feasible > 0
+    assert len(report.counterexamples) == report.condition_fails_and_feasible
 
 
 def test_zero_average_data_is_decided_alike_on_the_suspended_system():

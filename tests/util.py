@@ -19,15 +19,30 @@ def pair_table_nonneg(b_i: float, b_j: float, c_ij: float) -> bool:
     )
 
 
-def sample_nonneg_pair_moments(rng, n, pairs):
+def sample_nonneg_pair_moments(rng, n, pairs, block=256):
     """Rejection-sample averages and correlators whose listed pair tables
     are all non-negative (the standard precondition of the feasibility
-    questions)."""
+    questions).
+
+    Each attempt draws ``uniform(-1, 1)`` n averages, then one correlator
+    per pair.  Attempts are drawn ``block`` at a time and tested at once;
+    the generator is then rewound to just past the accepted attempt, so
+    the values and the final state are those of drawing one at a time."""
+    width = n + len(pairs)
+    i, j = (np.array(pairs) - 1).T
     while True:
-        b = rng.uniform(-1.0, 1.0, n)
-        c = {pair: float(rng.uniform(-1.0, 1.0)) for pair in pairs}
-        if all(pair_table_nonneg(b[i - 1], b[j - 1], c[(i, j)]) for i, j in pairs):
-            return b, c
+        state = rng.bit_generator.state
+        x = rng.uniform(-1.0, 1.0, (block, width))
+        b_i, b_j, c = x[:, i], x[:, j], x[:, n:]
+        ok = np.ones(block, dtype=bool)
+        for s_i in (1, -1):
+            for s_j in (1, -1):
+                ok &= (pairwise_probability(b_i, b_j, c, s_i, s_j) >= 0.0).all(axis=1)
+        if ok.any():
+            k = int(ok.argmax())
+            rng.bit_generator.state = state
+            rng.bit_generator.advance((k + 1) * width)
+            return x[k, :n].copy(), {pair: float(v) for pair, v in zip(pairs, x[k, n:])}
 
 
 def random_nonneg_distribution(rng, n) -> JointDistribution:

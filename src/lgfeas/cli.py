@@ -293,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["symmetric", "general"], default="symmetric")
     p.add_argument("--counterexamples", default="counterexamples.jsonl",
                    help="where to write disagreeing samples, one per line")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the sampling")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the sampling (default 1: most samples "
+                        "are settled without an LP, so a pool seldom pays)")
 
     p = command("spin", _cmd_spin, "sweep cosine-model slacks over measurement spacing",
                 strict=True)

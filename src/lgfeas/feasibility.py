@@ -58,8 +58,8 @@ from .simplex import FEASIBILITY_TOL, solve_phase1
 ORACLE_MAX_TIMES = 12
 EXACT_MAX_TIMES = 6
 BOUNDARY_TOL = 1e-7
-# samples per stacked phase-1 solve in the sampling experiment; deeper
-# stacks measured slower, and the bound caps the memory of long runs
+# samples drawn and screened together in the sampling experiment; the
+# bound caps the memory of the draws and of the screen in long runs
 CONJECTURE_BLOCK = 256
 
 
@@ -538,48 +538,27 @@ def _draw_samples(
     return np.zeros((len(indices), n)), x
 
 
-@lru_cache(maxsize=8)
-def _sample_rows(n: int, zero_averages: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle rows for complete n-time data, and the positions in (b, c) of
-    the values their right-hand side takes after the normalization 1.
-
-    Zero-average data is decided on the (n-1)-time suspended system with
-    time n as the reference time 0: its outcomes are s_i s_n, so the C_in
-    are its averages.  Symmetrizing a solution under the global flip shows
-    both systems have the same verdict and phase-1 optimum."""
-    position = {pair: k for k, pair in enumerate(_suspended(n, complete_pairs(n)))}
-    m = n - 1 if zero_averages else n
-    pairs = _suspended(m, complete_pairs(m))
-    order = np.array([position[(j, n) if zero_averages and i == 0 else (i, j)] for i, j in pairs])
-    order.setflags(write=False)
-    return _constraint_rows(m, pairs), order
-
-
 def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bool, bool]]:
     """(holds, feasible, boundary) of each sample in rows of ``b`` and ``c``.
 
     A sample that violates a valid condition row by more than twice the
     boundary band, relative to the row's ``_screen_scales`` entry, has a
-    phase-1 optimum above the band, so it is infeasible with no LP.  The
-    others go to one stacked float phase-1 solve; a block whose averages
-    are all zero is solved on the (n-1)-time suspended system of
-    ``_sample_rows``, which has the same phase-1 optimum."""
+    phase-1 optimum above the band, so it is infeasible with no LP.  Each
+    other sample gets its own float phase-1 solve on the oracle rows of
+    ``lp_feasible``."""
     a, bounds = _condition_system(n)
     bc = np.hstack((b, c))
-    # per sample: a stacked matmul rounds differently in the last bits
+    # per sample: one matmul over the block rounds differently in the last bits
     slacks = [a @ bc_k - bounds for bc_k in bc]
     holds = [bool(s.max() <= 0.0) for s in slacks]
     boundary = [bool(np.abs(s).min() < BOUNDARY_TOL) for s in slacks]
     feasible = [False] * len(bc)
-    # the screen has twice the band to spare, so the stacked rounding is harmless
-    refuted = ((bc @ a.T - bounds) / _screen_scales(n)).max(axis=1) > 2 * BOUNDARY_TOL
-    unsettled = np.flatnonzero(~refuted)
-    if unsettled.size:
-        rows, order = _sample_rows(n, not b.any())
-        rhs = np.hstack((np.ones((unsettled.size, 1)), bc[unsettled][:, order]))
-        for k, result in zip(unsettled.tolist(), solve_phase1(rows, rhs)):
-            feasible[k] = result.feasible
-            boundary[k] = boundary[k] or FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
+    refuted = (np.array(slacks) / _screen_scales(n)).max(axis=1) > 2 * BOUNDARY_TOL
+    rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
+    for k in np.flatnonzero(~refuted).tolist():
+        result = solve_phase1(rows, np.concatenate(([1.0], bc[k])))
+        feasible[k] = result.feasible
+        boundary[k] = boundary[k] or FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
     return list(zip(holds, feasible, boundary))
 
 
@@ -589,8 +568,8 @@ def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
     # object arrays evaluate the float path's slack formula in rationals
     slacks = a.astype(int).astype(object) @ [Fraction(float(v)) for v in bc]
     holds = bool((slacks - [Fraction(v) for v in bounds.tolist()] <= 0).all())
-    rows, order = _sample_rows(n, not b.any())
-    rhs = np.concatenate(([1.0], bc[order])).astype(object)
+    rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
+    rhs = np.concatenate(([1.0], bc)).astype(object)
     return holds, solve_phase1(rows.astype(object), rhs).feasible
 
 
@@ -648,13 +627,9 @@ def conjecture_check(
     by max(|bound|, max |coefficient|).  A sample whose scaled slack
     exceeds twice ``BOUNDARY_TOL`` is therefore tallied infeasible with no
     LP; the boundary band keeps it apart from the LP's tolerance.  The
-    rest, samples near the band or where every condition holds, go to one
-    stacked float ``solve_phase1`` call, whose rows pivot exactly as
-    one-sample solves would, and disagreements are re-adjudicated one
-    sample at a time.  Zero-average blocks (symmetric mode) are decided on
-    the (n-1)-time suspended system, 11 x 16 at n = 5 instead of 16 x 32,
-    which has the same verdicts and phase-1 optima; condition slacks stay
-    on the full n-time data.
+    rest, samples near the band or where every condition holds, each get
+    a float ``solve_phase1`` call on the oracle rows of ``lp_feasible``,
+    and disagreements are re-adjudicated in rationals.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")

@@ -193,6 +193,14 @@ def test_lg_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert out_env.read_bytes() == out_flag.read_bytes()
 
 
+def test_conjecture_runs_serially_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["conjecture", "--samples", "10", "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    assert manifest["config"]["threads"] == 1
+
+
 def test_threads_is_only_a_conjecture_flag(capsys):
     assert main(["gen", "--family", "lg", "--n", "3", "--threads", "2"]) == 2
     assert main(["mc", "--n", "3", "--member", "0", "--samples", "10", "--strict"]) == 2

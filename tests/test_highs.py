@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from lgfeas import CorrelatorSet, chain_pairs, complete_pairs, lp_feasible, moments_from_distribution
-from lgfeas.feasibility import _sample_rows
-from lgfeas.simplex import solve_phase1
 from util import random_nonneg_distribution
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -69,31 +67,3 @@ def test_lp_verdicts_match_highs(pattern):
             assert lp_feasible(b, CorrelatorSet(n, c)).feasible == (margin > 0), (n, b, c)
             decided[margin > 0] += 1
     assert min(decided.values()) >= 10
-
-
-def test_suspended_n5_system_matches_highs():
-    # zero-average data: flip-symmetric mixtures (feasible, some on faces),
-    # scaled outward and uniform draws (mostly infeasible)
-    rng = np.random.default_rng(53)
-    pairs = complete_pairs(5)
-    full = _moment_system(5, pairs)
-    rows, order = _sample_rows(5, True)
-    decided = {True: 0, False: 0}
-    for k in range(40):
-        if k % 2:
-            c = rng.uniform(-1.0, 1.0, len(pairs))
-        else:
-            s = rng.choice([-1.0, 1.0], size=(4, 5))
-            c = rng.dirichlet(np.ones(4)) @ np.array([s[:, i - 1] * s[:, j - 1] for i, j in pairs]).T
-            c = np.clip(c * rng.uniform(0.9, 1.1), -1.0, 1.0)
-        bc = np.concatenate((np.zeros(5), c))
-        margin = _highs_margin(full, np.concatenate(([1.0], bc)))
-        reduced = _highs_margin(rows.astype(float), np.concatenate(([1.0], bc[order])))
-        # a flip-symmetric optimum puts twice the mass on each reduced outcome
-        assert reduced == pytest.approx(2.0 * margin, abs=1e-9)
-        if abs(margin) < MARGIN_BAND:
-            continue
-        verdict = solve_phase1(rows, np.concatenate(([1.0], bc[order])))
-        assert verdict.feasible == (margin > 0)
-        decided[margin > 0] += 1
-    assert min(decided.values()) >= 5

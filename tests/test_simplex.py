@@ -159,49 +159,8 @@ def test_float_pivot_path_on_the_n5_probe():
     assert total == 427
 
 
-def _same_result(stacked, single):
-    return (stacked.feasible == single.feasible
-            and stacked.iterations == single.iterations
-            and np.float64(stacked.objective).tobytes() == np.float64(single.objective).tobytes()
-            and stacked.x.tobytes() == single.x.tobytes())
-
-
-def _n5_rhs(mode, seed, indices):
-    b, c = _draw_samples(5, mode, seed, indices)
-    return np.hstack((np.ones((len(b), 1)), b, c))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("mode", ["symmetric", "general"])
-def test_stacked_solve_matches_each_row_alone(mode, seed):
-    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
-    rhs = _n5_rhs(mode, seed, range(60))
-    results = solve_phase1(a, rhs)
-    assert len(results) == len(rhs)
-    assert all(_same_result(r, solve_phase1(a, row)) for r, row in zip(results, rhs))
-    [one] = solve_phase1(a, rhs[:1])
-    assert _same_result(one, solve_phase1(a, rhs[0]))
-
-
-def test_stacked_rows_leave_at_their_own_iteration_counts():
-    # general draws finish in as few as 6 pivots, symmetric ones take up to 23
-    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
-    rhs = np.vstack([_n5_rhs(mode, 3, range(40)) for mode in ("symmetric", "general")])
-    results = solve_phase1(a, rhs)
-    iterations = [r.iterations for r in results]
-    assert max(iterations) - min(iterations) >= 15
-    assert all(_same_result(r, solve_phase1(a, row)) for r, row in zip(results, rhs))
-
-
-def test_stacked_pivot_path_on_the_n5_probe():
-    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
-    rhs = np.vstack([_n5_rhs(mode, 190604865, range(16)) for mode in ("symmetric", "general")])
-    assert sum(r.iterations for r in solve_phase1(a, rhs)) == 427
-
-
 def test_stack_of_exact_or_mismatched_rows_is_refused():
     a = np.array([[1.0, 1.0], [1.0, -1.0]])
-    with pytest.raises(ValueError):
-        solve_phase1(a, _fractions([[1, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        solve_phase1(a, np.ones((2, 3)))
+    for rhs in (np.ones((2, 2)), _fractions([[1, 0], [0, 1]]), np.ones(3), _fractions([1, 0, 1])):
+        with pytest.raises(ValueError):
+            solve_phase1(a, rhs)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
@@ -508,34 +508,168 @@ def _screen_scales(n: int) -> np.ndarray:
     return scales
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
+# mix_entropy, generate_state) and PCG64 LCG multiplier (pcg64.h, pcg64_set_seed)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+
+
 def _seed_words(x: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative int, at least one: the
     words ``np.random.SeedSequence`` reads from each int of a list seed."""
-    words = [x & 0xFFFFFFFF]
+    words = [x & _MASK32]
     while x := x >> 32:
-        words.append(x & 0xFFFFFFFF)
+        words.append(x & _MASK32)
     return words
+
+
+def _hash_constants(start: int, mult: int, count: int) -> list[int]:
+    """start * mult^t mod 2^32 for t = 0..count-1."""
+    out = [start]
+    while len(out) < count:
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _mixing_schedule(words: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (xor, multiply) hash constants that each step of SeedSequence's
+    pool mixing applies to each of the four pool columns, for ``words`` >= 4
+    entropy words: the hash of the first four words, one step per source
+    column of the pool, then one step per remaining entropy word.  The last
+    pair is ``generate_state``'s over its eight 32-bit output words."""
+    size = _POOL_SIZE
+    h = np.array(_hash_constants(_INIT_A, _MULT_A, size * words + 2), dtype=np.uint32)
+    # hashmix xors constant t and multiplies by constant t + 1; a source
+    # column is hashed into the other three, and its own slot is discarded
+    steps = [np.arange(size)]
+    steps += [size + (size - 1) * src + np.array([d - (d > src) for d in range(size)])
+              for src in range(size)]
+    steps += [size * (size + k) + np.arange(size) for k in range(words - size)]
+    g = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * size + 1), dtype=np.uint32)
+    schedule = tuple((h[t], h[t + 1]) for t in steps) + ((g[:-1], g[1:]),)
+    for constants in schedule:
+        for array in constants:
+            array.setflags(write=False)
+    return schedule
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mul
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return x ^ (x >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a
+    (rows x words) uint32 entropy array; all arithmetic wraps in uint32
+    arrays."""
+    rows, count = entropy.shape
+    words = np.zeros((rows, max(count, _POOL_SIZE)), dtype=np.uint32)
+    words[:, :count] = entropy
+    schedule = _mixing_schedule(words.shape[1])
+    pool = _hashmix(words[:, :_POOL_SIZE], *schedule[0])
+    for src, constants in enumerate(schedule[1:_POOL_SIZE + 1]):
+        kept = pool[:, src].copy()
+        pool = _mix(pool, _hashmix(pool[:, src, None], *constants))
+        pool[:, src] = kept
+    for src, constants in enumerate(schedule[_POOL_SIZE + 1:-1], _POOL_SIZE):
+        pool = _mix(pool, _hashmix(words[:, src, None], *constants))
+    state = _hashmix(np.tile(pool, 2), *schedule[-1]).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+@lru_cache(maxsize=8)
+def _pcg64_jumps(width: int) -> tuple[np.ndarray, ...]:
+    """Limbs of (A_k, C_k) = (M^{k+2}, 1 + M + ... + M^{k+1}) mod 2^128 for
+    k < ``width``, stacked on a leading axis of 2: the state that yields a
+    generator's k-th output is A_k T + C_k inc, with T = initstate + inc.
+    Returned as (high 64 bits, low 64 bits, its low and high 32 bits)."""
+    mod = 1 << 128
+    powers = [pow(_PCG64_MULT, j, mod) for j in range(width + 2)]
+    sums = list(accumulate(powers))
+    jumps = [x % mod for x in powers[2:] + sums[1:width + 1]]
+    hi = np.array([x >> 64 for x in jumps], dtype=np.uint64).reshape(2, 1, width)
+    lo = np.array([x & _MASK64 for x in jumps], dtype=np.uint64).reshape(2, 1, width)
+    limbs = hi, lo, lo & _MASK32, lo >> 32
+    for array in limbs:
+        array.setflags(write=False)
+    return limbs
+
+
+def _pcg64_random(states: np.ndarray, width: int) -> np.ndarray:
+    """(rows x width) ``PCG64.random()`` doubles of generators seeded with
+    the rows of ``_seed_states``: 128-bit states as (high, low) uint64
+    limbs, products by 32-bit halves."""
+    s_hi, s_lo, q_hi, q_lo = states.T
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    t_lo = s_lo + inc_lo
+    t_hi = s_hi + inc_hi + (t_lo < s_lo)
+    y_hi, y_lo = np.stack((t_hi, inc_hi))[:, :, None], np.stack((t_lo, inc_lo))[:, :, None]
+    k_hi, k_lo, k0, k1 = _pcg64_jumps(width)
+    y0, y1 = y_lo & _MASK32, y_lo >> 32
+    p01, p10 = k0 * y1, k1 * y0
+    mid = (k0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    p_hi = k1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + k_lo * y_hi + k_hi * y_lo
+    p_lo = k_lo * y_lo
+    lo = p_lo[0] + p_lo[1]
+    hi = p_hi[0] + p_hi[1] + (lo < p_lo[0])
+    # XSL-RR output, then the top 53 bits as a double in [0, 1)
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _draw_samples(
     n: int, mode: str, seed: int, indices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Averages and correlators of samples ``indices``, one row each.
+    """Averages and correlators of samples ``indices`` (each below 2^64),
+    one row each.
 
-    Sample ``index`` comes from its own generator, seeded with the words of
-    (seed, index) exactly as ``default_rng([seed, index])`` would be, minus
-    the list conversion; general mode draws the averages first, then the
-    pair correlators in lexicographic pair order.  Each value is
+    Row k holds the first values of ``default_rng([seed, indices[k]])``,
+    bit for bit, without building a generator: the block's SeedSequence
+    hashes and PCG64 seeding run as uint32 and uint64 array operations,
+    with rows whose index needs a second 32-bit word in their own group,
+    and output k of every row is one 128-bit multiply-add from the seeded
+    state (``_pcg64_jumps``).  General mode draws the averages first, then
+    the pair correlators in lexicographic pair order.  Each value is
     ``uniform(-1, 1)``'s -1 + 2u, applied once to the whole block."""
     width = n * (n - 1) // 2 + (n if mode == "general" else 0)
-    u = np.empty((len(indices), width))
-    head = _seed_words(seed)
-    for row, index in zip(u, indices):
-        np.random.default_rng(np.array(head + _seed_words(index), dtype=np.uint32)).random(out=row)
+    index = np.asarray(indices, dtype=np.uint64)
+    u = np.empty((index.size, width))
+    head = np.array(_seed_words(seed), dtype=np.uint32)
+    wide = index > _MASK32
+    for rows, index_words in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
+        if rows.size:
+            entropy = np.empty((rows.size, head.size + index_words), dtype=np.uint32)
+            entropy[:, :head.size] = head
+            entropy[:, head.size] = index[rows] & _MASK32
+            entropy[:, head.size + 1:] = index[rows, None] >> 32
+            u[rows] = _pcg64_random(_seed_states(entropy), width)
     x = 2.0 * u - 1.0
     if mode == "general":
         return x[:, :n], x[:, n:]
     return np.zeros((len(indices), n)), x
+
+
+def _condition_slacks(n: int, bc: np.ndarray) -> np.ndarray:
+    """(samples x rows) slacks of the ``_condition_system`` rows on the rows
+    of ``bc``: products summed elementwise over the columns in a fixed
+    order, then the bound subtracted, so each sample's bits depend on that
+    sample alone and not on the block or the BLAS build."""
+    a, bounds = _condition_system(n)
+    total = np.zeros((bc.shape[0], a.shape[0]))
+    for column, terms in zip(bc.T, a.T):
+        total += column[:, None] * terms
+    return total - bounds
 
 
 def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bool, bool]]:
@@ -545,21 +679,20 @@ def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bo
     boundary band, relative to the row's ``_screen_scales`` entry, has a
     phase-1 optimum above the band, so it is infeasible with no LP.  Each
     other sample gets its own float phase-1 solve on the oracle rows of
-    ``lp_feasible``."""
-    a, bounds = _condition_system(n)
+    ``lp_feasible``.  Slacks come from ``_condition_slacks``, so every
+    verdict is independent of how samples are blocked."""
     bc = np.hstack((b, c))
-    # per sample: one matmul over the block rounds differently in the last bits
-    slacks = [a @ bc_k - bounds for bc_k in bc]
-    holds = [bool(s.max() <= 0.0) for s in slacks]
-    boundary = [bool(np.abs(s).min() < BOUNDARY_TOL) for s in slacks]
-    feasible = [False] * len(bc)
-    refuted = (np.array(slacks) / _screen_scales(n)).max(axis=1) > 2 * BOUNDARY_TOL
+    slacks = _condition_slacks(n, bc)
+    holds = slacks.max(axis=1) <= 0.0
+    boundary = np.abs(slacks).min(axis=1) < BOUNDARY_TOL
+    feasible = np.zeros(len(bc), dtype=bool)
+    refuted = (slacks / _screen_scales(n)).max(axis=1) > 2 * BOUNDARY_TOL
     rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
     for k in np.flatnonzero(~refuted).tolist():
         result = solve_phase1(rows, np.concatenate(([1.0], bc[k])))
         feasible[k] = result.feasible
-        boundary[k] = boundary[k] or FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
-    return list(zip(holds, feasible, boundary))
+        boundary[k] |= FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
+    return list(zip(holds.tolist(), feasible.tolist(), boundary.tolist()))
 
 
 def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
@@ -620,8 +753,11 @@ def conjecture_check(
     converse would indicate a necessity bug.  Results are reproducible
     bit-for-bit for a fixed (seed, samples) and independent of ``workers``.
 
-    Samples are classified ``CONJECTURE_BLOCK`` at a time; condition
-    slacks are evaluated per sample.  A violated condition row is itself
+    Samples are drawn and classified ``CONJECTURE_BLOCK`` at a time.  A
+    block's draw reproduces ``default_rng([seed, i])`` for each sample i
+    in a few array passes, and each sample's condition slacks are a
+    fixed-order elementwise sum, so no verdict depends on the block split,
+    ``workers`` or the BLAS build.  A violated condition row is itself
     a certificate of infeasibility once it is checked to hold at every
     +-1 outcome: the phase-1 optimum is at least the row's slack divided
     by max(|bound|, max |coefficient|).  A sample whose scaled slack

@@ -166,20 +166,29 @@ class InequalityFamily:
         return _slacks(self.pairs, self.coefficients, self.bounds, data)
 
 
+def _pair_values(pairs: Sequence[tuple[int, int]], data: CorrelatorSet | MomentSpec) -> list:
+    """C at each pair under the data conventions of ``evaluate``; C_{0j} is B_j."""
+    if isinstance(data, CorrelatorSet):
+        return [data.value(i, j) if i else 0.0 for i, j in pairs]
+    if isinstance(data, MomentSpec):
+        moments = data.moments
+        return [moments.get((i, j) if i else (j,), 0.0) for i, j in pairs]
+    raise TypeError(f"cannot evaluate against {type(data).__name__}")
+
+
 def _slacks(pairs: Sequence[tuple[int, int]], coefficients: np.ndarray,
             bounds: np.ndarray, data: CorrelatorSet | MomentSpec) -> np.ndarray:
-    """coefficients @ C - bounds, with C read at ``pairs`` under the data
-    conventions of ``evaluate``; C_{0j} is B_j."""
-    if isinstance(data, CorrelatorSet):
-        values = [data.value(i, j) if i else 0.0 for i, j in pairs]
-    elif isinstance(data, MomentSpec):
-        values = [data.get((i, j) if i else (j,)) for i, j in pairs]
-    else:
-        raise TypeError(f"cannot evaluate against {type(data).__name__}")
-    # equal values enter once with an integer weight, so equal term multisets tie exactly
-    unique, inverse = np.unique(values, return_inverse=True)
+    """coefficients @ C - bounds, with C read at ``pairs`` by ``_pair_values``.
+
+    Equal values enter once with an integer weight, so equal term multisets
+    tie exactly, and the weighted values are summed in ascending value order
+    so that ``evaluate`` reproduces each row bit for bit."""
+    unique, inverse = np.unique(_pair_values(pairs, data), return_inverse=True)
     onehot = (inverse[:, None] == np.arange(unique.size)).astype(np.float64)
-    return (coefficients @ onehot) @ unique - bounds
+    total = np.zeros(bounds.size)
+    for value, weights in zip(unique.tolist(), (coefficients @ onehot).T):
+        total += weights * value
+    return total - bounds
 
 
 def _family(name, n, pairs, coefficients, bound, codes) -> InequalityFamily:
@@ -246,12 +255,17 @@ def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
 
     A CorrelatorSet must fix every referenced pair and carries no B data
     (linear terms evaluate against 0).  A MomentSpec reads pairs and
-    singletons with the usual absent-means-zero convention.
+    singletons with the usual absent-means-zero convention.  The value is
+    bit-identical to the member's row of ``InequalityFamily.slacks``.
     """
-    times = range(1, max(ineq.linear, default=0) + 1)
-    pairs = tuple((0, i) for i in times) + tuple(ineq.terms)
-    coefficients = np.array([[ineq.linear.get(i, 0) for i in times] + list(ineq.terms.values())])
-    return float(_slacks(pairs, coefficients, np.array([ineq.bound]), data)[0])
+    terms = [((0, i), c) for i, c in ineq.linear.items()] + list(ineq.terms.items())
+    weights: dict[float, int] = {}
+    for value, (_, coeff) in zip(_pair_values([p for p, _ in terms], data), terms):
+        weights[value] = weights.get(value, 0) + coeff
+    total = 0.0
+    for value in sorted(weights):
+        total += weights[value] * value
+    return total - ineq.bound
 
 
 def coefficient_arrays(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +38,7 @@ from lgfeas.feasibility import (
     ConjectureReport,
     _classify_exact,
     _classify_stack,
+    _condition_slacks,
     _condition_system,
     _constraint_rows,
     _draw_samples,
@@ -476,6 +478,38 @@ def test_draw_samples_match_list_seeded_generators(mode):
         for b_k, c_k, index in zip(b, c, indices):
             ref_b, ref_c = _reference_draw(mode, seed, index)
             assert b_k.tobytes() == ref_b.tobytes() and c_k.tobytes() == ref_c.tobytes()
+
+
+def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
+    # 50 blocks of 10 (seed, index) pairs per width: seeds of 1 to 4 words,
+    # blocks mixing 1-word and 2-word indices; no wraparound may warn
+    rng = np.random.default_rng(2024)
+    seed_words = set()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for mode, width in (("symmetric", 10), ("general", 15)):
+            for _ in range(50):
+                seed = int(rng.integers(0, 1 << 32)) | int(rng.integers(0, 1 << 62)) << 66
+                seed >>= int(rng.integers(0, 128))
+                seed_words.add(max(1, -(-seed.bit_length() // 32)))
+                indices = [int(rng.integers(0, 1 << 63)) >> int(rng.integers(0, 64))
+                           for _ in range(10)]
+                indices[:2] = [int(rng.integers(0, 1 << 32)), int(rng.integers(1 << 32, 1 << 63))]
+                b, c = _draw_samples(5, mode, seed, indices)
+                x = np.hstack((b, c))[:, -width:]
+                for row, index in zip(x, indices):
+                    u = np.random.default_rng([seed, index]).random(width)
+                    assert row.tobytes() == (2.0 * u - 1.0).tobytes()
+    assert seed_words == {1, 2, 3, 4}
+
+
+def test_condition_slacks_depend_on_each_row_alone():
+    b, c = _draw_samples(5, "general", 11, range(CONJECTURE_BLOCK))
+    bc = np.hstack((b, c))
+    block = _condition_slacks(5, bc)
+    assert block.tobytes() == _condition_slacks(5, bc[::-1])[::-1].tobytes()
+    for k, row in enumerate(block):
+        assert row.tobytes() == _condition_slacks(5, bc[k:k + 1])[0].tobytes()
 
 
 def test_conjecture_small_run_tallies():

@@ -273,3 +273,20 @@ def test_len_and_indexing_do_not_build_members():
                    two_time_complete(3)):
         assert [family[k] for k in range(len(family))] == list(family.members)
         assert family.members is family.members
+
+
+@pytest.mark.parametrize("build, n", [(lg_family, 6), (ngon_family, 6),
+                                      (three_time_complete, 5), (two_time_complete, 4)])
+def test_evaluate_matches_family_slacks_bit_for_bit(build, n):
+    family = build(n)
+    rng = np.random.default_rng(n)
+    pairs = complete_pairs(n)
+    for trial in range(6):
+        # odd trials reuse four values, so equal values meet on one member
+        pool = rng.uniform(-1, 1, 4 if trial % 2 else len(pairs) + n)
+        c = {pair: float(v) for pair, v in zip(pairs, rng.choice(pool, len(pairs)))}
+        b = {(i,): float(v) for i, v in zip(range(1, n + 1), rng.choice(pool, n))}
+        for data in (CorrelatorSet(n, c), MomentSpec(n, {**b, **c})):
+            slacks = family.slacks(data)
+            for k in range(len(family)):
+                assert np.float64(evaluate(family[k], data)).tobytes() == slacks[k].tobytes()

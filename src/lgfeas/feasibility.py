@@ -205,13 +205,13 @@ def lp_feasible(
     n = correlators.n
     if n > ORACLE_MAX_TIMES:
         raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES}, got {n}")
+    if exact and n > EXACT_MAX_TIMES:
+        raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
     bvec = _validate_b(b, n)
     pairs = tuple(sorted(correlators.entries))
     rows = _constraint_rows(n, _suspended(n, pairs))
     rhs = np.concatenate(([1.0], bvec, [correlators.entries[p] for p in pairs]))
 
-    if exact and n > EXACT_MAX_TIMES:
-        raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
     if exact:
         result = solve_phase1(rows.astype(object), rhs.astype(object))
     else:
@@ -508,6 +508,31 @@ def _screen_scales(n: int) -> np.ndarray:
     return scales
 
 
+@lru_cache(maxsize=8)
+def _condition_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The ``_condition_system`` rows grouped by their count of non-zero
+    terms: per group, the row numbers and a (terms x rows) table of signed
+    column indices in ascending column order, j for a +1 coefficient and
+    width + j for a -1, so that one gather from the columns stacked on
+    their negatives picks every term."""
+    a, _ = _condition_system(n)
+    if not np.isin(a, (-1.0, 0.0, 1.0)).all():
+        raise ValidationError("condition coefficients must be 0 or +-1")
+    counts = np.count_nonzero(a, axis=1)
+    groups = []
+    for count in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        terms = a[rows]
+        # row-major order: each row's columns ascend
+        at, columns = np.nonzero(terms)
+        signed = columns + a.shape[1] * (terms[at, columns] < 0)
+        groups.append((rows, signed.reshape(rows.size, count).T))
+    for group in groups:
+        for array in group:
+            array.setflags(write=False)
+    return tuple(groups)
+
+
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
 # mix_entropy, generate_state) and PCG64 LCG multiplier (pcg64.h, pcg64_set_seed)
 _POOL_SIZE = 4
@@ -606,9 +631,10 @@ def _pcg64_jumps(width: int) -> tuple[np.ndarray, ...]:
 
 
 def _pcg64_random(states: np.ndarray, width: int) -> np.ndarray:
-    """(rows x width) ``PCG64.random()`` doubles of generators seeded with
-    the rows of ``_seed_states``: 128-bit states as (high, low) uint64
-    limbs, products by 32-bit halves."""
+    """(rows x width) ``uniform(-1, 1)`` draws of generators seeded with the
+    rows of ``_seed_states``, each the -1 + 2u of a ``PCG64.random()``
+    double u: 128-bit states as (high, low) uint64 limbs, products by
+    32-bit halves."""
     s_hi, s_lo, q_hi, q_lo = states.T
     inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
     t_lo = s_lo + inc_lo
@@ -622,58 +648,80 @@ def _pcg64_random(states: np.ndarray, width: int) -> np.ndarray:
     p_lo = k_lo * y_lo
     lo = p_lo[0] + p_lo[1]
     hi = p_hi[0] + p_hi[1] + (lo < p_lo[0])
-    # XSL-RR output, then the top 53 bits as a double in [0, 1)
+    # XSL-RR output; its top 53 bits times 2^-53 are u, and 2u is exact
     x, rot = hi ^ lo, hi >> 58
     x = x >> rot | x << (64 - rot & 63)
-    return (x >> 11) * (1.0 / 9007199254740992.0)
+    return (x >> 11) * (1.0 / 4503599627370496.0) - 1.0
+
+
+def _draw_block(n: int, mode: str, seed: int, indices: Sequence[int]) -> np.ndarray:
+    """One (samples x (n + pairs)) array of the averages, then the pair
+    correlators in lexicographic pair order, of samples ``indices`` (each
+    below 2^64); symmetric mode leaves the averages at zero.
+
+    Row k holds the first values of ``default_rng([seed, indices[k]])``,
+    bit for bit, without building a generator: the block's SeedSequence
+    hashes and PCG64 seeding run as uint32 and uint64 array operations,
+    and output k of every row is one 128-bit multiply-add from the seeded
+    state (``_pcg64_jumps``).  General mode draws the averages first.
+    SeedSequence pads entropy to four words with zeros, so while the seed
+    has at most two words every index is read as (low, high) words in one
+    group; longer seeds give the indices that need a second word their
+    own group."""
+    pairs = n * (n - 1) // 2
+    width = pairs + (n if mode == "general" else 0)
+    index = np.asarray(indices, dtype=np.uint64)
+    block = np.zeros((index.size, n + pairs))
+    head = np.array(_seed_words(seed), dtype=np.uint32)
+    if head.size + 2 <= _POOL_SIZE:
+        groups = ((slice(None), 2),)
+    else:
+        wide = index > _MASK32
+        groups = ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2))
+    for rows, index_words in groups:
+        picked = index[rows]
+        if picked.size:
+            entropy = np.empty((picked.size, head.size + index_words), dtype=np.uint32)
+            entropy[:, :head.size] = head
+            entropy[:, head.size] = picked & _MASK32
+            entropy[:, head.size + 1:] = picked[:, None] >> 32
+            block[rows, n + pairs - width:] = _pcg64_random(_seed_states(entropy), width)
+    return block
 
 
 def _draw_samples(
     n: int, mode: str, seed: int, indices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Averages and correlators of samples ``indices`` (each below 2^64),
-    one row each.
-
-    Row k holds the first values of ``default_rng([seed, indices[k]])``,
-    bit for bit, without building a generator: the block's SeedSequence
-    hashes and PCG64 seeding run as uint32 and uint64 array operations,
-    with rows whose index needs a second 32-bit word in their own group,
-    and output k of every row is one 128-bit multiply-add from the seeded
-    state (``_pcg64_jumps``).  General mode draws the averages first, then
-    the pair correlators in lexicographic pair order.  Each value is
-    ``uniform(-1, 1)``'s -1 + 2u, applied once to the whole block."""
-    width = n * (n - 1) // 2 + (n if mode == "general" else 0)
-    index = np.asarray(indices, dtype=np.uint64)
-    u = np.empty((index.size, width))
-    head = np.array(_seed_words(seed), dtype=np.uint32)
-    wide = index > _MASK32
-    for rows, index_words in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
-        if rows.size:
-            entropy = np.empty((rows.size, head.size + index_words), dtype=np.uint32)
-            entropy[:, :head.size] = head
-            entropy[:, head.size] = index[rows] & _MASK32
-            entropy[:, head.size + 1:] = index[rows, None] >> 32
-            u[rows] = _pcg64_random(_seed_states(entropy), width)
-    x = 2.0 * u - 1.0
-    if mode == "general":
-        return x[:, :n], x[:, n:]
-    return np.zeros((len(indices), n)), x
+    """Averages and correlators of samples ``indices``, one row each: views
+    of the one array that ``_draw_block`` writes."""
+    block = _draw_block(n, mode, seed, indices)
+    return block[:, :n], block[:, n:]
 
 
 def _condition_slacks(n: int, bc: np.ndarray) -> np.ndarray:
     """(samples x rows) slacks of the ``_condition_system`` rows on the rows
-    of ``bc``: products summed elementwise over the columns in a fixed
-    order, then the bound subtracted, so each sample's bits depend on that
-    sample alone and not on the block or the BLAS build."""
-    a, bounds = _condition_system(n)
-    total = np.zeros((bc.shape[0], a.shape[0]))
-    for column, terms in zip(bc.T, a.T):
-        total += column[:, None] * terms
-    return total - bounds
+    of ``bc``: each row's non-zero terms, gathered per ``_condition_terms``
+    group, are summed in ascending column order, then the bound is
+    subtracted, so each sample's bits depend on that sample alone and not
+    on the block or the BLAS build.  The bits equal those of a dense sum
+    over every column: a zero term can only flip the sign of a zero
+    partial sum, which subtracting the non-zero bound erases, and -x is
+    x * -1.0 exactly."""
+    _, bounds = _condition_system(n)
+    columns = np.concatenate((bc.T, -bc.T))
+    slacks = np.empty((bounds.size, bc.shape[0]))
+    for rows, table in _condition_terms(n):
+        terms = columns[table]
+        total = terms[0] + terms[1]
+        for term in terms[2:]:
+            total += term
+        slacks[rows] = total - bounds[rows, None]
+    return slacks.T
 
 
-def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bool, bool]]:
-    """(holds, feasible, boundary) of each sample in rows of ``b`` and ``c``.
+def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(holds, feasible, boundary) bool arrays over the samples in the rows
+    of ``bc``, averages then correlators as ``_draw_block`` writes them.
 
     A sample that violates a valid condition row by more than twice the
     boundary band, relative to the row's ``_screen_scales`` entry, has a
@@ -681,18 +729,19 @@ def _classify_stack(n: int, b: np.ndarray, c: np.ndarray) -> list[tuple[bool, bo
     other sample gets its own float phase-1 solve on the oracle rows of
     ``lp_feasible``.  Slacks come from ``_condition_slacks``, so every
     verdict is independent of how samples are blocked."""
-    bc = np.hstack((b, c))
     slacks = _condition_slacks(n, bc)
     holds = slacks.max(axis=1) <= 0.0
     boundary = np.abs(slacks).min(axis=1) < BOUNDARY_TOL
     feasible = np.zeros(len(bc), dtype=bool)
     refuted = (slacks / _screen_scales(n)).max(axis=1) > 2 * BOUNDARY_TOL
-    rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
-    for k in np.flatnonzero(~refuted).tolist():
-        result = solve_phase1(rows, np.concatenate(([1.0], bc[k])))
-        feasible[k] = result.feasible
-        boundary[k] |= FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
-    return list(zip(holds.tolist(), feasible.tolist(), boundary.tolist()))
+    unsettled = np.flatnonzero(~refuted)
+    if unsettled.size:
+        rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
+        for k in unsettled.tolist():
+            result = solve_phase1(rows, np.concatenate(([1.0], bc[k])))
+            feasible[k] = result.feasible
+            boundary[k] |= FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
+    return holds, feasible, boundary
 
 
 def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
@@ -708,24 +757,22 @@ def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
 
 def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[int, list[int], int, list]:
     n, mode, seed, start, stop = args
-    tallies = [0, 0, 0, 0]  # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
+    # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
+    tallies = np.zeros(4, dtype=np.int64)
     boundary_count = 0
     counterexamples = []
     for first in range(start, stop, CONJECTURE_BLOCK):
-        indices = range(first, min(first + CONJECTURE_BLOCK, stop))
-        b, c = _draw_samples(n, mode, seed, indices)
-        for index, b_k, c_k, (holds, feasible, boundary) in zip(
-            indices, b, c, _classify_stack(n, b, c)
-        ):
-            if boundary:
-                boundary_count += 1
-            elif holds != feasible:
-                # knife-edge floats can misclassify either side; settle exactly
-                holds, feasible = _classify_exact(n, b_k, c_k)
-                if holds != feasible:
-                    counterexamples.append((index, b_k.tolist(), c_k.tolist()))
-            tallies[(0 if holds else 2) + (0 if feasible else 1)] += 1
-    return start, tallies, boundary_count, counterexamples
+        bc = _draw_block(n, mode, seed, range(first, min(first + CONJECTURE_BLOCK, stop)))
+        holds, feasible, boundary = _classify_stack(n, bc)
+        # knife-edge floats can misclassify either side; settle exactly
+        for k in np.flatnonzero((holds != feasible) & ~boundary).tolist():
+            b_k, c_k = bc[k, :n], bc[k, n:]
+            holds[k], feasible[k] = _classify_exact(n, b_k, c_k)
+            if holds[k] != feasible[k]:
+                counterexamples.append((first + k, b_k.tolist(), c_k.tolist()))
+        tallies += np.bincount(2 * ~holds + ~feasible, minlength=4)
+        boundary_count += int(np.count_nonzero(boundary))
+    return start, tallies.tolist(), boundary_count, counterexamples
 
 
 def _sample_to_spec(n: int, mode: str, b: Sequence[float], c: Sequence[float]) -> MomentSpec:
@@ -755,17 +802,19 @@ def conjecture_check(
 
     Samples are drawn and classified ``CONJECTURE_BLOCK`` at a time.  A
     block's draw reproduces ``default_rng([seed, i])`` for each sample i
-    in a few array passes, and each sample's condition slacks are a
-    fixed-order elementwise sum, so no verdict depends on the block split,
-    ``workers`` or the BLAS build.  A violated condition row is itself
-    a certificate of infeasibility once it is checked to hold at every
-    +-1 outcome: the phase-1 optimum is at least the row's slack divided
-    by max(|bound|, max |coefficient|).  A sample whose scaled slack
-    exceeds twice ``BOUNDARY_TOL`` is therefore tallied infeasible with no
-    LP; the boundary band keeps it apart from the LP's tolerance.  The
-    rest, samples near the band or where every condition holds, each get
-    a float ``solve_phase1`` call on the oracle rows of ``lp_feasible``,
-    and disagreements are re-adjudicated in rationals.
+    in a few array passes into one array, and each condition slack sums
+    the row's non-zero terms in ascending column order, so no verdict
+    depends on the block split, ``workers`` or the BLAS build.  A violated
+    condition row is itself a certificate of infeasibility once it is
+    checked to hold at every +-1 outcome: the phase-1 optimum is at least
+    the row's slack divided by max(|bound|, max |coefficient|).  A sample
+    whose scaled slack exceeds twice ``BOUNDARY_TOL`` is therefore tallied
+    infeasible with no LP; the boundary band keeps it apart from the LP's
+    tolerance.  The rest, samples near the band or where every condition
+    holds, each get a float ``solve_phase1`` call on the oracle rows of
+    ``lp_feasible``.  A block's verdicts are bool arrays: the rare
+    non-boundary disagreements are re-adjudicated in rationals, in index
+    order, and one ``bincount`` then tallies the block.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")

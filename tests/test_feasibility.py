@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 from itertools import combinations
@@ -40,6 +42,7 @@ from lgfeas.feasibility import (
     _classify_stack,
     _condition_slacks,
     _condition_system,
+    _condition_terms,
     _constraint_rows,
     _draw_samples,
     _sample_to_spec,
@@ -272,6 +275,14 @@ def test_lp_respects_oracle_scale_cap():
         lp_feasible(None, CorrelatorSet(7, {p: 0.0 for p in chain_pairs(7)}), exact=True)
 
 
+def test_lp_refuses_exact_mode_before_building_rows():
+    # an n = 12 refusal must not leave a 79 x 4096 table in the row cache
+    cached = _constraint_rows.cache_info().currsize
+    with pytest.raises(DimensionError):
+        lp_feasible(None, CorrelatorSet(12, {p: 0.0 for p in complete_pairs(12)}), exact=True)
+    assert _constraint_rows.cache_info().currsize == cached
+
+
 # ---------------------------------------------------------------------------
 # fine_build
 # ---------------------------------------------------------------------------
@@ -451,7 +462,7 @@ def test_symmetric_validates_input():
 # ---------------------------------------------------------------------------
 
 def test_classify_zero_sample_holds_and_feasible():
-    [(holds, feasible, boundary)] = _classify_stack(5, np.zeros((1, 5)), np.zeros((1, 10)))
+    [holds], [feasible], [boundary] = _classify_stack(5, np.zeros((1, 15)))
     assert holds and feasible and not boundary
 
 
@@ -512,6 +523,49 @@ def test_condition_slacks_depend_on_each_row_alone():
         assert row.tobytes() == _condition_slacks(5, bc[k:k + 1])[0].tobytes()
 
 
+def _dense_slacks(bc):
+    # every product over all 15 columns, summed in column order from +0.0
+    a, bounds = _condition_system(5)
+    total = np.zeros((bc.shape[0], a.shape[0]))
+    for column, terms in zip(bc.T, a.T):
+        total += column[:, None] * terms
+    return total - bounds
+
+
+def test_condition_terms_cover_every_row_once_in_column_order():
+    a, _ = _condition_system(5)
+    seen = []
+    for rows, table in _condition_terms(5):
+        assert table.shape == (table.shape[0], rows.size)
+        for row, signed in zip(rows.tolist(), table.T):
+            columns, negative = signed % 15, signed >= 15
+            assert columns.tolist() == np.flatnonzero(a[row]).tolist()
+            assert a[row, columns].tolist() == np.where(negative, -1.0, 1.0).tolist()
+            seen.append(row)
+    assert sorted(seen) == list(range(a.shape[0]))
+    assert sorted(table.shape[0] for _, table in _condition_terms(5)) == [3, 10]
+
+
+def test_condition_slacks_match_the_dense_sum_bit_for_bit():
+    # 20 blocks per mode, then rows of zeros, -0.0, +-1 and terms that cancel
+    blocks = [np.hstack(_draw_samples(5, mode, 1000 + k, range(k, k + CONJECTURE_BLOCK)))
+              for mode in ("symmetric", "general") for k in range(20)]
+    hand = np.zeros((6, 15))
+    hand[1] = -0.0
+    hand[2] = 1.0
+    hand[3] = -1.0
+    hand[4, ::2] = -0.0
+    hand[4, 1::2] = 1.0
+    # C_12 + C_13 + C_23 = 0 with non-zero terms, so 1 + ... cancels to the bound
+    hand[5, [5, 6, 9]] = 0.375, -0.25, -0.125
+    # draws are multiples of 2^-52 in [-1, 1), so every partial sum of three
+    # of them is exact; off-grid values make the term order show in each group
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-53, -(2.0**-53), 1.0 - 2.0**-53, 0.1])
+    mixed = np.random.default_rng(7).choice(values, size=(400, 15))
+    for bc in blocks + [hand, mixed]:
+        assert _condition_slacks(5, bc).tobytes() == _dense_slacks(bc).tobytes()
+
+
 def test_conjecture_small_run_tallies():
     report = conjecture_check(300, 12345, "symmetric")
     total = (
@@ -528,8 +582,9 @@ def test_conjecture_small_run_tallies():
 
 
 def _reference_report(samples, seed, mode):
-    # one sample at a time: per-sample slacks, a 1-D float solve, exact re-adjudication
-    a, bounds = _condition_system(5)
+    # one sample at a time: per-sample slacks, a 1-D float solve, exact re-adjudication;
+    # the system is read through the module, so a patched one applies here too
+    a, bounds = feasibility._condition_system(5)
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     tallies, boundary_count, counterexamples = [0, 0, 0, 0], 0, []
     for index in range(samples):
@@ -595,27 +650,45 @@ def test_only_samples_past_the_band_skip_the_lp(monkeypatch, past, solved):
         return solve_phase1(rows, rhs)
 
     monkeypatch.setattr(feasibility, "solve_phase1", recording)
-    [(holds, feasible, boundary)] = _classify_stack(5, np.zeros((1, 5)), c)
+    [holds], [feasible], [boundary] = _classify_stack(5, np.hstack((np.zeros((1, 5)), c)))
     assert len(calls) == (1 if solved else 0)
     assert not holds and not feasible and boundary == solved
 
 
 def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(monkeypatch):
-    # lowering an n-gon bound from 2 to 1 makes the row cut off feasible data
+    # lowering an n-gon bound from 2 to 1 makes the row cut off feasible data;
+    # the term table holds no bounds, so it needs no clearing
     a, bounds = _condition_system(5)
     lowered = bounds.copy()
     lowered[80] = 1.0
     valid = _screen_scales(5)
+    samples = 2 * CONJECTURE_BLOCK + 3
     monkeypatch.setattr(feasibility, "_condition_system", lambda n: (a, lowered))
     _screen_scales.cache_clear()
     try:
         scales = _screen_scales(5)
-        report = conjecture_check(2 * CONJECTURE_BLOCK + 3, 8, "symmetric")
+        report = conjecture_check(samples, 8, "symmetric")
+        reference = _reference_report(samples, 8, "symmetric")
     finally:
         _screen_scales.cache_clear()
     assert np.isinf(scales[80]) and np.array_equal(np.delete(scales, 80), np.delete(valid, 80))
     assert report.condition_fails_and_feasible > 0
     assert len(report.counterexamples) == report.condition_fails_and_feasible
+    assert report == reference
+
+
+# SHA-256 of each sorted-key report; 10^4 samples reach blocks that need
+# LPs, which the 200-sample golden files do not
+REPORT_SHA256 = {
+    "symmetric": "fdeab5f888cb22189057a656e4a9d4f0fe8db58894a629784bf983d95f62a948",
+    "general": "19598d02c40ecbf4beabf938316022b1271ec752e7b40a8e91d551f95e8c6707",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REPORT_SHA256))
+def test_conjecture_report_hash_at_ten_thousand_samples(mode):
+    payload = json.dumps(conjecture_check(10_000, 42, mode).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_SHA256[mode]
 
 
 def test_conjecture_workers_do_not_change_the_report():

@@ -662,40 +662,23 @@ def _draw_block(n: int, mode: str, seed: int, indices: Sequence[int]) -> np.ndar
     Row k holds the first values of ``default_rng([seed, indices[k]])``,
     bit for bit, without building a generator: the block's SeedSequence
     hashes and PCG64 seeding run as uint32 and uint64 array operations,
+    with rows whose index needs a second 32-bit word in their own group,
     and output k of every row is one 128-bit multiply-add from the seeded
-    state (``_pcg64_jumps``).  General mode draws the averages first.
-    SeedSequence pads entropy to four words with zeros, so while the seed
-    has at most two words every index is read as (low, high) words in one
-    group; longer seeds give the indices that need a second word their
-    own group."""
+    state (``_pcg64_jumps``).  General mode draws the averages first."""
     pairs = n * (n - 1) // 2
     width = pairs + (n if mode == "general" else 0)
     index = np.asarray(indices, dtype=np.uint64)
     block = np.zeros((index.size, n + pairs))
     head = np.array(_seed_words(seed), dtype=np.uint32)
-    if head.size + 2 <= _POOL_SIZE:
-        groups = ((slice(None), 2),)
-    else:
-        wide = index > _MASK32
-        groups = ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2))
-    for rows, index_words in groups:
-        picked = index[rows]
-        if picked.size:
-            entropy = np.empty((picked.size, head.size + index_words), dtype=np.uint32)
+    wide = index > _MASK32
+    for rows, index_words in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
+        if rows.size:
+            entropy = np.empty((rows.size, head.size + index_words), dtype=np.uint32)
             entropy[:, :head.size] = head
-            entropy[:, head.size] = picked & _MASK32
-            entropy[:, head.size + 1:] = picked[:, None] >> 32
+            entropy[:, head.size] = index[rows] & _MASK32
+            entropy[:, head.size + 1:] = index[rows, None] >> 32
             block[rows, n + pairs - width:] = _pcg64_random(_seed_states(entropy), width)
     return block
-
-
-def _draw_samples(
-    n: int, mode: str, seed: int, indices: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Averages and correlators of samples ``indices``, one row each: views
-    of the one array that ``_draw_block`` writes."""
-    block = _draw_block(n, mode, seed, indices)
-    return block[:, :n], block[:, n:]
 
 
 def _condition_slacks(n: int, bc: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from lgfeas.feasibility import (
     _condition_system,
     _condition_terms,
     _constraint_rows,
-    _draw_samples,
+    _draw_block,
     _sample_to_spec,
     _screen_scales,
     _suspended,
@@ -467,11 +467,11 @@ def test_classify_zero_sample_holds_and_feasible():
 
 
 def test_draw_sample_is_reproducible_per_index():
-    b1, c1 = _draw_samples(5, "general", 42, [17])
-    b2, c2 = _draw_samples(5, "general", 42, [16, 17])
-    assert np.array_equal(b1[0], b2[1]) and np.array_equal(c1[0], c2[1])
-    _, c3 = _draw_samples(5, "general", 42, [18])
-    assert not np.array_equal(c1, c3)
+    x1 = _draw_block(5, "general", 42, [17])
+    x2 = _draw_block(5, "general", 42, [16, 17])
+    assert np.array_equal(x1[0, :5], x2[1, :5]) and np.array_equal(x1[0, 5:], x2[1, 5:])
+    x3 = _draw_block(5, "general", 42, [18])
+    assert not np.array_equal(x1[:, 5:], x3[:, 5:])
 
 
 def _reference_draw(mode, seed, index):
@@ -485,8 +485,8 @@ def _reference_draw(mode, seed, index):
 def test_draw_samples_match_list_seeded_generators(mode):
     indices = [0, 1, 17, 2**31, 2**32 - 1, 2**32, 2**33 + 7]
     for seed in (0, 42, 2**32 - 1, 2**32, 2**40 + 5, 10**20):
-        b, c = _draw_samples(5, mode, seed, indices)
-        for b_k, c_k, index in zip(b, c, indices):
+        x = _draw_block(5, mode, seed, indices)
+        for b_k, c_k, index in zip(x[:, :5], x[:, 5:], indices):
             ref_b, ref_c = _reference_draw(mode, seed, index)
             assert b_k.tobytes() == ref_b.tobytes() and c_k.tobytes() == ref_c.tobytes()
 
@@ -506,8 +506,7 @@ def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
                 indices = [int(rng.integers(0, 1 << 63)) >> int(rng.integers(0, 64))
                            for _ in range(10)]
                 indices[:2] = [int(rng.integers(0, 1 << 32)), int(rng.integers(1 << 32, 1 << 63))]
-                b, c = _draw_samples(5, mode, seed, indices)
-                x = np.hstack((b, c))[:, -width:]
+                x = _draw_block(5, mode, seed, indices)[:, -width:]
                 for row, index in zip(x, indices):
                     u = np.random.default_rng([seed, index]).random(width)
                     assert row.tobytes() == (2.0 * u - 1.0).tobytes()
@@ -515,8 +514,7 @@ def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
 
 
 def test_condition_slacks_depend_on_each_row_alone():
-    b, c = _draw_samples(5, "general", 11, range(CONJECTURE_BLOCK))
-    bc = np.hstack((b, c))
+    bc = _draw_block(5, "general", 11, range(CONJECTURE_BLOCK))
     block = _condition_slacks(5, bc)
     assert block.tobytes() == _condition_slacks(5, bc[::-1])[::-1].tobytes()
     for k, row in enumerate(block):
@@ -548,7 +546,7 @@ def test_condition_terms_cover_every_row_once_in_column_order():
 
 def test_condition_slacks_match_the_dense_sum_bit_for_bit():
     # 20 blocks per mode, then rows of zeros, -0.0, +-1 and terms that cancel
-    blocks = [np.hstack(_draw_samples(5, mode, 1000 + k, range(k, k + CONJECTURE_BLOCK)))
+    blocks = [_draw_block(5, mode, 1000 + k, range(k, k + CONJECTURE_BLOCK))
               for mode in ("symmetric", "general") for k in range(20)]
     hand = np.zeros((6, 15))
     hand[1] = -0.0
@@ -628,8 +626,7 @@ def test_screen_scales_pin_every_n5_condition_row_as_valid():
 def test_screened_samples_have_a_phase1_optimum_above_their_scaled_slack(mode):
     a, bounds = _condition_system(5)
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
-    b, c = _draw_samples(5, mode, 3, range(3000))
-    bc = np.hstack((b, c))
+    bc = _draw_block(5, mode, 3, range(3000))
     scaled = ((bc @ a.T - bounds) / _screen_scales(5)).max(axis=1)
     screened = np.flatnonzero(scaled > 2 * BOUNDARY_TOL)
     assert screened.size > 2900

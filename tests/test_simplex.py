@@ -5,7 +5,7 @@ import pytest
 
 import lgfeas.simplex as simplex
 from lgfeas.core import CorrelatorSet, complete_pairs
-from lgfeas.feasibility import _constraint_rows, _draw_samples, _suspended, lp_feasible
+from lgfeas.feasibility import _constraint_rows, _draw_block, _suspended, lp_feasible
 from lgfeas.simplex import solve_phase1
 
 
@@ -154,8 +154,8 @@ def test_float_pivot_path_on_the_n5_probe():
     a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     total = 0
     for mode in ("symmetric", "general"):
-        for b, c in zip(*_draw_samples(5, mode, 190604865, range(16))):
-            total += solve_phase1(a, np.concatenate(([1.0], b, c))).iterations
+        for bc in _draw_block(5, mode, 190604865, range(16)):
+            total += solve_phase1(a, np.concatenate(([1.0], bc))).iterations
     assert total == 427
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from typing import Sequence
@@ -37,6 +36,7 @@ from .core import (
     OracleError,
     ValidationError,
     _drift_corrected,
+    _validate_coefficient,
     _walsh_hadamard,
     chain_pairs,
     complete_pairs,
@@ -46,7 +46,6 @@ from .core import (
 )
 from .inequalities import (
     InequalityFamily,
-    coefficient_arrays,
     max_violation,
     lg_family,
     ngon_family,
@@ -183,8 +182,9 @@ def _validate_b(b: Sequence[float] | None, n: int) -> np.ndarray:
     arr = np.asarray(b, dtype=np.float64)
     if arr.shape != (n,):
         raise DimensionError(f"expected {n} one-time averages, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > 1.0):
-        raise ValidationError("one-time averages must lie in [-1, 1]")
+    # B_i = C_0i, so an average takes a correlator's tolerance
+    for i, value in enumerate(arr.tolist(), 1):
+        _validate_coefficient(value, f"one-time average B_{i}")
     return arr
 
 
@@ -482,55 +482,44 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _condition_system(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Term matrix over the pairs of the times 0..n and bounds of the
-    candidate condition set, stacked two-time, three-time, n-gon."""
-    families = (two_time_complete(n), three_time_complete(n), ngon_family(n))
-    blocks = [coefficient_arrays(f) for f in families]
-    return tuple(np.concatenate([blk[part] for blk in blocks]) for part in range(2))
+def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
+    """The candidate condition set over the pairs of the times 0..n, rows
+    stacked two-time, three-time, n-gon, as (term groups, bounds, scales).
 
-
-@lru_cache(maxsize=8)
-def _screen_scales(n: int) -> np.ndarray:
-    """max(|bound|, max |coefficient|) of each ``_condition_system`` row
-    that holds at every +-1 outcome, checked exactly in integers; +inf for
-    any other row, so that only a valid row can refute a sample.
-
-    For a valid row, h . (b, c) - bound <= scale * (the phase-1 objective)
-    on the n-time system: pair the row (-bound, h) with A x = rhs - r."""
-    a, bounds = _condition_system(n)
-    terms, limits = a.astype(np.int64), bounds.astype(np.int64)
-    outcomes = _characters(n, _suspended(n, complete_pairs(n))).astype(np.int64)
-    valid = np.array_equal(terms, a) & np.array_equal(limits, bounds)
-    valid = valid & (terms @ outcomes <= limits[:, None]).all(axis=1)
-    scales = np.where(valid, np.maximum(np.abs(bounds), np.abs(a).max(axis=1)), np.inf)
-    scales.setflags(write=False)
-    return scales
-
-
-@lru_cache(maxsize=8)
-def _condition_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The ``_condition_system`` rows grouped by their count of non-zero
-    terms: per group, the row numbers and a (terms x rows) table of signed
-    column indices in ascending column order, j for a +1 coefficient and
+    The term groups split the rows by their count of non-zero terms: per
+    group, the row numbers and a (terms x rows) table of signed column
+    indices in ascending column order, j for a +1 coefficient and
     width + j for a -1, so that one gather from the columns stacked on
-    their negatives picks every term."""
-    a, _ = _condition_system(n)
-    if not np.isin(a, (-1.0, 0.0, 1.0)).all():
+    their negatives picks every term.  A row's scale is max(|bound|, 1)
+    when the row holds at every +-1 outcome, checked exactly in integers,
+    and +inf otherwise, so that only a valid row can refute a sample: for a
+    valid row, h . (b, c) - bound <= scale * (the phase-1 objective) on the
+    n-time system; pair the row (-bound, h) with A x = rhs - r."""
+    pairs = _suspended(n, complete_pairs(n))
+    families = (two_time_complete(n), three_time_complete(n), ngon_family(n))
+    blocks = []
+    for family in families:
+        block = np.zeros((len(family), len(pairs)), dtype=np.int64)
+        block[:, [pairs.index(pair) for pair in family.pairs]] = family.coefficients
+        blocks.append(block)
+    terms = np.concatenate(blocks)
+    bounds = np.concatenate([family.bounds for family in families])
+    if not np.isin(terms, (-1, 0, 1)).all():
         raise ValidationError("condition coefficients must be 0 or +-1")
-    counts = np.count_nonzero(a, axis=1)
+    valid = (terms @ _characters(n, pairs) <= bounds[:, None]).all(axis=1)
+    scales = np.where(valid, np.maximum(np.abs(bounds), 1.0), np.inf)
+    counts = np.count_nonzero(terms, axis=1)
     groups = []
     for count in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == count)
-        terms = a[rows]
+        group = terms[rows]
         # row-major order: each row's columns ascend
-        at, columns = np.nonzero(terms)
-        signed = columns + a.shape[1] * (terms[at, columns] < 0)
+        at, columns = np.nonzero(group)
+        signed = columns + len(pairs) * (group[at, columns] < 0)
         groups.append((rows, signed.reshape(rows.size, count).T))
-    for group in groups:
-        for array in group:
-            array.setflags(write=False)
-    return tuple(groups)
+    for array in (bounds, scales, *(array for group in groups for array in group)):
+        array.setflags(write=False)
+    return tuple(groups), bounds, scales
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
@@ -682,18 +671,17 @@ def _draw_block(n: int, mode: str, seed: int, indices: Sequence[int]) -> np.ndar
 
 
 def _condition_slacks(n: int, bc: np.ndarray) -> np.ndarray:
-    """(samples x rows) slacks of the ``_condition_system`` rows on the rows
-    of ``bc``: each row's non-zero terms, gathered per ``_condition_terms``
-    group, are summed in ascending column order, then the bound is
-    subtracted, so each sample's bits depend on that sample alone and not
-    on the block or the BLAS build.  The bits equal those of a dense sum
-    over every column: a zero term can only flip the sign of a zero
-    partial sum, which subtracting the non-zero bound erases, and -x is
-    x * -1.0 exactly."""
-    _, bounds = _condition_system(n)
+    """(samples x rows) slacks of the ``_conditions`` rows on the rows of
+    ``bc``: each row's non-zero terms, gathered per term group, are summed
+    in ascending column order, then the bound is subtracted, so each
+    sample's bits depend on that sample alone and not on the block or the
+    BLAS build.  The bits equal those of a dense sum over every column: a
+    zero term can only flip the sign of a zero partial sum, which
+    subtracting the non-zero bound erases, and -x is x * -1.0 exactly."""
+    groups, bounds, _ = _conditions(n)
     columns = np.concatenate((bc.T, -bc.T))
     slacks = np.empty((bounds.size, bc.shape[0]))
-    for rows, table in _condition_terms(n):
+    for rows, table in groups:
         terms = columns[table]
         total = terms[0] + terms[1]
         for term in terms[2:]:
@@ -707,7 +695,7 @@ def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     of ``bc``, averages then correlators as ``_draw_block`` writes them.
 
     A sample that violates a valid condition row by more than twice the
-    boundary band, relative to the row's ``_screen_scales`` entry, has a
+    boundary band, relative to the row's scale in ``_conditions``, has a
     phase-1 optimum above the band, so it is infeasible with no LP.  Each
     other sample gets its own float phase-1 solve on the oracle rows of
     ``lp_feasible``.  Slacks come from ``_condition_slacks``, so every
@@ -716,7 +704,7 @@ def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     holds = slacks.max(axis=1) <= 0.0
     boundary = np.abs(slacks).min(axis=1) < BOUNDARY_TOL
     feasible = np.zeros(len(bc), dtype=bool)
-    refuted = (slacks / _screen_scales(n)).max(axis=1) > 2 * BOUNDARY_TOL
+    refuted = (slacks / _conditions(n)[2]).max(axis=1) > 2 * BOUNDARY_TOL
     unsettled = np.flatnonzero(~refuted)
     if unsettled.size:
         rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
@@ -727,35 +715,11 @@ def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return holds, feasible, boundary
 
 
-def _classify_exact(n: int, b: np.ndarray, c: np.ndarray) -> tuple[bool, bool]:
-    a, bounds = _condition_system(n)
-    bc = np.concatenate((b, c))
-    # object arrays evaluate the float path's slack formula in rationals
-    slacks = a.astype(int).astype(object) @ [Fraction(float(v)) for v in bc]
-    holds = bool((slacks - [Fraction(v) for v in bounds.tolist()] <= 0).all())
+def _classify_exact(n: int, bc: np.ndarray) -> bool:
+    """The oracle's verdict on one sample, solved in rational arithmetic."""
     rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
     rhs = np.concatenate(([1.0], bc)).astype(object)
-    return holds, solve_phase1(rows.astype(object), rhs).feasible
-
-
-def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[int, list[int], int, list]:
-    n, mode, seed, start, stop = args
-    # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
-    tallies = np.zeros(4, dtype=np.int64)
-    boundary_count = 0
-    counterexamples = []
-    for first in range(start, stop, CONJECTURE_BLOCK):
-        bc = _draw_block(n, mode, seed, range(first, min(first + CONJECTURE_BLOCK, stop)))
-        holds, feasible, boundary = _classify_stack(n, bc)
-        # knife-edge floats can misclassify either side; settle exactly
-        for k in np.flatnonzero((holds != feasible) & ~boundary).tolist():
-            b_k, c_k = bc[k, :n], bc[k, n:]
-            holds[k], feasible[k] = _classify_exact(n, b_k, c_k)
-            if holds[k] != feasible[k]:
-                counterexamples.append((first + k, b_k.tolist(), c_k.tolist()))
-        tallies += np.bincount(2 * ~holds + ~feasible, minlength=4)
-        boundary_count += int(np.count_nonzero(boundary))
-    return start, tallies.tolist(), boundary_count, counterexamples
+    return solve_phase1(rows.astype(object), rhs).feasible
 
 
 def _sample_to_spec(n: int, mode: str, b: Sequence[float], c: Sequence[float]) -> MomentSpec:
@@ -764,6 +728,28 @@ def _sample_to_spec(n: int, mode: str, b: Sequence[float], c: Sequence[float]) -
         moments.update({(i,): float(b[i - 1]) for i in range(1, n + 1)})
     moments.update({pair: float(v) for pair, v in zip(complete_pairs(n), c)})
     return MomentSpec(n, moments)
+
+
+def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[list[int], int, list]:
+    n, mode, seed, start, stop = args
+    # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
+    tallies = np.zeros(4, dtype=np.int64)
+    boundary_count = 0
+    counterexamples = []
+    for first in range(start, stop, CONJECTURE_BLOCK):
+        bc = _draw_block(n, mode, seed, range(first, min(first + CONJECTURE_BLOCK, stop)))
+        holds, feasible, boundary = _classify_stack(n, bc)
+        # knife-edge floats can misclassify the oracle side; settle it exactly.
+        # ``holds`` needs no re-check: off the band every slack is at least
+        # BOUNDARY_TOL from zero, and a float sum of at most ten terms in
+        # [-1, 1] is off by less than 1e-13, so each slack's sign is exact
+        for k in np.flatnonzero((holds != feasible) & ~boundary).tolist():
+            feasible[k] = _classify_exact(n, bc[k])
+            if holds[k] != feasible[k]:
+                counterexamples.append(_sample_to_spec(n, mode, bc[k, :n], bc[k, n:]))
+        tallies += np.bincount(2 * ~holds + ~feasible, minlength=4)
+        boundary_count += int(np.count_nonzero(boundary))
+    return tallies.tolist(), boundary_count, counterexamples
 
 
 def conjecture_check(
@@ -790,14 +776,16 @@ def conjecture_check(
     depends on the block split, ``workers`` or the BLAS build.  A violated
     condition row is itself a certificate of infeasibility once it is
     checked to hold at every +-1 outcome: the phase-1 optimum is at least
-    the row's slack divided by max(|bound|, max |coefficient|).  A sample
-    whose scaled slack exceeds twice ``BOUNDARY_TOL`` is therefore tallied
-    infeasible with no LP; the boundary band keeps it apart from the LP's
-    tolerance.  The rest, samples near the band or where every condition
-    holds, each get a float ``solve_phase1`` call on the oracle rows of
-    ``lp_feasible``.  A block's verdicts are bool arrays: the rare
-    non-boundary disagreements are re-adjudicated in rationals, in index
-    order, and one ``bincount`` then tallies the block.
+    the row's slack divided by max(|bound|, 1).  A sample whose scaled
+    slack exceeds twice ``BOUNDARY_TOL`` is therefore tallied infeasible
+    with no LP; the boundary band keeps it apart from the LP's tolerance.
+    The rest, samples near the band or where every condition holds, each
+    get a float ``solve_phase1`` call on the oracle rows of
+    ``lp_feasible``.  A block's verdicts are bool arrays: for the rare
+    non-boundary disagreements the oracle side is re-solved in rationals,
+    in index order, and one ``bincount`` then tallies the block.  The
+    condition side needs no re-check: off the band each float slack is
+    too far from zero for its rounding to flip its sign.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -820,18 +808,19 @@ def conjecture_check(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_conjecture_chunk, chunks))
+            results = list(pool.map(_conjecture_chunk, chunks))
     else:
         results = [_conjecture_chunk(chunk) for chunk in chunks]
 
+    # chunks come back in submission order, each with its counterexamples
+    # in ascending sample index, so the concatenation is in index order
     tallies = [0, 0, 0, 0]
     boundary = 0
-    raw_counters: list[tuple[int, list, list]] = []
-    for _, chunk_tallies, chunk_boundary, chunk_counters in results:
+    counterexamples: list[MomentSpec] = []
+    for chunk_tallies, chunk_boundary, chunk_counters in results:
         tallies = [a + b for a, b in zip(tallies, chunk_tallies)]
         boundary += chunk_boundary
-        raw_counters.extend(chunk_counters)
-    raw_counters.sort()
+        counterexamples.extend(chunk_counters)
 
     return ConjectureReport(
         n=n,
@@ -843,7 +832,5 @@ def conjecture_check(
         condition_fails_and_feasible=tallies[2],
         condition_fails_and_infeasible=tallies[3],
         boundary=boundary,
-        counterexamples=tuple(
-            _sample_to_spec(n, mode, b, c) for _, b, c in raw_counters
-        ),
+        counterexamples=tuple(counterexamples),
     )

@@ -268,18 +268,6 @@ def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
     return total - ineq.bound
 
 
-def coefficient_arrays(
-    family: InequalityFamily,
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """Dense float64 (members x pairs) term matrix over the pairs of the
-    times 0..n, and the bound vector, for batch slack evaluation:
-    slack = A @ concat(b, c) - bounds with c over ``complete_pairs(n)``."""
-    pairs = tuple(combinations(range(family.n + 1), 2))
-    a = np.zeros((len(family), len(pairs)))
-    a[:, [pairs.index(pair) for pair in family.pairs]] = family.coefficients
-    return a, family.bounds.copy(), pairs
-
-
 def gap_weights(family: InequalityFamily) -> np.ndarray:
     """(members x n-1) int8 per-gap coefficient sums: under equal spacing
     C_ij = g(j - i) member r reads sum_d w[r, d - 1] * g(d) <= bound.

@@ -19,7 +19,7 @@ family member is violated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -175,9 +175,5 @@ def nu_convergence(config: SpinSweepConfig) -> tuple[float, float, float]:
     """nu at the configured resolution and at double resolution, with the
     absolute change; the default 2048-point grid moves by well under 1e-3."""
     coarse = sweep(config).nu
-    doubled = SpinSweepConfig(
-        n=config.n, omega=config.omega, tau_min=config.tau_min, tau_max=config.tau_max,
-        steps=2 * config.steps, regime=config.regime, family=config.family,
-    )
-    fine = sweep(doubled).nu
+    fine = sweep(replace(config, steps=2 * config.steps)).nu
     return coarse, fine, abs(fine - coarse)

@@ -38,9 +38,8 @@ from lgfeas import (
 )
 from lgfeas.cltvolume import erf, exact_uniform_sum_tail
 from lgfeas.core import _walsh_hadamard, subset_to_mask
-from lgfeas.inequalities import coefficient_arrays
 from lgfeas.simplex import FEASIBILITY_TOL
-from util import sample_nonneg_pair_moments
+from util import dense_conditions, sample_nonneg_pair_moments
 
 BOUNDARY = 1e-7
 
@@ -227,7 +226,7 @@ def test_criterion_9_necessity_suite():
             three_time_complete(n),
             two_time_complete(n),
         ):
-            a, bounds, _ = coefficient_arrays(family)
+            a, bounds = dense_conditions((family,))
             slack = np.hstack((b, c)) @ a.T - bounds
             worst = max(worst, float(slack.max()))
     assert worst <= 1e-9

@@ -80,6 +80,24 @@ def test_check_exact_mode(tmp_path, capsys):
     assert json.loads(out)["feasible"] is True
 
 
+def test_check_decides_an_average_one_ulp_above_one(tmp_path, capsys):
+    # 1 + 2^-52, as moments_from_distribution rounds B_1 of mass on s_1 = +1
+    spec = tmp_path / "m.json"
+    moments = {"1": 1.0000000000000002, "2": 0.25, "1,2": 0.25, "2,3": 0.5, "1,3": 0.0}
+    spec.write_text(json.dumps({"n": 3, "moments": moments}))
+    code, out = _run(capsys, "check", "--moments", str(spec))
+    assert code == 0
+    assert json.loads(out)["feasible"] is True
+
+
+@pytest.mark.parametrize("bad", [1.1, math.nan])
+def test_check_refuses_an_average_outside_the_range(tmp_path, capsys, bad):
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"n": 3, "moments": {"1": bad, "1,2": 0.0}}))
+    code, _ = _run(capsys, "check", "--moments", str(spec))
+    assert code == 2
+
+
 def test_check_rejects_higher_order_moments(tmp_path, capsys):
     spec = tmp_path / "m.json"
     spec.write_text(json.dumps({"n": 3, "moments": {"1,2,3": 0.5}}))

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +34,7 @@ from lgfeas import (
     ngon_family,
     symmetric_e_feasible,
     three_time_complete,
+    two_time_complete,
 )
 from lgfeas import feasibility
 from lgfeas.feasibility import (
@@ -41,16 +44,15 @@ from lgfeas.feasibility import (
     _classify_exact,
     _classify_stack,
     _condition_slacks,
-    _condition_system,
-    _condition_terms,
+    _conditions,
+    _conjecture_chunk,
     _constraint_rows,
     _draw_block,
     _sample_to_spec,
-    _screen_scales,
     _suspended,
 )
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
-from util import pair_table_nonneg, sample_nonneg_pair_moments
+from util import dense_conditions, pair_table_nonneg, sample_nonneg_pair_moments
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,37 @@ def test_lp_exact_mode_agrees_with_float():
         b, c = sample_nonneg_pair_moments(rng, 3, complete_pairs(3))
         data = CorrelatorSet(3, c)
         assert lp_feasible(b, data).feasible == lp_feasible(b, data, exact=True).feasible
+
+
+def _one_ulp_above_one_specs():
+    # all mass on s_1 = +1: rounding puts B_1 one ulp above 1 on some draws
+    rng = np.random.default_rng(0)
+    specs = []
+    for _ in range(200):
+        weights = rng.exponential(1.0, 8)
+        weights[1::2] = 0.0
+        spec = moments_from_distribution(JointDistribution(3, weights / weights.sum()))
+        if spec.b(1) > 1.0:
+            specs.append(MomentSpec(3, {k: v for k, v in spec.moments.items() if len(k) < 3}))
+    return specs
+
+
+def test_averages_one_ulp_above_one_are_decided():
+    specs = _one_ulp_above_one_specs()
+    assert specs and all(spec.b(1) == 1.0000000000000002 for spec in specs)
+    for spec in specs:
+        assert lp_feasible_from_spec(spec).feasible
+        chain = CorrelatorSet(3, {pair: spec.c(*pair) for pair in chain_pairs(3)})
+        assert fine_build(spec.singles(), chain).feasible
+
+
+@pytest.mark.parametrize("bad", [1.1, -1.1, math.nan, math.inf])
+def test_averages_outside_the_correlator_range_are_refused(bad):
+    zero = CorrelatorSet(3, {pair: 0.0 for pair in complete_pairs(3)})
+    with pytest.raises(ValidationError):
+        lp_feasible([0.0, bad, 0.0], zero)
+    with pytest.raises(ValidationError):
+        fine_build([bad, 0.0, 0.0], CorrelatorSet(3, {pair: 0.0 for pair in chain_pairs(3)}))
 
 
 def test_lp_from_spec_rejects_higher_moments():
@@ -521,9 +554,30 @@ def test_condition_slacks_depend_on_each_row_alone():
         assert row.tobytes() == _condition_slacks(5, bc[k:k + 1])[0].tobytes()
 
 
+def _condition_families():
+    # read through the module, so that a patched family applies here too
+    return two_time_complete(5), three_time_complete(5), feasibility.ngon_family(5)
+
+
+@pytest.fixture
+def lowered_ngon_bound(monkeypatch):
+    # lowering an n-gon bound from 2 to 1 (row 80) makes the row cut off
+    # feasible data; yields the scales of the unchanged rows
+    valid = _conditions(5)[2]
+    ngon = ngon_family(5)
+    lowered = ngon.bounds.copy()
+    lowered[0] = 1.0
+    monkeypatch.setattr(feasibility, "ngon_family", lambda n: replace(ngon, bounds=lowered))
+    _conditions.cache_clear()
+    try:
+        yield valid
+    finally:
+        _conditions.cache_clear()
+
+
 def _dense_slacks(bc):
     # every product over all 15 columns, summed in column order from +0.0
-    a, bounds = _condition_system(5)
+    a, bounds = dense_conditions(_condition_families())
     total = np.zeros((bc.shape[0], a.shape[0]))
     for column, terms in zip(bc.T, a.T):
         total += column[:, None] * terms
@@ -531,9 +585,10 @@ def _dense_slacks(bc):
 
 
 def test_condition_terms_cover_every_row_once_in_column_order():
-    a, _ = _condition_system(5)
+    a, _ = dense_conditions(_condition_families())
+    groups = _conditions(5)[0]
     seen = []
-    for rows, table in _condition_terms(5):
+    for rows, table in groups:
         assert table.shape == (table.shape[0], rows.size)
         for row, signed in zip(rows.tolist(), table.T):
             columns, negative = signed % 15, signed >= 15
@@ -541,7 +596,51 @@ def test_condition_terms_cover_every_row_once_in_column_order():
             assert a[row, columns].tolist() == np.where(negative, -1.0, 1.0).tolist()
             seen.append(row)
     assert sorted(seen) == list(range(a.shape[0]))
-    assert sorted(table.shape[0] for _, table in _condition_terms(5)) == [3, 10]
+    assert sorted(table.shape[0] for _, table in groups) == [3, 10]
+
+
+def test_condition_rows_match_evaluate_on_each_family_member():
+    # general-mode data, so the two-time rows read the averages
+    bc = _draw_block(5, "general", 3, range(20))
+    members = [member for family in _condition_families() for member in family.members]
+    slacks = _condition_slacks(5, bc)
+    assert slacks.shape == (20, len(members)) == (20, 96)
+    for row, x in zip(slacks, bc):
+        spec = _sample_to_spec(5, "general", x[:5], x[5:])
+        for member, fast in zip(members, row.tolist()):
+            assert evaluate(member, spec) == pytest.approx(fast, abs=1e-12)
+
+
+def test_conditions_refuse_a_coefficient_outside_unit_range(monkeypatch):
+    ngon = ngon_family(5)
+    doubled = ngon.coefficients.copy()
+    doubled[0, 0] = 2
+    monkeypatch.setattr(feasibility, "ngon_family", lambda n: replace(ngon, coefficients=doubled))
+    _conditions.cache_clear()
+    try:
+        with pytest.raises(ValidationError):
+            _conditions(5)
+    finally:
+        _conditions.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+def test_float_condition_slacks_are_within_1e_13_of_exact(mode):
+    # draws are multiples of 2^-53 in [-1, 1), and so is every float slack
+    # (a rounding above magnitude 1 lands on a coarser grid), so both sides
+    # are exact rationals over 2^53, compared by their integer numerators
+    scale = 2**53
+    a, bounds = dense_conditions(_condition_families())
+    bc = _draw_block(5, mode, 77, range(2000))
+    floats = _condition_slacks(5, bc)
+    for x in (bc, floats):
+        assert (np.round(x * scale) == x * scale).all()
+    exact = ((bc * scale).astype(np.int64) @ a.T.astype(np.int64)
+             - (bounds * scale).astype(np.int64))
+    gap = np.abs((floats * scale).astype(np.int64) - exact).max()
+    assert Fraction(int(gap), scale) < Fraction(1, 10**13)
+    off_band = np.abs(floats) >= BOUNDARY_TOL
+    assert ((floats <= 0.0) == (exact <= 0))[off_band].all()
 
 
 def test_condition_slacks_match_the_dense_sum_bit_for_bit():
@@ -580,9 +679,9 @@ def test_conjecture_small_run_tallies():
 
 
 def _reference_report(samples, seed, mode):
-    # one sample at a time: per-sample slacks, a 1-D float solve, exact re-adjudication;
-    # the system is read through the module, so a patched one applies here too
-    a, bounds = feasibility._condition_system(5)
+    # one sample at a time: dense slacks, a 1-D float solve, and exact
+    # re-adjudication of both sides, the slacks in Fractions
+    a, bounds = dense_conditions(_condition_families())
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     tallies, boundary_count, counterexamples = [0, 0, 0, 0], 0, []
     for index in range(samples):
@@ -594,7 +693,10 @@ def _reference_report(samples, seed, mode):
                 or FEASIBILITY_TOL < result.objective < BOUNDARY_TOL):
             boundary_count += 1
         elif holds != feasible:
-            holds, feasible = _classify_exact(5, b, c)
+            bc = [Fraction(float(v)) for v in np.concatenate((b, c))]
+            exact = a.astype(int).astype(object) @ bc - [Fraction(v) for v in bounds.tolist()]
+            holds = bool((exact <= 0).all())
+            feasible = _classify_exact(5, np.concatenate((b, c)))
             if holds != feasible:
                 counterexamples.append(_sample_to_spec(5, mode, b, c))
         tallies[(0 if holds else 2) + (0 if feasible else 1)] += 1
@@ -619,15 +721,15 @@ def test_symmetric_blocks_match_a_per_sample_reference():
 
 def test_screen_scales_pin_every_n5_condition_row_as_valid():
     # 40 two-time and 40 three-time rows with bound 1, then 16 n-gon rows with bound 2
-    assert _screen_scales(5).tolist() == [1.0] * 80 + [2.0] * 16
+    assert _conditions(5)[2].tolist() == [1.0] * 80 + [2.0] * 16
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "general"])
 def test_screened_samples_have_a_phase1_optimum_above_their_scaled_slack(mode):
-    a, bounds = _condition_system(5)
+    a, bounds = dense_conditions(_condition_families())
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     bc = _draw_block(5, mode, 3, range(3000))
-    scaled = ((bc @ a.T - bounds) / _screen_scales(5)).max(axis=1)
+    scaled = ((bc @ a.T - bounds) / _conditions(5)[2]).max(axis=1)
     screened = np.flatnonzero(scaled > 2 * BOUNDARY_TOL)
     assert screened.size > 2900
     objectives = np.array([solve_phase1(rows, np.concatenate(([1.0], bc[k]))).objective
@@ -652,26 +754,30 @@ def test_only_samples_past_the_band_skip_the_lp(monkeypatch, past, solved):
     assert not holds and not feasible and boundary == solved
 
 
-def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(monkeypatch):
-    # lowering an n-gon bound from 2 to 1 makes the row cut off feasible data;
-    # the term table holds no bounds, so it needs no clearing
-    a, bounds = _condition_system(5)
-    lowered = bounds.copy()
-    lowered[80] = 1.0
-    valid = _screen_scales(5)
+def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(lowered_ngon_bound):
     samples = 2 * CONJECTURE_BLOCK + 3
-    monkeypatch.setattr(feasibility, "_condition_system", lambda n: (a, lowered))
-    _screen_scales.cache_clear()
-    try:
-        scales = _screen_scales(5)
-        report = conjecture_check(samples, 8, "symmetric")
-        reference = _reference_report(samples, 8, "symmetric")
-    finally:
-        _screen_scales.cache_clear()
+    scales = _conditions(5)[2]
+    report = conjecture_check(samples, 8, "symmetric")
+    reference = _reference_report(samples, 8, "symmetric")
+    valid = lowered_ngon_bound
     assert np.isinf(scales[80]) and np.array_equal(np.delete(scales, 80), np.delete(valid, 80))
     assert report.condition_fails_and_feasible > 0
     assert len(report.counterexamples) == report.condition_fails_and_feasible
     assert report == reference
+
+
+def test_chunks_concatenate_to_one_chunk_over_their_range(lowered_ngon_bound):
+    # the lowered bound gives counterexamples at samples 386, 4152 and 4868,
+    # in the second, third and last parts, whose order the concatenation keeps
+    whole = _conjecture_chunk((5, "symmetric", 8, 0, 5000))
+    bounds = (0, 300, 1000, 4500, 4501, 5000)
+    parts = [_conjecture_chunk((5, "symmetric", 8, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    assert len(whole[2]) == 3
+    assert whole == (
+        np.sum([tallies for tallies, _, _ in parts], axis=0).tolist(),
+        sum(boundary for _, boundary, _ in parts),
+        [spec for _, _, counters in parts for spec in counters],
+    )
 
 
 # SHA-256 of each sorted-key report; 10^4 samples reach blocks that need

@@ -20,7 +20,7 @@ from lgfeas import (
     three_time_complete,
     two_time_complete,
 )
-from lgfeas.inequalities import coefficient_arrays, family_to_json_list, gap_weights
+from lgfeas.inequalities import family_to_json_list, gap_weights
 from util import random_nonneg_distribution
 
 
@@ -220,22 +220,6 @@ def test_ngon4_slack_is_half_the_three_time_average():
             partner_slacks.append(evaluate(three[f"three4:{i}.{j}.{k}:{pattern}"], data))
         average = sum(partner_slacks) / 4.0
         assert evaluate(member, data) == pytest.approx(2.0 * average, abs=1e-12)
-
-
-def test_coefficient_arrays_match_evaluate():
-    family = two_time_complete(4)
-    a, bounds, pairs = coefficient_arrays(family)
-    rng = np.random.default_rng(3)
-    b = rng.uniform(-1, 1, 4)
-    c = rng.uniform(-1, 1, len(pairs) - 4)
-    spec = MomentSpec(
-        4,
-        {**{(i,): float(b[i - 1]) for i in range(1, 5)},
-         **{pair: float(v) for pair, v in zip(pairs[4:], c)}},
-    )
-    slacks = a @ np.concatenate((b, c)) - bounds
-    for member, fast in zip(family.members, slacks):
-        assert evaluate(member, spec) == pytest.approx(float(fast), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -182,6 +182,16 @@ def test_nu_convergence_at_default_resolution():
     assert delta < 1e-3
 
 
+def test_nu_convergence_doubles_only_the_steps():
+    config = SpinSweepConfig(n=6, omega=1.3, tau_max=0.9, steps=64,
+                             regime="fixed_window", family="ngon")
+    coarse, fine, delta = nu_convergence(config)
+    doubled = SpinSweepConfig(n=6, omega=1.3, tau_max=0.9, steps=128,
+                              regime="fixed_window", family="ngon")
+    assert (coarse, fine) == (sweep(config).nu, sweep(doubled).nu)
+    assert delta == abs(fine - coarse)
+
+
 def test_config_validation():
     with pytest.raises(DimensionError):
         SpinSweepConfig(n=2)

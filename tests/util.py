@@ -6,6 +6,8 @@ run sees the same stream.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from lgfeas import JointDistribution, pairwise_probability
@@ -48,3 +50,16 @@ def sample_nonneg_pair_moments(rng, n, pairs, block=256):
 def random_nonneg_distribution(rng, n) -> JointDistribution:
     weights = rng.exponential(1.0, 1 << n)
     return JointDistribution(n, weights / weights.sum())
+
+
+def dense_conditions(families):
+    """Dense float64 (rows x pairs) term matrix over the pairs of the times
+    0..n and the bound vector of the families' rows stacked in order: a
+    row's slack on averages b and correlators c is a @ concat(b, c) - bound."""
+    pairs = list(combinations(range(families[0].n + 1), 2))
+    blocks = []
+    for family in families:
+        block = np.zeros((len(family), len(pairs)))
+        block[:, [pairs.index(pair) for pair in family.pairs]] = family.coefficients
+        blocks.append(block)
+    return np.concatenate(blocks), np.concatenate([family.bounds for family in families])

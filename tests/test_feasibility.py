@@ -227,7 +227,7 @@ def test_lp_exact_mode_agrees_with_float():
         assert lp_feasible(b, data).feasible == lp_feasible(b, data, exact=True).feasible
 
 
-def _one_ulp_above_one_specs():
+def test_averages_one_ulp_above_one_are_decided():
     # all mass on s_1 = +1: rounding puts B_1 one ulp above 1 on some draws
     rng = np.random.default_rng(0)
     specs = []
@@ -237,11 +237,6 @@ def _one_ulp_above_one_specs():
         spec = moments_from_distribution(JointDistribution(3, weights / weights.sum()))
         if spec.b(1) > 1.0:
             specs.append(MomentSpec(3, {k: v for k, v in spec.moments.items() if len(k) < 3}))
-    return specs
-
-
-def test_averages_one_ulp_above_one_are_decided():
-    specs = _one_ulp_above_one_specs()
     assert specs and all(spec.b(1) == 1.0000000000000002 for spec in specs)
     for spec in specs:
         assert lp_feasible_from_spec(spec).feasible

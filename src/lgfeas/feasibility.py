@@ -513,23 +513,28 @@ def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.n
     for count in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == count)
         group = terms[rows]
-        # row-major order: each row's columns ascend
+        # row-major order: each row's columns ascend; the table is stored
+        # C-contiguous, so that a gather through it keeps the terms axis
+        # outermost and a sum over that axis adds term by term, in order
         at, columns = np.nonzero(group)
         signed = columns + len(pairs) * (group[at, columns] < 0)
-        groups.append((rows, signed.reshape(rows.size, count).T))
+        groups.append((rows, np.ascontiguousarray(signed.reshape(rows.size, count).T)))
     for array in (bounds, scales, *(array for group in groups for array in group)):
         array.setflags(write=False)
     return tuple(groups), bounds, scales
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
-# mix_entropy, generate_state) and PCG64 LCG multiplier (pcg64.h, pcg64_set_seed)
+# mix_entropy, generate_state) and PCG64 LCG multiplier (pcg64.h, pcg64_set_seed);
+# array operands are NumPy scalars, so no Python int is converted per pass
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_LOW32, _HALF, _ONE = np.uint64(_MASK32), np.uint64(32), np.uint64(1)
 
 
 def _seed_words(x: int) -> list[int]:
@@ -552,20 +557,22 @@ def _hash_constants(start: int, mult: int, count: int) -> list[int]:
 @lru_cache(maxsize=8)
 def _mixing_schedule(words: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The (xor, multiply) hash constants that each step of SeedSequence's
-    pool mixing applies to each of the four pool columns, for ``words`` >= 4
-    entropy words: the hash of the first four words, one step per source
-    column of the pool, then one step per remaining entropy word.  The last
-    pair is ``generate_state``'s over its eight 32-bit output words."""
+    pool mixing applies to each of the four pool words, as (4 x 1) columns
+    for a (words x rows) layout, for ``words`` >= 4 entropy words: the hash
+    of the first four words, one step per source word of the pool, then one
+    step per remaining entropy word.  The last pair, (2 x 4 x 1), is
+    ``generate_state``'s over its eight 32-bit output words."""
     size = _POOL_SIZE
     h = np.array(_hash_constants(_INIT_A, _MULT_A, size * words + 2), dtype=np.uint32)
     # hashmix xors constant t and multiplies by constant t + 1; a source
-    # column is hashed into the other three, and its own slot is discarded
+    # word is hashed into the other three, and its own slot is discarded
     steps = [np.arange(size)]
     steps += [size + (size - 1) * src + np.array([d - (d > src) for d in range(size)])
               for src in range(size)]
     steps += [size * (size + k) + np.arange(size) for k in range(words - size)]
     g = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * size + 1), dtype=np.uint32)
-    schedule = tuple((h[t], h[t + 1]) for t in steps) + ((g[:-1], g[1:]),)
+    schedule = tuple((h[t, None], h[t + 1, None]) for t in steps)
+    schedule += ((g[:-1].reshape(2, size, 1), g[1:].reshape(2, size, 1)),)
     for constants in schedule:
         for array in constants:
             array.setflags(write=False)
@@ -574,31 +581,32 @@ def _mixing_schedule(words: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     values = (values ^ xor) * mul
-    return values ^ (values >> 16)
+    return values ^ (values >> _XSHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return x ^ (x >> 16)
+    return x ^ (x >> _XSHIFT)
 
 
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a
-    (rows x words) uint32 entropy array; all arithmetic wraps in uint32
-    arrays."""
-    rows, count = entropy.shape
-    words = np.zeros((rows, max(count, _POOL_SIZE)), dtype=np.uint32)
-    words[:, :count] = entropy
-    schedule = _mixing_schedule(words.shape[1])
-    pool = _hashmix(words[:, :_POOL_SIZE], *schedule[0])
+    """(rows x 4) ``SeedSequence(column).generate_state(4, np.uint64)`` of
+    each column of a (words x rows) uint32 entropy array with at least four
+    words; entropy shorter than the pool is the same padded with zero
+    words.  All arithmetic wraps in uint32 arrays, one pass per hash step
+    over whole (4 x rows) pools."""
+    schedule = _mixing_schedule(entropy.shape[0])
+    pool = _hashmix(entropy[:_POOL_SIZE], *schedule[0])
     for src, constants in enumerate(schedule[1:_POOL_SIZE + 1]):
-        kept = pool[:, src].copy()
-        pool = _mix(pool, _hashmix(pool[:, src, None], *constants))
-        pool[:, src] = kept
+        kept = pool[src]
+        pool = _mix(pool, _hashmix(kept, *constants))
+        pool[src] = kept
     for src, constants in enumerate(schedule[_POOL_SIZE + 1:-1], _POOL_SIZE):
-        pool = _mix(pool, _hashmix(words[:, src, None], *constants))
-    state = _hashmix(np.tile(pool, 2), *schedule[-1]).astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << 32
+        pool = _mix(pool, _hashmix(entropy[src], *constants))
+    # eight output words cycle over the pool; pairs of them, little-endian,
+    # are the four uint64 words
+    state = _hashmix(pool, *schedule[-1]).reshape(2 * _POOL_SIZE, -1)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
 @lru_cache(maxsize=8)
@@ -613,7 +621,7 @@ def _pcg64_jumps(width: int) -> tuple[np.ndarray, ...]:
     jumps = [x % mod for x in powers[2:] + sums[1:width + 1]]
     hi = np.array([x >> 64 for x in jumps], dtype=np.uint64).reshape(2, 1, width)
     lo = np.array([x & _MASK64 for x in jumps], dtype=np.uint64).reshape(2, 1, width)
-    limbs = hi, lo, lo & _MASK32, lo >> 32
+    limbs = hi, lo, lo & _LOW32, lo >> _HALF
     for array in limbs:
         array.setflags(write=False)
     return limbs
@@ -625,68 +633,72 @@ def _pcg64_random(states: np.ndarray, width: int) -> np.ndarray:
     double u: 128-bit states as (high, low) uint64 limbs, products by
     32-bit halves."""
     s_hi, s_lo, q_hi, q_lo = states.T
-    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    inc_hi, inc_lo = q_hi << _ONE | q_lo >> np.uint64(63), q_lo << _ONE | _ONE
     t_lo = s_lo + inc_lo
     t_hi = s_hi + inc_hi + (t_lo < s_lo)
-    y_hi, y_lo = np.stack((t_hi, inc_hi))[:, :, None], np.stack((t_lo, inc_lo))[:, :, None]
+    y_hi, y_lo = np.array((t_hi, inc_hi))[:, :, None], np.array((t_lo, inc_lo))[:, :, None]
     k_hi, k_lo, k0, k1 = _pcg64_jumps(width)
-    y0, y1 = y_lo & _MASK32, y_lo >> 32
+    y0, y1 = y_lo & _LOW32, y_lo >> _HALF
     p01, p10 = k0 * y1, k1 * y0
-    mid = (k0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    p_hi = k1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + k_lo * y_hi + k_hi * y_lo
+    mid = (k0 * y0 >> _HALF) + (p01 & _LOW32) + (p10 & _LOW32)
+    p_hi = (k1 * y1 + (p01 >> _HALF) + (p10 >> _HALF) + (mid >> _HALF)
+            + k_lo * y_hi + k_hi * y_lo)
     p_lo = k_lo * y_lo
     lo = p_lo[0] + p_lo[1]
     hi = p_hi[0] + p_hi[1] + (lo < p_lo[0])
     # XSL-RR output; its top 53 bits times 2^-53 are u, and 2u is exact
-    x, rot = hi ^ lo, hi >> 58
-    x = x >> rot | x << (64 - rot & 63)
-    return (x >> 11) * (1.0 / 4503599627370496.0) - 1.0
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+    return (x >> np.uint64(11)) * (1.0 / 4503599627370496.0) - 1.0
 
 
-def _draw_block(n: int, mode: str, seed: int, indices: Sequence[int]) -> np.ndarray:
+def _draw_block(n: int, mode: str, seed: int, first: int, stop: int) -> np.ndarray:
     """One (samples x (n + pairs)) array of the averages, then the pair
-    correlators in lexicographic pair order, of samples ``indices`` (each
-    below 2^64); symmetric mode leaves the averages at zero.
+    correlators in lexicographic pair order, of samples ``first`` to
+    ``stop`` - 1 (``stop`` at most 2^64); symmetric mode leaves the
+    averages at zero.
 
-    Row k holds the first values of ``default_rng([seed, indices[k]])``,
-    bit for bit, without building a generator: the block's SeedSequence
-    hashes and PCG64 seeding run as uint32 and uint64 array operations,
-    with rows whose index needs a second 32-bit word in their own group,
-    and output k of every row is one 128-bit multiply-add from the seeded
-    state (``_pcg64_jumps``).  General mode draws the averages first."""
+    Row k holds the first values of ``default_rng([seed, first + k])``,
+    bit for bit, without building a generator.  The indices below 2^32 and
+    those from 2^32 on, each a contiguous slice of the range, need one and
+    two 32-bit entropy words; each slice runs SeedSequence's hashes and
+    PCG64's seeding as uint32 and uint64 passes over all its samples at
+    once, and output k of every sample is one 128-bit multiply-add from its
+    seeded state (``_pcg64_jumps``).  General mode draws the averages
+    first."""
     pairs = n * (n - 1) // 2
     width = pairs + (n if mode == "general" else 0)
-    index = np.asarray(indices, dtype=np.uint64)
-    block = np.zeros((index.size, n + pairs))
-    head = np.array(_seed_words(seed), dtype=np.uint32)
-    wide = index > _MASK32
-    for rows, index_words in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
-        if rows.size:
-            entropy = np.empty((rows.size, head.size + index_words), dtype=np.uint32)
-            entropy[:, :head.size] = head
-            entropy[:, head.size] = index[rows] & _MASK32
-            entropy[:, head.size + 1:] = index[rows, None] >> 32
-            block[rows, n + pairs - width:] = _pcg64_random(_seed_states(entropy), width)
+    block = np.zeros((stop - first, n + pairs))
+    head = _seed_words(seed)
+    split = min(max(first, 1 << 32), stop)
+    for lo, hi, index_words in ((first, split, 1), (split, stop, 2)):
+        if lo < hi:
+            index = np.arange(lo, hi, dtype=np.uint64)
+            words = len(head) + index_words
+            entropy = np.zeros((max(words, _POOL_SIZE), hi - lo), dtype=np.uint32)
+            entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+            entropy[len(head)] = index & _LOW32
+            if index_words == 2:
+                entropy[len(head) + 1] = index >> _HALF
+            block[lo - first:hi - first, n + pairs - width:] = _pcg64_random(
+                _seed_states(entropy), width)
     return block
 
 
 def _condition_slacks(n: int, bc: np.ndarray) -> np.ndarray:
     """(samples x rows) slacks of the ``_conditions`` rows on the rows of
-    ``bc``: each row's non-zero terms, gathered per term group, are summed
-    in ascending column order, then the bound is subtracted, so each
-    sample's bits depend on that sample alone and not on the block or the
-    BLAS build.  The bits equal those of a dense sum over every column: a
-    zero term can only flip the sign of a zero partial sum, which
-    subtracting the non-zero bound erases, and -x is x * -1.0 exactly."""
+    ``bc``, a transposed view of a (rows x samples) array: each row's
+    non-zero terms, gathered per term group, are summed in ascending column
+    order, then the bound is subtracted, so each sample's bits depend on
+    that sample alone and not on the block or the BLAS build.  The bits
+    equal those of a dense sum over every column: a zero term can only flip
+    the sign of a zero partial sum, which subtracting the non-zero bound
+    erases, and -x is x * -1.0 exactly."""
     groups, bounds, _ = _conditions(n)
     columns = np.concatenate((bc.T, -bc.T))
     slacks = np.empty((bounds.size, bc.shape[0]))
     for rows, table in groups:
-        terms = columns[table]
-        total = terms[0] + terms[1]
-        for term in terms[2:]:
-            total += term
-        slacks[rows] = total - bounds[rows, None]
+        slacks[rows] = np.add.reduce(columns[table], axis=0) - bounds[rows, None]
     return slacks.T
 
 
@@ -696,19 +708,22 @@ def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
     A sample that violates a valid condition row by more than twice the
     boundary band, relative to the row's scale in ``_conditions``, has a
-    phase-1 optimum above the band, so it is infeasible with no LP.  Each
-    other sample gets its own float phase-1 solve on the oracle rows of
-    ``lp_feasible``.  Slacks come from ``_condition_slacks``, so every
-    verdict is independent of how samples are blocked."""
-    slacks = _condition_slacks(n, bc)
-    holds = slacks.max(axis=1) <= 0.0
-    boundary = np.abs(slacks).min(axis=1) < BOUNDARY_TOL
+    phase-1 optimum above the band, so it is infeasible with no LP: a
+    violated row is itself a certificate of infeasibility once it holds at
+    every +-1 outcome, and the band keeps the screen apart from the LP's
+    tolerance.  Each other sample gets its own float phase-1 solve on the
+    oracle rows of ``lp_feasible``; a block that the screen settles whole
+    makes no LP call.  The slacks from ``_condition_slacks`` are reduced
+    over the rows of their (rows x samples) layout, so every verdict is
+    independent of how samples are blocked."""
+    slacks = _condition_slacks(n, bc).T
+    holds = slacks.max(axis=0) <= 0.0
+    boundary = np.abs(slacks).min(axis=0) < BOUNDARY_TOL
     feasible = np.zeros(len(bc), dtype=bool)
-    refuted = (slacks / _conditions(n)[2]).max(axis=1) > 2 * BOUNDARY_TOL
-    unsettled = np.flatnonzero(~refuted)
-    if unsettled.size:
+    refuted = (slacks / _conditions(n)[2][:, None]).max(axis=0) > 2 * BOUNDARY_TOL
+    if not refuted.all():
         rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
-        for k in unsettled.tolist():
+        for k in np.flatnonzero(~refuted).tolist():
             result = solve_phase1(rows, np.concatenate(([1.0], bc[k])))
             feasible[k] = result.feasible
             boundary[k] |= FEASIBILITY_TOL < result.objective < BOUNDARY_TOL
@@ -731,13 +746,19 @@ def _sample_to_spec(n: int, mode: str, b: Sequence[float], c: Sequence[float]) -
 
 
 def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[list[int], int, list]:
+    """(tallies, boundary count, counterexamples) of samples ``start`` to
+    ``stop`` - 1, drawn and classified ``CONJECTURE_BLOCK`` at a time.
+
+    Each block is one ``_draw_block`` array and one ``_classify_stack``
+    call.  Only the rare non-boundary disagreements leave array code: their
+    oracle side is re-solved in rationals, in index order.  The block's
+    verdicts are then counted into Python ints, three counts that fix the
+    four-way tally."""
     n, mode, seed, start, stop = args
-    # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
-    tallies = np.zeros(4, dtype=np.int64)
-    boundary_count = 0
+    held = fed = both = boundary_count = 0
     counterexamples = []
     for first in range(start, stop, CONJECTURE_BLOCK):
-        bc = _draw_block(n, mode, seed, range(first, min(first + CONJECTURE_BLOCK, stop)))
+        bc = _draw_block(n, mode, seed, first, min(first + CONJECTURE_BLOCK, stop))
         holds, feasible, boundary = _classify_stack(n, bc)
         # knife-edge floats can misclassify the oracle side; settle it exactly.
         # ``holds`` needs no re-check: off the band every slack is at least
@@ -747,9 +768,13 @@ def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[list[int], 
             feasible[k] = _classify_exact(n, bc[k])
             if holds[k] != feasible[k]:
                 counterexamples.append(_sample_to_spec(n, mode, bc[k, :n], bc[k, n:]))
-        tallies += np.bincount(2 * ~holds + ~feasible, minlength=4)
+        held += int(np.count_nonzero(holds))
+        fed += int(np.count_nonzero(feasible))
+        both += int(np.count_nonzero(holds & feasible))
         boundary_count += int(np.count_nonzero(boundary))
-    return tallies.tolist(), boundary_count, counterexamples
+    # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
+    tallies = [both, held - both, fed - both, stop - start - held - fed + both]
+    return tallies, boundary_count, counterexamples
 
 
 def conjecture_check(
@@ -763,30 +788,21 @@ def conjecture_check(
     """Sample complete correlator sets (plus averages in general mode),
     test the candidate condition set against the oracle, and tally.
 
-    Counterexamples are non-boundary samples where the two sides disagree
-    after exact re-adjudication; the direction "conditions hold, oracle
-    infeasible" is the one the sufficiency claim forbids, while the
-    converse would indicate a necessity bug.  Results are reproducible
-    bit-for-bit for a fixed (seed, samples) and independent of ``workers``.
-
-    Samples are drawn and classified ``CONJECTURE_BLOCK`` at a time.  A
-    block's draw reproduces ``default_rng([seed, i])`` for each sample i
-    in a few array passes into one array, and each condition slack sums
-    the row's non-zero terms in ascending column order, so no verdict
-    depends on the block split, ``workers`` or the BLAS build.  A violated
-    condition row is itself a certificate of infeasibility once it is
-    checked to hold at every +-1 outcome: the phase-1 optimum is at least
-    the row's slack divided by max(|bound|, 1).  A sample whose scaled
-    slack exceeds twice ``BOUNDARY_TOL`` is therefore tallied infeasible
-    with no LP; the boundary band keeps it apart from the LP's tolerance.
-    The rest, samples near the band or where every condition holds, each
-    get a float ``solve_phase1`` call on the oracle rows of
-    ``lp_feasible``.  A block's verdicts are bool arrays: for the rare
-    non-boundary disagreements the oracle side is re-solved in rationals,
-    in index order, and one ``bincount`` then tallies the block.  The
-    condition side needs no re-check: off the band each float slack is
-    too far from zero for its rounding to flip its sign.
+    Sample i draws from ``default_rng([seed, i])`` for i < ``samples``, and
+    the four tallies cross whether every condition holds with the oracle's
+    verdict.  ``boundary`` counts samples with a condition slack within
+    ``BOUNDARY_TOL`` of zero or a phase-1 optimum between the LP's
+    tolerance and ``BOUNDARY_TOL``.  Counterexamples are the non-boundary
+    samples where the two sides disagree after exact re-adjudication, in
+    ascending sample index; "conditions hold, oracle infeasible" is the
+    direction the sufficiency claim forbids, while the converse would
+    indicate a necessity bug.  Reports are reproducible bit for bit for a
+    fixed (seed, samples, mode) and independent of ``workers`` and the
+    BLAS build.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if seed < 0:

@@ -495,10 +495,10 @@ def test_classify_zero_sample_holds_and_feasible():
 
 
 def test_draw_sample_is_reproducible_per_index():
-    x1 = _draw_block(5, "general", 42, [17])
-    x2 = _draw_block(5, "general", 42, [16, 17])
+    x1 = _draw_block(5, "general", 42, 17, 18)
+    x2 = _draw_block(5, "general", 42, 16, 18)
     assert np.array_equal(x1[0, :5], x2[1, :5]) and np.array_equal(x1[0, 5:], x2[1, 5:])
-    x3 = _draw_block(5, "general", 42, [18])
+    x3 = _draw_block(5, "general", 42, 18, 19)
     assert not np.array_equal(x1[:, 5:], x3[:, 5:])
 
 
@@ -511,38 +511,46 @@ def _reference_draw(mode, seed, index):
 
 @pytest.mark.parametrize("mode", ["symmetric", "general"])
 def test_draw_samples_match_list_seeded_generators(mode):
-    indices = [0, 1, 17, 2**31, 2**32 - 1, 2**32, 2**33 + 7]
+    # 0, 1 and 17; 2^31; across 2^32 (2^32 - 1 and 2^32); 2^33 + 7; up to 2^64 - 1
+    ranges = [(0, 18), (2**31, 2**31 + 1), (2**32 - 3, 2**32 + 3), (2**33 + 7, 2**33 + 8),
+              (2**64 - 4, 2**64)]
     for seed in (0, 42, 2**32 - 1, 2**32, 2**40 + 5, 10**20):
-        x = _draw_block(5, mode, seed, indices)
-        for b_k, c_k, index in zip(x[:, :5], x[:, 5:], indices):
-            ref_b, ref_c = _reference_draw(mode, seed, index)
-            assert b_k.tobytes() == ref_b.tobytes() and c_k.tobytes() == ref_c.tobytes()
+        for first, stop in ranges:
+            x = _draw_block(5, mode, seed, first, stop)
+            assert x.shape == (stop - first, 15)
+            for b_k, c_k, index in zip(x[:, :5], x[:, 5:], range(first, stop)):
+                ref_b, ref_c = _reference_draw(mode, seed, index)
+                assert b_k.tobytes() == ref_b.tobytes() and c_k.tobytes() == ref_c.tobytes()
 
 
 def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
-    # 50 blocks of 10 (seed, index) pairs per width: seeds of 1 to 4 words,
-    # blocks mixing 1-word and 2-word indices; no wraparound may warn
+    # 50 ranges of 10 indices per width: seeds of 1 to 4 words, ranges of
+    # 1-word indices, of 2-word indices and, every fifth, across 2^32 with
+    # both in one range; no wraparound may warn
     rng = np.random.default_rng(2024)
-    seed_words = set()
+    seed_words, index_words = set(), set()
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for mode, width in (("symmetric", 10), ("general", 15)):
-            for _ in range(50):
+            for block in range(50):
                 seed = int(rng.integers(0, 1 << 32)) | int(rng.integers(0, 1 << 62)) << 66
                 seed >>= int(rng.integers(0, 128))
                 seed_words.add(max(1, -(-seed.bit_length() // 32)))
-                indices = [int(rng.integers(0, 1 << 63)) >> int(rng.integers(0, 64))
-                           for _ in range(10)]
-                indices[:2] = [int(rng.integers(0, 1 << 32)), int(rng.integers(1 << 32, 1 << 63))]
-                x = _draw_block(5, mode, seed, indices)[:, -width:]
-                for row, index in zip(x, indices):
+                if block % 5:
+                    first = int(rng.integers(0, 2**64 - 10, dtype=np.uint64)) >> int(rng.integers(0, 64))
+                else:
+                    first = 2**32 - int(rng.integers(1, 10))
+                index_words.add(tuple(sorted({1 + (i >> 32 > 0) for i in (first, first + 9)})))
+                x = _draw_block(5, mode, seed, first, first + 10)[:, -width:]
+                for row, index in zip(x, range(first, first + 10)):
                     u = np.random.default_rng([seed, index]).random(width)
                     assert row.tobytes() == (2.0 * u - 1.0).tobytes()
     assert seed_words == {1, 2, 3, 4}
+    assert index_words == {(1,), (2,), (1, 2)}
 
 
 def test_condition_slacks_depend_on_each_row_alone():
-    bc = _draw_block(5, "general", 11, range(CONJECTURE_BLOCK))
+    bc = _draw_block(5, "general", 11, 0, CONJECTURE_BLOCK)
     block = _condition_slacks(5, bc)
     assert block.tobytes() == _condition_slacks(5, bc[::-1])[::-1].tobytes()
     for k, row in enumerate(block):
@@ -596,7 +604,7 @@ def test_condition_terms_cover_every_row_once_in_column_order():
 
 def test_condition_rows_match_evaluate_on_each_family_member():
     # general-mode data, so the two-time rows read the averages
-    bc = _draw_block(5, "general", 3, range(20))
+    bc = _draw_block(5, "general", 3, 0, 20)
     members = [member for family in _condition_families() for member in family.members]
     slacks = _condition_slacks(5, bc)
     assert slacks.shape == (20, len(members)) == (20, 96)
@@ -626,7 +634,7 @@ def test_float_condition_slacks_are_within_1e_13_of_exact(mode):
     # are exact rationals over 2^53, compared by their integer numerators
     scale = 2**53
     a, bounds = dense_conditions(_condition_families())
-    bc = _draw_block(5, mode, 77, range(2000))
+    bc = _draw_block(5, mode, 77, 0, 2000)
     floats = _condition_slacks(5, bc)
     for x in (bc, floats):
         assert (np.round(x * scale) == x * scale).all()
@@ -640,7 +648,7 @@ def test_float_condition_slacks_are_within_1e_13_of_exact(mode):
 
 def test_condition_slacks_match_the_dense_sum_bit_for_bit():
     # 20 blocks per mode, then rows of zeros, -0.0, +-1 and terms that cancel
-    blocks = [_draw_block(5, mode, 1000 + k, range(k, k + CONJECTURE_BLOCK))
+    blocks = [_draw_block(5, mode, 1000 + k, k, k + CONJECTURE_BLOCK)
               for mode in ("symmetric", "general") for k in range(20)]
     hand = np.zeros((6, 15))
     hand[1] = -0.0
@@ -723,7 +731,7 @@ def test_screen_scales_pin_every_n5_condition_row_as_valid():
 def test_screened_samples_have_a_phase1_optimum_above_their_scaled_slack(mode):
     a, bounds = dense_conditions(_condition_families())
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
-    bc = _draw_block(5, mode, 3, range(3000))
+    bc = _draw_block(5, mode, 3, 0, 3000)
     scaled = ((bc @ a.T - bounds) / _conditions(5)[2]).max(axis=1)
     screened = np.flatnonzero(scaled > 2 * BOUNDARY_TOL)
     assert screened.size > 2900
@@ -798,6 +806,10 @@ def test_conjecture_workers_do_not_change_the_report():
 def test_conjecture_validates_arguments():
     with pytest.raises(ValidationError):
         conjecture_check(0, 1)
+    # non-integers, bool included, are refused before any draw
+    for samples, seed in ((10, 1.5), (2.5, 1), (True, 1), (10, False), (10, "1")):
+        with pytest.raises(ValidationError):
+            conjecture_check(samples, seed)
     with pytest.raises(ValidationError):
         conjecture_check(10, 1, "typo")
     with pytest.raises(DimensionError):

@@ -154,7 +154,7 @@ def test_float_pivot_path_on_the_n5_probe():
     a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     total = 0
     for mode in ("symmetric", "general"):
-        for bc in _draw_block(5, mode, 190604865, range(16)):
+        for bc in _draw_block(5, mode, 190604865, 0, 16):
             total += solve_phase1(a, np.concatenate(([1.0], bc))).iterations
     assert total == 427
 

@@ -26,7 +26,7 @@ from math import erf
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _check_integer
 from .inequalities import LinearInequality
 
 
@@ -97,6 +97,8 @@ def mc_violation_fraction(ineq: LinearInequality, samples: int, seed: int) -> Vo
     the stream uses the generator seeded with (seed, k), so results do not
     depend on how the chunks are scheduled.
     """
+    _check_integer("samples", samples)
+    _check_integer("seed", seed)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if seed < 0:
@@ -125,7 +127,7 @@ def exact_uniform_sum_tail(bound: Fraction | float, j: int) -> Fraction:
     F(x) = (1/j!) * sum_{k<=floor(x)} (-1)^k C(j,k) (x-k)^j; everything is
     kept rational so the result out-ranks floating error.
     """
-    if not 1 <= j <= 8:
+    if not 1 <= _check_integer("j", j) <= 8:
         raise ValidationError("exact convolution supports 1 <= j <= 8")
     x = (Fraction(bound) + j) / 2
     if x <= 0:

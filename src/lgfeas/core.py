@@ -94,12 +94,11 @@ def format_subset_key(subset: Sequence[int]) -> str:
     return ",".join(str(i) for i in subset)
 
 
-def _json_n(payload: Mapping) -> int:
-    """The ``n`` of a JSON payload; only a JSON integer is accepted."""
-    n = payload["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValidationError(f"n must be a JSON integer, got {n!r}")
-    return n
+def _check_integer(name: str, value) -> int:
+    """``value`` if it is an int; a bool or any other type raises ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def parse_subset_key(key: str) -> tuple[int, ...]:
@@ -211,7 +210,7 @@ class MomentSpec:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> MomentSpec:
         try:
-            n = _json_n(payload)
+            n = _check_integer("n", payload["n"])
             values = {key: float(value) for key, value in payload.get("moments", {}).items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed moment payload: {exc}") from exc
@@ -276,7 +275,7 @@ class CorrelatorSet:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> CorrelatorSet:
         try:
-            n = _json_n(payload)
+            n = _check_integer("n", payload["n"])
             values = {key: float(value) for key, value in payload.get("correlators", {}).items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed correlator payload: {exc}") from exc
@@ -347,7 +346,7 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> JointDistribution:
         try:
-            n, p = _json_n(payload), np.asarray(payload["p"], dtype=np.float64)
+            n, p = _check_integer("n", payload["n"]), np.asarray(payload["p"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed distribution payload: {exc}") from exc
         return cls(n, p)

@@ -35,6 +35,7 @@ from .core import (
     NONNEGATIVITY_TOL,
     OracleError,
     ValidationError,
+    _check_integer,
     _drift_corrected,
     _validate_coefficient,
     _walsh_hadamard,
@@ -800,9 +801,8 @@ def conjecture_check(
     fixed (seed, samples, mode) and independent of ``workers`` and the
     BLAS build.
     """
-    for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
+        _check_integer(name, value)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if seed < 0:

@@ -4,11 +4,15 @@ One dense-tableau kernel.  The entering column has the most negative
 reduced cost (Dantzig's rule); the leaving row is the lexicographically
 smallest of the min-ratio ties over the columns of the starting basis
 (Dantzig, Orden & Wolfe, *The generalized simplex method*, 1955), which
-cannot cycle.  float64 input pivots with tolerances; object input pivots
-exactly in ``Fraction``s, starting from the basis on which a float solve
-of the same system ends.  Only phase 1 is needed: the minimum of the
-artificial-variable sum is zero exactly when the system is feasible, and
-the final basic solution is the certificate.
+cannot cycle.  float64 input pivots with tolerances and a dense update.
+Object input pivots exactly in ``Fraction``s, starting from the basis on
+which a float solve of the same system ends; an exact pivot updates only
+the entries in the non-zero columns of the pivot row and the non-zero rows
+of the pivot column, since x - f*0 = x leaves every other entry as it is,
+so the tableau is that of a dense elimination bit for bit.  Only phase 1
+is needed: the minimum of the artificial-variable sum is zero exactly
+when the system is feasible, and the final basic solution is the
+certificate.
 """
 
 from __future__ import annotations
@@ -150,14 +154,21 @@ def _enter_basis(
 
 
 def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0
     if tableau.dtype == object:
-        # rational arithmetic dominates the cost, so rows already zero in col stay as they are
+        # rational arithmetic dominates the cost and x - f*0 = x exactly, so only
+        # the columns where the pivot row is non-zero, and of those only the rows
+        # non-zero in col, change; every other entry stays as it is
+        cols = np.flatnonzero(tableau[row])
+        tableau[row, cols] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0
         rows = np.flatnonzero(factors)
-        tableau[rows] -= np.outer(factors[rows], tableau[row])
+        tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], tableau[row, cols])
+        obj[cols] -= obj[col] * tableau[row, cols]
     else:
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0
         tableau -= np.outer(factors, tableau[row])
-    obj -= obj[col] * tableau[row]
+        obj -= obj[col] * tableau[row]
     basis[row] = col

@@ -124,6 +124,13 @@ def test_exact_tail_rejects_large_j():
         exact_uniform_sum_tail(1, 9)
 
 
+def test_exact_tail_rejects_non_integer_j():
+    # True would otherwise be read as j = 1
+    for j in (2.5, True, "2"):
+        with pytest.raises(ValidationError):
+            exact_uniform_sum_tail(1, j)
+
+
 def test_clt_close_to_exact_for_small_sums():
     for j in range(3, 9):
         for b in range(0, j + 1):
@@ -168,6 +175,13 @@ def test_mc_sign_flip_equivalence():
     est_b = mc_violation_fraction(flipped, 100_000, seed=22)
     sigma = math.hypot(est_a.stderr, est_b.stderr)
     assert abs(est_a.value - est_b.value) < 5 * sigma
+
+
+def test_mc_validates_arguments():
+    member = lg_family(3).members[0]
+    for samples, seed in ((0, 1), (10, -1), (True, 1), (10, 1.5), (2.5, 1), (10, False)):
+        with pytest.raises(ValidationError):
+            mc_violation_fraction(member, samples, seed)
 
 
 def test_mc_is_reproducible():

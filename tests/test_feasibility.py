@@ -814,6 +814,6 @@ def test_conjecture_validates_arguments():
         conjecture_check(10, 1, "typo")
     with pytest.raises(DimensionError):
         conjecture_check(10, 1, n=4)
-    for workers in (0, -4):
+    for workers in (0, -4, 2.5, "2", True):
         with pytest.raises(ValidationError):
             conjecture_check(10, 1, workers=workers)

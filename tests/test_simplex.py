@@ -149,6 +149,59 @@ def test_exact_restarts_cold_when_float_basis_is_infeasible(routes):
     assert routes == [False, False]
 
 
+def _dense_pivot(tableau, obj, basis, row, col):
+    # reference: eliminate over every row and column, whatever is zero
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0
+    tableau -= np.outer(factors, tableau[row])
+    obj -= obj[col] * tableau[row]
+    basis[row] = col
+
+
+def _complete_systems(rng):
+    """Complete n = 3..5 systems with data inside, on a face and just off it."""
+    for n in (3, 4, 5):
+        a = _constraint_rows(n, _suspended(n, complete_pairs(n))).astype(object)
+        weights = rng.exponential(1.0, 1 << n)
+        yield a, (a.astype(float) @ (weights / weights.sum())).astype(object)
+        for nudge in (0, 1, -1, 0, 1, -1):
+            w = np.zeros(1 << n, dtype=object)
+            support = rng.choice(1 << n, size=int(rng.integers(1, 4)), replace=False)
+            w[support] = [Fraction(int(k), 8) for k in rng.integers(1, 8, support.size)]
+            rhs = a.dot(w / w.sum())
+            rhs[int(rng.integers(1, len(rhs)))] += nudge * Fraction(1, 2 ** int(rng.integers(45, 62)))
+            yield a, rhs
+
+
+def test_exact_pivots_match_a_dense_rational_elimination(routes, monkeypatch):
+    pivot = simplex._pivot
+    pivots = []
+
+    def checked(tableau, obj, basis, row, col):
+        expected = (tableau.copy(), obj.copy(), basis.copy())
+        pivot(tableau, obj, basis, row, col)
+        if tableau.dtype == object:
+            _dense_pivot(*expected, row, col)
+            assert all(type(v) is Fraction for v in tableau.flat)
+            for got, want in zip((tableau, obj, basis), expected):
+                assert (got == want).all()
+            pivots.append((row, col))
+
+    monkeypatch.setattr(simplex, "_pivot", checked)
+    # the float run of this system stops one exact pivot short (see above)
+    delta = Fraction(1, 2**40)
+    systems = [(_fractions([[1, 1], [1, 1 - delta]]), _fractions([1, 1 - delta]))]
+    systems += _complete_systems(np.random.default_rng(18))
+    seen = set()
+    for a, rhs in systems:
+        routes.clear()
+        result = solve_phase1(a, rhs)
+        seen.add("cold" if not routes[0] else "continued" if result.iterations else "warm")
+    assert seen == {"warm", "continued", "cold"}
+    assert len(pivots) > 100
+
+
 def test_float_pivot_path_on_the_n5_probe():
     # the total the benchmark's complete-n5 simplex probe reports
     a = _constraint_rows(5, _suspended(5, complete_pairs(5)))

@@ -180,7 +180,7 @@ def _cmd_fine_build(args: argparse.Namespace) -> Outcome:
 
 def _cmd_conjecture(args: argparse.Namespace) -> Outcome:
     seed = _default_seed(args.seed)
-    report = conjecture_check(args.samples, seed, args.mode, n=args.n, workers=args.threads)
+    report = conjecture_check(args.samples, seed, args.mode, n=args.n)
     payload = report.to_json_dict()
     # counterexamples, if any, are persisted verbatim (full float precision)
     counterexamples = payload.pop("counterexamples")
@@ -293,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["symmetric", "general"], default="symmetric")
     p.add_argument("--counterexamples", default="counterexamples.jsonl",
                    help="where to write disagreeing samples, one per line")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the sampling (default 1: most samples "
-                        "are settled without an LP, so a pool seldom pays)")
 
     p = command("spin", _cmd_spin, "sweep cosine-model slacks over measurement spacing",
                 strict=True)

@@ -61,7 +61,7 @@ class VolumeEstimate:
 
 def clt_violation_fraction(b: float, j: int) -> VolumeEstimate:
     """Normal-limit fraction of [-1,1]^j with a coordinate sum above b."""
-    if j < 1:
+    if _check_integer("j", j) < 1:
         raise ValidationError("j must be >= 1")
     if b < 0:
         raise ValidationError("bound must be >= 0")
@@ -71,7 +71,7 @@ def clt_violation_fraction(b: float, j: int) -> VolumeEstimate:
 
 def v_lg(n: int) -> VolumeEstimate:
     """Chain-family estimate: j = n correlators against bound n - 2."""
-    if n < 3:
+    if _check_integer("n", n) < 3:
         raise ValidationError("n must be >= 3")
     return clt_violation_fraction(float(n - 2), n)
 
@@ -79,7 +79,7 @@ def v_lg(n: int) -> VolumeEstimate:
 def v_ngon(n: int) -> VolumeEstimate:
     """Sign-vector-family estimate: j = n(n-1)/2 correlators against bound
     n/2 (n even) or (n-1)/2 (n odd); the value tends to (1 - erf(sqrt(3)/2))/2."""
-    if n < 3:
+    if _check_integer("n", n) < 3:
         raise ValidationError("n must be >= 3")
     b = n / 2.0 if n % 2 == 0 else (n - 1) / 2.0
     return clt_violation_fraction(b, n * (n - 1) // 2)
@@ -129,7 +129,10 @@ def exact_uniform_sum_tail(bound: Fraction | float, j: int) -> Fraction:
     """
     if not 1 <= _check_integer("j", j) <= 8:
         raise ValidationError("exact convolution supports 1 <= j <= 8")
-    x = (Fraction(bound) + j) / 2
+    try:
+        x = (Fraction(bound) + j) / 2
+    except (ValueError, OverflowError):  # NaN, +-inf
+        raise ValidationError(f"bound must be a finite number, got {bound!r}") from None
     if x <= 0:
         return Fraction(1)
     if x >= j:

@@ -731,51 +731,12 @@ def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return holds, feasible, boundary
 
 
-def _classify_exact(n: int, bc: np.ndarray) -> bool:
-    """The oracle's verdict on one sample, solved in rational arithmetic."""
-    rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
-    rhs = np.concatenate(([1.0], bc)).astype(object)
-    return solve_phase1(rows.astype(object), rhs).feasible
-
-
 def _sample_to_spec(n: int, mode: str, b: Sequence[float], c: Sequence[float]) -> MomentSpec:
     moments: dict[tuple[int, ...], float] = {}
     if mode == "general":
         moments.update({(i,): float(b[i - 1]) for i in range(1, n + 1)})
     moments.update({pair: float(v) for pair, v in zip(complete_pairs(n), c)})
     return MomentSpec(n, moments)
-
-
-def _conjecture_chunk(args: tuple[int, str, int, int, int]) -> tuple[list[int], int, list]:
-    """(tallies, boundary count, counterexamples) of samples ``start`` to
-    ``stop`` - 1, drawn and classified ``CONJECTURE_BLOCK`` at a time.
-
-    Each block is one ``_draw_block`` array and one ``_classify_stack``
-    call.  Only the rare non-boundary disagreements leave array code: their
-    oracle side is re-solved in rationals, in index order.  The block's
-    verdicts are then counted into Python ints, three counts that fix the
-    four-way tally."""
-    n, mode, seed, start, stop = args
-    held = fed = both = boundary_count = 0
-    counterexamples = []
-    for first in range(start, stop, CONJECTURE_BLOCK):
-        bc = _draw_block(n, mode, seed, first, min(first + CONJECTURE_BLOCK, stop))
-        holds, feasible, boundary = _classify_stack(n, bc)
-        # knife-edge floats can misclassify the oracle side; settle it exactly.
-        # ``holds`` needs no re-check: off the band every slack is at least
-        # BOUNDARY_TOL from zero, and a float sum of at most ten terms in
-        # [-1, 1] is off by less than 1e-13, so each slack's sign is exact
-        for k in np.flatnonzero((holds != feasible) & ~boundary).tolist():
-            feasible[k] = _classify_exact(n, bc[k])
-            if holds[k] != feasible[k]:
-                counterexamples.append(_sample_to_spec(n, mode, bc[k, :n], bc[k, n:]))
-        held += int(np.count_nonzero(holds))
-        fed += int(np.count_nonzero(feasible))
-        both += int(np.count_nonzero(holds & feasible))
-        boundary_count += int(np.count_nonzero(boundary))
-    # (holds,feas), (holds,infeas), (fails,feas), (fails,infeas)
-    tallies = [both, held - both, fed - both, stop - start - held - fed + both]
-    return tallies, boundary_count, counterexamples
 
 
 def conjecture_check(
@@ -791,15 +752,19 @@ def conjecture_check(
 
     Sample i draws from ``default_rng([seed, i])`` for i < ``samples``, and
     the four tallies cross whether every condition holds with the oracle's
-    verdict.  ``boundary`` counts samples with a condition slack within
-    ``BOUNDARY_TOL`` of zero or a phase-1 optimum between the LP's
-    tolerance and ``BOUNDARY_TOL``.  Counterexamples are the non-boundary
-    samples where the two sides disagree after exact re-adjudication, in
-    ascending sample index; "conditions hold, oracle infeasible" is the
-    direction the sufficiency claim forbids, while the converse would
-    indicate a necessity bug.  Reports are reproducible bit for bit for a
-    fixed (seed, samples, mode) and independent of ``workers`` and the
-    BLAS build.
+    verdict.  The samples are drawn and classified ``CONJECTURE_BLOCK`` at
+    a time, in one serial loop: one ``_draw_block`` array and one
+    ``_classify_stack`` call per block.  ``boundary`` counts samples with a
+    condition slack within ``BOUNDARY_TOL`` of zero or a phase-1 optimum
+    between the LP's tolerance and ``BOUNDARY_TOL``.  Only the rare
+    non-boundary disagreements leave array code: the oracle re-decides
+    each in rational arithmetic (``lp_feasible_from_spec`` with
+    ``exact=True``), and those that still disagree are the
+    counterexamples, in ascending sample index; "conditions hold, oracle
+    infeasible" is the direction the sufficiency claim forbids, while the
+    converse would indicate a necessity bug.  Reports are reproducible bit
+    for bit for a fixed (seed, samples, mode) and independent of the block
+    size and the BLAS build.  ``workers`` accepts only 1.
     """
     for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
         _check_integer(name, value)
@@ -809,44 +774,40 @@ def conjecture_check(
         raise ValidationError("seed must be non-negative")
     if mode not in ("symmetric", "general"):
         raise ValidationError(f"mode must be symmetric or general, got {mode!r}")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
+    if workers != 1:
+        raise ValidationError(f"the experiment runs serially: workers must be 1, got {workers}")
     if n != 5:
         raise DimensionError("the sampling experiment is defined for n = 5")
 
-    chunk_size = max(64, samples // (workers * 8)) if workers > 1 else samples
-    chunks = [
-        (n, mode, seed, start, min(start + chunk_size, samples))
-        for start in range(0, samples, chunk_size)
-    ]
-    if workers > 1 and len(chunks) > 1:
-        # imported here: the pool machinery is a few MB that serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_conjecture_chunk, chunks))
-    else:
-        results = [_conjecture_chunk(chunk) for chunk in chunks]
-
-    # chunks come back in submission order, each with its counterexamples
-    # in ascending sample index, so the concatenation is in index order
-    tallies = [0, 0, 0, 0]
-    boundary = 0
+    held = fed = both = boundary_count = 0
     counterexamples: list[MomentSpec] = []
-    for chunk_tallies, chunk_boundary, chunk_counters in results:
-        tallies = [a + b for a, b in zip(tallies, chunk_tallies)]
-        boundary += chunk_boundary
-        counterexamples.extend(chunk_counters)
+    for first in range(0, samples, CONJECTURE_BLOCK):
+        bc = _draw_block(n, mode, seed, first, min(first + CONJECTURE_BLOCK, samples))
+        holds, feasible, boundary = _classify_stack(n, bc)
+        # knife-edge floats can misclassify the oracle side; settle it exactly.
+        # ``holds`` needs no re-check: off the band every slack is at least
+        # BOUNDARY_TOL from zero, and a float sum of at most ten terms in
+        # [-1, 1] is off by less than 1e-13, so each slack's sign is exact
+        for k in np.flatnonzero((holds != feasible) & ~boundary).tolist():
+            spec = _sample_to_spec(n, mode, bc[k, :n], bc[k, n:])
+            feasible[k] = lp_feasible_from_spec(spec, exact=True).feasible
+            if holds[k] != feasible[k]:
+                counterexamples.append(spec)
+        # three counts fix the four-way tally
+        held += int(np.count_nonzero(holds))
+        fed += int(np.count_nonzero(feasible))
+        both += int(np.count_nonzero(holds & feasible))
+        boundary_count += int(np.count_nonzero(boundary))
 
     return ConjectureReport(
         n=n,
         mode=mode,
         samples=samples,
         seed=seed,
-        condition_holds_and_feasible=tallies[0],
-        condition_holds_and_infeasible=tallies[1],
-        condition_fails_and_feasible=tallies[2],
-        condition_fails_and_infeasible=tallies[3],
-        boundary=boundary,
+        condition_holds_and_feasible=both,
+        condition_holds_and_infeasible=held - both,
+        condition_fails_and_feasible=fed - both,
+        condition_fails_and_infeasible=samples - held - fed + both,
+        boundary=boundary_count,
         counterexamples=tuple(counterexamples),
     )

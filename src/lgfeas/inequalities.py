@@ -258,14 +258,9 @@ def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
     singletons with the usual absent-means-zero convention.  The value is
     bit-identical to the member's row of ``InequalityFamily.slacks``.
     """
-    terms = [((0, i), c) for i, c in ineq.linear.items()] + list(ineq.terms.items())
-    weights: dict[float, int] = {}
-    for value, (_, coeff) in zip(_pair_values([p for p, _ in terms], data), terms):
-        weights[value] = weights.get(value, 0) + coeff
-    total = 0.0
-    for value in sorted(weights):
-        total += weights[value] * value
-    return total - ineq.bound
+    pairs = [(0, i) for i in ineq.linear] + list(ineq.terms)
+    coefficients = np.array([[*ineq.linear.values(), *ineq.terms.values()]])
+    return float(_slacks(pairs, coefficients, np.array([ineq.bound]), data)[0])
 
 
 def gap_weights(family: InequalityFamily) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CorrelatorSet, DimensionError, ValidationError
+from .core import CorrelatorSet, DimensionError, ValidationError, _check_integer
 from .inequalities import (
     InequalityFamily,
     distinct_under_equal_spacing,
@@ -72,7 +72,7 @@ class SpinSweepConfig:
     family: str = "lg"
 
     def __post_init__(self) -> None:
-        if not 3 <= self.n <= 20:
+        if not 3 <= _check_integer("n", self.n) <= 20:
             raise DimensionError(f"n must be in [3, 20], got {self.n}")
         if not all(math.isfinite(x) for x in (self.omega, self.tau_min, self.tau_max or 0.0)):
             raise ValidationError("omega, tau_min and tau_max must be finite")
@@ -80,7 +80,7 @@ class SpinSweepConfig:
             raise ValidationError("omega must be positive")
         if self.tau_min < 0:
             raise ValidationError("tau_min must be >= 0: spacings are positive")
-        if self.steps < 2:
+        if _check_integer("steps", self.steps) < 2:
             raise ValidationError("steps must be >= 2")
         if self.regime not in ("extend", "fixed_window"):
             raise ValidationError(f"unknown regime {self.regime!r}")
@@ -159,6 +159,8 @@ def nu_versus_n(
     tau_max: float | None = None,
 ) -> list[tuple[int, float]]:
     """The violated-fraction curve nu(n) for n in [n_min, n_max]."""
+    for name, value in (("n_min", n_min), ("n_max", n_max)):
+        _check_integer(name, value)
     if not 3 <= n_min <= n_max <= 20:
         raise DimensionError(f"need 3 <= n_min <= n_max <= 20, got [{n_min}, {n_max}]")
     out = []

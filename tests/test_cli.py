@@ -136,7 +136,7 @@ def test_conjecture_writes_report_deterministically(tmp_path, capsys, monkeypatc
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "report.json"
     args = ["conjecture", "--samples", "40", "--seed", "42", "--mode", "symmetric",
-            "--out", str(out), "--threads", "1"]
+            "--out", str(out)]
     assert main(args) == 0
     first = out.read_bytes()
     report = json.loads(first)
@@ -203,11 +203,9 @@ def test_lg_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LG_SEED", "42")
     monkeypatch.chdir(tmp_path)
     out_env = tmp_path / "a.json"
-    assert main(["conjecture", "--samples", "25", "--out", str(out_env),
-                 "--threads", "1"]) == 0
+    assert main(["conjecture", "--samples", "25", "--out", str(out_env)]) == 0
     out_flag = tmp_path / "b.json"
-    assert main(["conjecture", "--samples", "25", "--seed", "42", "--out", str(out_flag),
-                 "--threads", "1"]) == 0
+    assert main(["conjecture", "--samples", "25", "--seed", "42", "--out", str(out_flag)]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
 
 
@@ -216,10 +214,12 @@ def test_conjecture_runs_serially_by_default(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["conjecture", "--samples", "10", "--seed", "3", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
-    assert manifest["config"]["threads"] == 1
+    assert manifest["config"]["samples"] == 10 and "threads" not in manifest["config"]
 
 
-def test_threads_is_only_a_conjecture_flag(capsys):
+def test_flags_outside_a_subcommand_exit_2(capsys):
+    # the sampling experiment runs serially, so no subcommand takes --threads
+    assert main(["conjecture", "--samples", "10", "--seed", "3", "--threads", "1"]) == 2
     assert main(["gen", "--family", "lg", "--n", "3", "--threads", "2"]) == 2
     assert main(["mc", "--n", "3", "--member", "0", "--samples", "10", "--strict"]) == 2
 
@@ -260,7 +260,7 @@ def test_non_mapping_moments_exits_2(tmp_path, capsys):
 def test_non_integer_lg_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LG_SEED", "abc")
     monkeypatch.chdir(tmp_path)
-    _assert_input_error(capsys, main(["conjecture", "--samples", "5", "--threads", "1"]))
+    _assert_input_error(capsys, main(["conjecture", "--samples", "5"]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +275,7 @@ MANIFEST_CASES = {
     "gen": (["gen", "--family", "lg", "--n", "4"], {"members"}),
     "check": (["check", "--moments", "@chain4.json"], set()),
     "fine-build": (["fine-build", "--moments", "@chain4.json"], set()),
-    "conjecture": (["conjecture", "--samples", "10", "--seed", "3", "--threads", "1"],
-                   {"seed_used"}),
+    "conjecture": (["conjecture", "--samples", "10", "--seed", "3"], {"seed_used"}),
     "spin": (["spin", "--n", "5", "--steps", "16"],
              {"member_columns", "nu", "window_bounds"}),
     "nu": (["nu", "--n-min", "3", "--n-max", "4", "--steps", "16"], set()),
@@ -378,13 +377,6 @@ def test_clt_reversed_range_exits_2(capsys):
     _assert_input_error(capsys, main(["clt", "--family", "lg", "--n-min", "6", "--n-max", "3"]))
 
 
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_conjecture_non_positive_threads_exit_2(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.chdir(tmp_path)
-    _assert_input_error(capsys, main(["conjecture", "--samples", "5", "--seed", "1",
-                                      "--threads", threads]))
-
-
 def _run_python(*argv):
     # the package directory's parent goes first on the path, so the child
     # imports the same lgfeas as this test
@@ -409,7 +401,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only conjecture_check with workers > 1 needs concurrent.futures
+    # importing the package pulls in no process pool: nothing in it runs
+    # work in other processes
     probe = _run_python("-c", "import sys, lgfeas; print('concurrent.futures' in sys.modules)")
     assert probe.returncode == 0
     assert probe.stdout.strip() == "False"

@@ -131,6 +131,28 @@ def test_exact_tail_rejects_non_integer_j():
             exact_uniform_sum_tail(1, j)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+def test_exact_tail_rejects_a_non_finite_bound(bound):
+    with pytest.raises(ValidationError):
+        exact_uniform_sum_tail(bound, 3)
+    with pytest.raises(ValidationError):
+        exact_violation_fraction(bound, 3)
+
+
+def test_clt_rejects_a_non_integer_term_count():
+    # 2.5 and True would otherwise read as fractional and single sums
+    for j in (2.5, True, "3"):
+        with pytest.raises(ValidationError):
+            clt_violation_fraction(1.0, j)
+
+
+@pytest.mark.parametrize("estimator", [v_lg, v_ngon])
+def test_family_estimates_reject_a_non_integer_n(estimator):
+    for n in (3.5, 4.5, True, "4"):
+        with pytest.raises(ValidationError):
+            estimator(n)
+
+
 def test_clt_close_to_exact_for_small_sums():
     for j in range(3, 9):
         for b in range(0, j + 1):

@@ -41,11 +41,9 @@ from lgfeas.feasibility import (
     BOUNDARY_TOL,
     CONJECTURE_BLOCK,
     ConjectureReport,
-    _classify_exact,
     _classify_stack,
     _condition_slacks,
     _conditions,
-    _conjecture_chunk,
     _constraint_rows,
     _draw_block,
     _sample_to_spec,
@@ -699,7 +697,8 @@ def _reference_report(samples, seed, mode):
             bc = [Fraction(float(v)) for v in np.concatenate((b, c))]
             exact = a.astype(int).astype(object) @ bc - [Fraction(v) for v in bounds.tolist()]
             holds = bool((exact <= 0).all())
-            feasible = _classify_exact(5, np.concatenate((b, c)))
+            rhs = np.concatenate(([1.0], b, c)).astype(object)
+            feasible = solve_phase1(rows.astype(object), rhs).feasible
             if holds != feasible:
                 counterexamples.append(_sample_to_spec(5, mode, b, c))
         tallies[(0 if holds else 2) + (0 if feasible else 1)] += 1
@@ -769,18 +768,17 @@ def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(lowered_ngon
     assert report == reference
 
 
-def test_chunks_concatenate_to_one_chunk_over_their_range(lowered_ngon_bound):
-    # the lowered bound gives counterexamples at samples 386, 4152 and 4868,
-    # in the second, third and last parts, whose order the concatenation keeps
-    whole = _conjecture_chunk((5, "symmetric", 8, 0, 5000))
-    bounds = (0, 300, 1000, 4500, 4501, 5000)
-    parts = [_conjecture_chunk((5, "symmetric", 8, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    assert len(whole[2]) == 3
-    assert whole == (
-        np.sum([tallies for tallies, _, _ in parts], axis=0).tolist(),
-        sum(boundary for _, boundary, _ in parts),
-        [spec for _, _, counters in parts for spec in counters],
-    )
+@pytest.mark.parametrize("block", [1, 7, 300, 5000])
+def test_block_size_does_not_change_the_report(lowered_ngon_bound, monkeypatch, block):
+    # the lowered bound gives counterexamples at samples 386, 4152 and 4868;
+    # every block size must list them in that order, with the same tallies
+    default = conjecture_check(5000, 8, "symmetric")
+    monkeypatch.setattr(feasibility, "CONJECTURE_BLOCK", block)
+    report = conjecture_check(5000, 8, "symmetric")
+    draws = [_draw_block(5, "symmetric", 8, i, i + 1)[0] for i in (386, 4152, 4868)]
+    assert report.counterexamples == tuple(
+        _sample_to_spec(5, "symmetric", bc[:5], bc[5:]) for bc in draws)
+    assert report == default
 
 
 # SHA-256 of each sorted-key report; 10^4 samples reach blocks that need
@@ -797,12 +795,6 @@ def test_conjecture_report_hash_at_ten_thousand_samples(mode):
     assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_SHA256[mode]
 
 
-def test_conjecture_workers_do_not_change_the_report():
-    solo = conjecture_check(160, 99, "general")
-    multi = conjecture_check(160, 99, "general", workers=2)
-    assert solo == multi
-
-
 def test_conjecture_validates_arguments():
     with pytest.raises(ValidationError):
         conjecture_check(0, 1)
@@ -814,6 +806,6 @@ def test_conjecture_validates_arguments():
         conjecture_check(10, 1, "typo")
     with pytest.raises(DimensionError):
         conjecture_check(10, 1, n=4)
-    for workers in (0, -4, 2.5, "2", True):
+    for workers in (0, -4, 2, 2.5, "2", True):
         with pytest.raises(ValidationError):
             conjecture_check(10, 1, workers=workers)

@@ -79,9 +79,9 @@ CASES = {
     "fine-build-cosine8.json": ["fine-build", "--moments", "@cosine8.json"],
     "fine-build-tsirelson3.json": ["fine-build", "--moments", "@tsirelson3.json"],
     "conjecture-symmetric.json": ["conjecture", "--samples", "200", "--seed", "42",
-                                  "--mode", "symmetric", "--threads", "1"],
+                                  "--mode", "symmetric"],
     "conjecture-general.json": ["conjecture", "--samples", "200", "--seed", "42",
-                                "--mode", "general", "--threads", "1"],
+                                "--mode", "general"],
 }
 
 

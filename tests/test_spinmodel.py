@@ -207,6 +207,19 @@ def test_config_validation():
         nu_versus_n(5, 4)
 
 
+def test_config_rejects_non_integer_sizes():
+    # steps=2.5 would otherwise build a 3-point grid
+    for field, value in (("n", 4.5), ("n", True), ("steps", 2.5), ("steps", True)):
+        with pytest.raises(ValidationError):
+            SpinSweepConfig(**{"n": 4, field: value})
+
+
+@pytest.mark.parametrize("n_min, n_max", [(3, 5.5), (3.0, 5), (True, 5), (3, "5")])
+def test_nu_versus_n_rejects_non_integer_bounds(n_min, n_max):
+    with pytest.raises(ValidationError):
+        nu_versus_n(n_min, n_max, steps=8)
+
+
 @pytest.mark.parametrize("tau_min, tau_max", [(-3.0, -1.0), (-2.0, 2.0), (-0.5, None)])
 def test_config_rejects_negative_spacings(tau_min, tau_max):
     # a negative spacing would mirror positive ones into the grid and count them twice in nu

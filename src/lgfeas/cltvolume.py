@@ -26,7 +26,7 @@ from math import erf
 
 import numpy as np
 
-from .core import ValidationError, _check_integer
+from .core import ValidationError, _check_integer, _check_real
 from .inequalities import LinearInequality
 
 
@@ -63,7 +63,7 @@ def clt_violation_fraction(b: float, j: int) -> VolumeEstimate:
     """Normal-limit fraction of [-1,1]^j with a coordinate sum above b."""
     if _check_integer("j", j) < 1:
         raise ValidationError("j must be >= 1")
-    if b < 0:
+    if _check_real("bound", b) < 0:
         raise ValidationError("bound must be >= 0")
     value = 0.5 * (1.0 - erf(math.sqrt(1.5) * b / math.sqrt(j)))
     return VolumeEstimate(value, "clt")
@@ -129,10 +129,7 @@ def exact_uniform_sum_tail(bound: Fraction | float, j: int) -> Fraction:
     """
     if not 1 <= _check_integer("j", j) <= 8:
         raise ValidationError("exact convolution supports 1 <= j <= 8")
-    try:
-        x = (Fraction(bound) + j) / 2
-    except (ValueError, OverflowError):  # NaN, +-inf
-        raise ValidationError(f"bound must be a finite number, got {bound!r}") from None
+    x = (Fraction(_check_real("bound", bound)) + j) / 2
     if x <= 0:
         return Fraction(1)
     if x >= j:

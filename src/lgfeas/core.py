@@ -23,6 +23,7 @@ Tolerance policy: normalization and algebraic round-trips are checked at
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -98,6 +99,15 @@ def _check_integer(name: str, value) -> int:
     """``value`` if it is an int; a bool or any other type raises ValidationError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_real(name: str, value):
+    """``value`` if it is a finite real number, a ``Fraction`` kept exact; a
+    bool, a str, nan, +-inf or any other type raises ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not isinstance(value, numbers.Rational) and not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
     return value
 
 

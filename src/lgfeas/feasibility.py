@@ -43,10 +43,11 @@ from .core import (
     complete_pairs,
     distribution_from_moments,
     pairwise_probability,
-    subset_to_mask,
 )
 from .inequalities import (
     InequalityFamily,
+    _gather_slacks,
+    _term_groups,
     max_violation,
     lg_family,
     ngon_family,
@@ -156,11 +157,15 @@ class ConjectureReport:
 # the LP feasibility oracle
 # ---------------------------------------------------------------------------
 
+def _masks(subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """The outcome bit mask of each subset of the times 0..n; s_0 = +1 adds no bit."""
+    return np.array([sum((1 << i) >> 1 for i in t) for t in subsets], dtype=np.int64)
+
+
 def _characters(n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """One int8 row prod_{i in T} s_i over the 2^n outcomes per subset T
-    of the times 0..n; s_0 = +1, so time 0 adds no bit ((1 << 0) >> 1 == 0)."""
-    masks = np.array([sum((1 << i) >> 1 for i in t) for t in subsets], dtype=np.int64)
-    return 1 - 2 * (np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1).astype(np.int8)
+    of the times 0..n."""
+    return 1 - 2 * (np.bitwise_count(_masks(subsets)[:, None] & np.arange(1 << n)) & 1).astype(np.int8)
 
 
 def _suspended(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -175,6 +180,20 @@ def _constraint_rows(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     a = _characters(n, ((),) + pairs)
     a.setflags(write=False)
     return a
+
+
+def _certified(n: int, pairs: Sequence[tuple[int, int]], rhs: np.ndarray,
+               p: np.ndarray) -> JointDistribution:
+    """``p`` shifted to sum to 1, if it is non-negative and its moments at
+    the rows of ``_constraint_rows(n, _suspended(n, pairs))``, Walsh
+    characters all read by one transform, match ``rhs``; else OracleError."""
+    p = _drift_corrected(p)
+    residual = float(np.abs(_walsh_hadamard(p)[_masks(((),) + _suspended(n, pairs))] - rhs).max())
+    if residual > FEASIBILITY_TOL:
+        raise OracleError(f"certificate residual {residual:.3e} above tolerance")
+    if p.min() < -NONNEGATIVITY_TOL:
+        raise OracleError(f"certificate has a negative entry, {p.min():.3e}")
+    return JointDistribution(n, p)
 
 
 def _validate_b(b: Sequence[float] | None, n: int) -> np.ndarray:
@@ -220,15 +239,7 @@ def lp_feasible(
 
     if not result.feasible:
         return FeasibilityVerdict(False, phase1_objective=result.objective)
-
-    x = _drift_corrected(result.x)
-    residual = float(np.abs(rows @ x - rhs).max())
-    if residual > FEASIBILITY_TOL:
-        raise OracleError(f"oracle certificate residual {residual:.3e} above tolerance")
-    certificate = JointDistribution(n, x)
-    if not certificate.is_nonnegative():
-        raise OracleError("oracle produced a negative certificate")
-    return FeasibilityVerdict(True, certificate, phase1_objective=result.objective)
+    return FeasibilityVerdict(True, _certified(n, pairs, rhs, result.x), phase1_objective=result.objective)
 
 
 def lp_feasible_from_spec(spec: MomentSpec, *, exact: bool = False) -> FeasibilityVerdict:
@@ -416,14 +427,9 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         ratio[usable] = numerator[usable] / denominator[usable]
         p *= ratio
 
-    certificate = JointDistribution(n, _drift_corrected(p))
-    # the moment-matching rows are Walsh characters, so one transform reads them all
-    masks = [subset_to_mask(key) for key in [()] + [(i,) for i in range(1, n + 1)] + sorted(c_in)]
-    rhs = np.concatenate(([1.0], bvec, [v for _, v in sorted(c_in.items())]))
-    residual = float(np.abs(_walsh_hadamard(certificate.p)[masks] - rhs).max())
-    if residual > FEASIBILITY_TOL or not certificate.is_nonnegative():
-        raise OracleError(f"product construction failed to certify (residual {residual:.3e})")
-    return FeasibilityVerdict(True, certificate)
+    pairs = sorted(c_in)
+    rhs = np.concatenate(([1.0], bvec, [c_in[pair] for pair in pairs]))
+    return FeasibilityVerdict(True, _certified(n, pairs, rhs, p))
 
 
 # ---------------------------------------------------------------------------
@@ -454,28 +460,22 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
 
     if n == 4:
         parity = quad_chars[:, 0]
-        lower = float(np.max(-f[parity > 0]))
-        upper = float(np.min(f[parity < 0]))
-        interval = Interval(lower, upper)
+        interval = Interval(float(np.max(-f[parity > 0])), float(np.min(f[parity < 0])))
         feasible, objective, e_values = not interval.is_empty, None, [interval.midpoint()]
     else:
-        count = 1 << n
-        a = np.hstack([quad_chars, -quad_chars, -np.eye(count)])
+        a = np.hstack([quad_chars, -quad_chars, -np.eye(1 << n)])
         result = solve_phase1(a, -f)
         feasible, objective = result.feasible, result.objective
-        e_values = [result.x[k] - result.x[len(quads) + k] for k in range(len(quads))]
+        e_values = result.x[:len(quads)] - result.x[len(quads):2 * len(quads)]
     if not feasible:
         families = (three_time_complete(n), ngon_family(n))
         violated = [label for f in families for label in _violated_labels(f, correlators)]
         return FeasibilityVerdict(False, violated=violated, phase1_objective=objective)
 
-    moments: dict[tuple[int, ...], float] = dict(correlators.entries)
-    for quad, value in zip(quads, e_values):
-        moments[quad] = float(min(1.0, max(-1.0, value)))
-    certificate = distribution_from_moments(MomentSpec(n, moments))
-    if not certificate.is_nonnegative():
-        raise OracleError("even-coefficient search produced a negative certificate")
-    return FeasibilityVerdict(True, certificate)
+    # the moment expansion p(s) = 2^-n (f(s) + sum_q e_q prod_{i in q} s_i)
+    p = (f + quad_chars @ e_values) / (1 << n)
+    rhs = np.concatenate(([1.0], np.zeros(n), cvec))
+    return FeasibilityVerdict(True, _certified(n, pairs, rhs, p))
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +485,14 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
 @lru_cache(maxsize=8)
 def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
     """The candidate condition set over the pairs of the times 0..n, rows
-    stacked two-time, three-time, n-gon, as (term groups, bounds, scales).
+    stacked two-time, three-time, n-gon, as (``_term_groups`` of the rows,
+    bounds, scales).
 
-    The term groups split the rows by their count of non-zero terms: per
-    group, the row numbers and a (terms x rows) table of signed column
-    indices in ascending column order, j for a +1 coefficient and
-    width + j for a -1, so that one gather from the columns stacked on
-    their negatives picks every term.  A row's scale is max(|bound|, 1)
-    when the row holds at every +-1 outcome, checked exactly in integers,
-    and +inf otherwise, so that only a valid row can refute a sample: for a
-    valid row, h . (b, c) - bound <= scale * (the phase-1 objective) on the
-    n-time system; pair the row (-bound, h) with A x = rhs - r."""
+    A row's scale is max(|bound|, 1) when the row holds at every +-1
+    outcome, checked exactly in integers, and +inf otherwise, so that only
+    a valid row can refute a sample: for a valid row, h . (b, c) - bound <=
+    scale * (the phase-1 objective) on the n-time system; pair the row
+    (-bound, h) with A x = rhs - r."""
     pairs = _suspended(n, complete_pairs(n))
     families = (two_time_complete(n), three_time_complete(n), ngon_family(n))
     blocks = []
@@ -509,20 +506,10 @@ def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.n
         raise ValidationError("condition coefficients must be 0 or +-1")
     valid = (terms @ _characters(n, pairs) <= bounds[:, None]).all(axis=1)
     scales = np.where(valid, np.maximum(np.abs(bounds), 1.0), np.inf)
-    counts = np.count_nonzero(terms, axis=1)
-    groups = []
-    for count in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == count)
-        group = terms[rows]
-        # row-major order: each row's columns ascend; the table is stored
-        # C-contiguous, so that a gather through it keeps the terms axis
-        # outermost and a sum over that axis adds term by term, in order
-        at, columns = np.nonzero(group)
-        signed = columns + len(pairs) * (group[at, columns] < 0)
-        groups.append((rows, np.ascontiguousarray(signed.reshape(rows.size, count).T)))
+    groups = _term_groups(terms)
     for array in (bounds, scales, *(array for group in groups for array in group)):
         array.setflags(write=False)
-    return tuple(groups), bounds, scales
+    return groups, bounds, scales
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
@@ -686,23 +673,6 @@ def _draw_block(n: int, mode: str, seed: int, first: int, stop: int) -> np.ndarr
     return block
 
 
-def _condition_slacks(n: int, bc: np.ndarray) -> np.ndarray:
-    """(samples x rows) slacks of the ``_conditions`` rows on the rows of
-    ``bc``, a transposed view of a (rows x samples) array: each row's
-    non-zero terms, gathered per term group, are summed in ascending column
-    order, then the bound is subtracted, so each sample's bits depend on
-    that sample alone and not on the block or the BLAS build.  The bits
-    equal those of a dense sum over every column: a zero term can only flip
-    the sign of a zero partial sum, which subtracting the non-zero bound
-    erases, and -x is x * -1.0 exactly."""
-    groups, bounds, _ = _conditions(n)
-    columns = np.concatenate((bc.T, -bc.T))
-    slacks = np.empty((bounds.size, bc.shape[0]))
-    for rows, table in groups:
-        slacks[rows] = np.add.reduce(columns[table], axis=0) - bounds[rows, None]
-    return slacks.T
-
-
 def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(holds, feasible, boundary) bool arrays over the samples in the rows
     of ``bc``, averages then correlators as ``_draw_block`` writes them.
@@ -714,10 +684,10 @@ def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     every +-1 outcome, and the band keeps the screen apart from the LP's
     tolerance.  Each other sample gets its own float phase-1 solve on the
     oracle rows of ``lp_feasible``; a block that the screen settles whole
-    makes no LP call.  The slacks from ``_condition_slacks`` are reduced
-    over the rows of their (rows x samples) layout, so every verdict is
+    makes no LP call.  The slacks from ``_gather_slacks`` are reduced over
+    the rows of their (rows x samples) layout, so every verdict is
     independent of how samples are blocked."""
-    slacks = _condition_slacks(n, bc).T
+    slacks = _gather_slacks(*_conditions(n)[:2], bc.T)
     holds = slacks.max(axis=0) <= 0.0
     boundary = np.abs(slacks).min(axis=0) < BOUNDARY_TOL
     feasible = np.zeros(len(bc), dtype=bool)

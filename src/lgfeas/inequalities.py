@@ -162,33 +162,61 @@ class InequalityFamily:
         return replace(self, **{name: getattr(self, name)[rows] for name in arrays})
 
     def slacks(self, data: CorrelatorSet | MomentSpec) -> np.ndarray:
-        """Signed slack of every member on the data; positive means violated."""
-        return _slacks(self.pairs, self.coefficients, self.bounds, data)
+        """Signed slack of every member on the data; positive means violated.
+        Terms add in column order, so members tie when their slacks are
+        bit-equal; slacks equal in exact arithmetic can differ by an ulp."""
+        groups = _term_groups(self.coefficients)
+        return _gather_slacks(groups, self.bounds, _pair_values(self.pairs, data))
 
 
-def _pair_values(pairs: Sequence[tuple[int, int]], data: CorrelatorSet | MomentSpec) -> list:
+def _pair_values(pairs: Sequence[tuple[int, int]], data: CorrelatorSet | MomentSpec) -> np.ndarray:
     """C at each pair under the data conventions of ``evaluate``; C_{0j} is B_j."""
     if isinstance(data, CorrelatorSet):
-        return [data.value(i, j) if i else 0.0 for i, j in pairs]
+        return np.array([data.value(i, j) if i else 0.0 for i, j in pairs])
     if isinstance(data, MomentSpec):
-        moments = data.moments
-        return [moments.get((i, j) if i else (j,), 0.0) for i, j in pairs]
+        return np.array([data.moments.get((i, j) if i else (j,), 0.0) for i, j in pairs])
     raise TypeError(f"cannot evaluate against {type(data).__name__}")
 
 
-def _slacks(pairs: Sequence[tuple[int, int]], coefficients: np.ndarray,
-            bounds: np.ndarray, data: CorrelatorSet | MomentSpec) -> np.ndarray:
-    """coefficients @ C - bounds, with C read at ``pairs`` by ``_pair_values``.
+def _term_groups(coefficients: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The rows of an integer matrix grouped by term count, as pairs of row
+    numbers and a C-contiguous (terms x rows) int16 table of columns in
+    ascending order: j for c > 0, width + j for c < 0, listed |c| times."""
+    width = coefficients.shape[1]
+    weights = np.abs(coefficients)
+    counts, unit = weights.sum(axis=1), weights.max(initial=1) == 1
+    groups = []
+    for count in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        block = coefficients if rows.size == counts.size else coefficients[rows]
+        if unit and count == width:
+            # every entry is one term: no index arrays over the whole block
+            columns, negative = np.arange(width, dtype=np.int16), block < 0
+        else:
+            at, columns = np.nonzero(block)
+            copies = np.abs(block[at, columns])
+            columns, negative = np.repeat(columns, copies), np.repeat(block[at, columns] < 0, copies)
+        signed = np.where(negative, columns + width, columns).astype(np.int16, copy=False)
+        groups.append((rows, np.ascontiguousarray(signed.reshape(rows.size, count).T)))
+    return tuple(groups)
 
-    Equal values enter once with an integer weight, so equal term multisets
-    tie exactly, and the weighted values are summed in ascending value order
-    so that ``evaluate`` reproduces each row bit for bit."""
-    unique, inverse = np.unique(_pair_values(pairs, data), return_inverse=True)
-    onehot = (inverse[:, None] == np.arange(unique.size)).astype(np.float64)
-    total = np.zeros(bounds.size)
-    for value, weights in zip(unique.tolist(), (coefficients @ onehot).T):
-        total += weights * value
-    return total - bounds
+
+def _gather_slacks(groups: tuple, bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Slacks, rows first, of the rows of ``_term_groups`` on ``values``,
+    1-D over the columns or (columns x samples).  Each row adds its terms
+    one at a time in table order, gathered from the values stacked on their
+    negatives (-x is x * -1.0 exactly), then subtracts its bound, so each
+    sample's bits depend on that sample alone.  For coefficients in
+    {-1, 0, 1} they equal a dense sum in column order: a zero term can only
+    flip the sign of a zero partial sum, which a non-zero bound erases."""
+    signed = np.concatenate((values, -values))
+    slacks = np.empty(bounds.shape + values.shape[1:])
+    for rows, table in groups:
+        total = signed[table[0]]
+        for column in table[1:]:
+            total += signed[column]
+        slacks[rows] = (total.T - bounds[rows]).T
+    return slacks
 
 
 def _family(name, n, pairs, coefficients, bound, codes) -> InequalityFamily:
@@ -255,12 +283,13 @@ def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
 
     A CorrelatorSet must fix every referenced pair and carries no B data
     (linear terms evaluate against 0).  A MomentSpec reads pairs and
-    singletons with the usual absent-means-zero convention.  The value is
-    bit-identical to the member's row of ``InequalityFamily.slacks``.
+    singletons with the usual absent-means-zero convention.  Terms add in
+    the member's order, B terms first, so the value is bit-identical to the
+    member's row of ``InequalityFamily.slacks``.
     """
     pairs = [(0, i) for i in ineq.linear] + list(ineq.terms)
-    coefficients = np.array([[*ineq.linear.values(), *ineq.terms.values()]])
-    return float(_slacks(pairs, coefficients, np.array([ineq.bound]), data)[0])
+    groups = _term_groups(np.array([[*ineq.linear.values(), *ineq.terms.values()]]))
+    return float(_gather_slacks(groups, np.array([ineq.bound]), _pair_values(pairs, data))[0])
 
 
 def gap_weights(family: InequalityFamily) -> np.ndarray:
@@ -297,7 +326,8 @@ def distinct_under_equal_spacing(family: InequalityFamily) -> InequalityFamily:
 def max_violation(
     family: InequalityFamily, data: CorrelatorSet | MomentSpec
 ) -> tuple[LinearInequality, float]:
-    """The member with the largest slack; ties go to the earliest member."""
+    """The member with the largest slack; ties, meaning bit-equal slacks
+    from ``InequalityFamily.slacks``, go to the earliest member."""
     if not len(family):
         raise ValidationError("family has no members")
     slacks = family.slacks(data)

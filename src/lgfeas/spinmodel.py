@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CorrelatorSet, DimensionError, ValidationError, _check_integer
+from .core import CorrelatorSet, DimensionError, ValidationError, _check_integer, _check_real
 from .inequalities import (
     InequalityFamily,
     distinct_under_equal_spacing,
@@ -40,7 +40,8 @@ FIXED_WINDOW_SPAN = 1.5 * math.pi
 
 def cosine_correlators(omega: float, times: Sequence[float]) -> CorrelatorSet:
     """Complete correlator set C_ij = cos(omega*(t_j - t_i)) for the given times."""
-    times = list(times)
+    _check_real("omega", omega)
+    times = [_check_real("time", t) for t in times]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValidationError("measurement times must be strictly increasing")
     n = len(times)
@@ -74,8 +75,8 @@ class SpinSweepConfig:
     def __post_init__(self) -> None:
         if not 3 <= _check_integer("n", self.n) <= 20:
             raise DimensionError(f"n must be in [3, 20], got {self.n}")
-        if not all(math.isfinite(x) for x in (self.omega, self.tau_min, self.tau_max or 0.0)):
-            raise ValidationError("omega, tau_min and tau_max must be finite")
+        for name in ("omega", "tau_min") + (("tau_max",) if self.tau_max is not None else ()):
+            _check_real(name, getattr(self, name))
         if self.omega <= 0:
             raise ValidationError("omega must be positive")
         if self.tau_min < 0:

@@ -139,6 +139,21 @@ def test_exact_tail_rejects_a_non_finite_bound(bound):
         exact_violation_fraction(bound, 3)
 
 
+@pytest.mark.parametrize("bound", ["1/2", "1", True, None, [0.5]])
+def test_exact_tail_rejects_a_bound_that_is_not_a_real_number(bound):
+    # '1/2' would otherwise be parsed as a rational and True read as 1
+    with pytest.raises(ValidationError):
+        exact_uniform_sum_tail(bound, 3)
+    # a Fraction stays exact: P(U_1 + U_2 > 1/3) = (2 - 1/3)^2 / 8
+    assert exact_uniform_sum_tail(Fraction(1, 3), 2) == Fraction(25, 72)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, "1", True, None])
+def test_clt_rejects_a_bound_that_is_not_a_finite_real(b):
+    with pytest.raises(ValidationError, match="bound must be a finite real number"):
+        clt_violation_fraction(b, 3)
+
+
 def test_clt_rejects_a_non_integer_term_count():
     # 2.5 and True would otherwise read as fractional and single sums
     for j in (2.5, True, "3"):

@@ -41,14 +41,16 @@ from lgfeas.feasibility import (
     BOUNDARY_TOL,
     CONJECTURE_BLOCK,
     ConjectureReport,
+    _certified,
     _classify_stack,
-    _condition_slacks,
     _conditions,
     _constraint_rows,
     _draw_block,
     _sample_to_spec,
     _suspended,
 )
+from lgfeas.core import OracleError
+from lgfeas.inequalities import _gather_slacks
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
 from util import dense_conditions, pair_table_nonneg, sample_nonneg_pair_moments
 
@@ -301,6 +303,25 @@ def test_lp_respects_oracle_scale_cap():
         lp_feasible(None, CorrelatorSet(7, {p: 0.0 for p in chain_pairs(7)}), exact=True)
 
 
+def test_certified_rejects_a_moment_off_by_1e_6_and_an_entry_at_minus_1e_6():
+    # every one- and two-time moment of the uniform distribution is zero
+    pairs = complete_pairs(3)
+    rhs = np.zeros(7)
+    rhs[0] = 1.0
+    uniform = np.full(8, 0.125)
+    assert _certified(3, pairs, rhs, uniform).p.tolist() == uniform.tolist()
+    off = rhs.copy()
+    off[5] = 1e-6
+    with pytest.raises(OracleError, match="residual"):
+        _certified(3, pairs, off, uniform)
+    # moving mass along s_1 s_2 s_3 keeps every checked moment at zero
+    parity = np.array([(-1) ** bin(k).count("1") for k in range(8)])
+    negative = uniform - (0.125 + 1e-6) * parity
+    assert negative.min() == pytest.approx(-1e-6, rel=1e-9)
+    with pytest.raises(OracleError, match="negative"):
+        _certified(3, pairs, rhs, negative)
+
+
 def test_lp_refuses_exact_mode_before_building_rows():
     # an n = 12 refusal must not leave a 79 x 4096 table in the row cache
     cached = _constraint_rows.cache_info().currsize
@@ -547,12 +568,18 @@ def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
     assert index_words == {(1,), (2,), (1, 2)}
 
 
+def _screen_slacks(bc):
+    # (samples x rows) slacks of the screen on the (samples x columns) draws
+    groups, bounds, _ = _conditions(5)
+    return _gather_slacks(groups, bounds, bc.T).T
+
+
 def test_condition_slacks_depend_on_each_row_alone():
     bc = _draw_block(5, "general", 11, 0, CONJECTURE_BLOCK)
-    block = _condition_slacks(5, bc)
-    assert block.tobytes() == _condition_slacks(5, bc[::-1])[::-1].tobytes()
+    block = _screen_slacks(bc)
+    assert block.tobytes() == _screen_slacks(bc[::-1])[::-1].tobytes()
     for k, row in enumerate(block):
-        assert row.tobytes() == _condition_slacks(5, bc[k:k + 1])[0].tobytes()
+        assert row.tobytes() == _screen_slacks(bc[k:k + 1])[0].tobytes()
 
 
 def _condition_families():
@@ -603,13 +630,16 @@ def test_condition_terms_cover_every_row_once_in_column_order():
 def test_condition_rows_match_evaluate_on_each_family_member():
     # general-mode data, so the two-time rows read the averages
     bc = _draw_block(5, "general", 3, 0, 20)
-    members = [member for family in _condition_families() for member in family.members]
-    slacks = _condition_slacks(5, bc)
+    families = _condition_families()
+    members = [member for family in families for member in family.members]
+    slacks = _screen_slacks(bc)
     assert slacks.shape == (20, len(members)) == (20, 96)
     for row, x in zip(slacks, bc):
         spec = _sample_to_spec(5, "general", x[:5], x[5:])
-        for member, fast in zip(members, row.tolist()):
-            assert evaluate(member, spec) == pytest.approx(fast, abs=1e-12)
+        by_family = np.concatenate([family.slacks(spec) for family in families])
+        assert by_family.tobytes() == row.tobytes()
+        for member, fast in zip(members, row):
+            assert np.float64(evaluate(member, spec)).tobytes() == fast.tobytes()
 
 
 def test_conditions_refuse_a_coefficient_outside_unit_range(monkeypatch):
@@ -633,7 +663,7 @@ def test_float_condition_slacks_are_within_1e_13_of_exact(mode):
     scale = 2**53
     a, bounds = dense_conditions(_condition_families())
     bc = _draw_block(5, mode, 77, 0, 2000)
-    floats = _condition_slacks(5, bc)
+    floats = _screen_slacks(bc)
     for x in (bc, floats):
         assert (np.round(x * scale) == x * scale).all()
     exact = ((bc * scale).astype(np.int64) @ a.T.astype(np.int64)
@@ -661,7 +691,7 @@ def test_condition_slacks_match_the_dense_sum_bit_for_bit():
     values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-53, -(2.0**-53), 1.0 - 2.0**-53, 0.1])
     mixed = np.random.default_rng(7).choice(values, size=(400, 15))
     for bc in blocks + [hand, mixed]:
-        assert _condition_slacks(5, bc).tobytes() == _dense_slacks(bc).tobytes()
+        assert _screen_slacks(bc).tobytes() == _dense_slacks(bc).tobytes()
 
 
 def test_conjecture_small_run_tallies():

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lgfeas import (
     CorrelatorSet,
+    LinearInequality,
     DimensionError,
     MissingCorrelatorError,
     MomentSpec,
@@ -274,3 +276,22 @@ def test_evaluate_matches_family_slacks_bit_for_bit(build, n):
             slacks = family.slacks(data)
             for k in range(len(family)):
                 assert np.float64(evaluate(family[k], data)).tobytes() == slacks[k].tobytes()
+
+
+def test_evaluate_adds_a_double_coefficient_twice():
+    # 2 B_1 - B_3 + 2 C_12 - 2 C_13 + C_23 <= 1, against the exact rational
+    # slack: 8 roundings of partial sums below 9 in magnitude leave it within
+    # 2^-44, far below the gap of one missing copy
+    member = LinearInequality({(1, 2): 2, (1, 3): -2, (2, 3): 1}, 1.0, linear={1: 2, 3: -1})
+    rng = np.random.default_rng(2)
+    for trial in range(100):
+        # even trials draw multiples of 1/8, on which every partial sum is exact
+        x = rng.uniform(-1, 1, 6)
+        if trial % 2 == 0:
+            x = np.round(8 * x) / 8
+        b1, b2, b3, c12, c13, c23 = x.tolist()
+        spec = MomentSpec(3, {(1,): b1, (2,): b2, (3,): b3, (1, 2): c12, (1, 3): c13, (2, 3): c23})
+        exact = (2 * Fraction(b1) - Fraction(b3) + 2 * Fraction(c12) - 2 * Fraction(c13)
+                 + Fraction(c23) - 1)
+        gap = abs(Fraction(evaluate(member, spec)) - exact)
+        assert gap == 0 if trial % 2 == 0 else gap <= Fraction(2) ** -44

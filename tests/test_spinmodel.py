@@ -43,6 +43,15 @@ def test_cosine_rejects_unordered_times():
         cosine_correlators(1.0, (0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("omega, times", [
+    (math.nan, (0.0, 1.0, 2.0)), ("1", (0.0, 1.0, 2.0)), (True, (0.0, 1.0, 2.0)),
+    (1.0, (0.0, "1", 2.0)), (1.0, (0.0, 1.0, math.inf)), (1.0, (False, 1.0, 2.0)),
+])
+def test_cosine_rejects_a_value_that_is_not_a_finite_real(omega, times):
+    with pytest.raises(ValidationError):
+        cosine_correlators(omega, times)
+
+
 def test_grid_excludes_endpoints_and_is_uniform():
     config = SpinSweepConfig(n=3, tau_min=0.0, tau_max=1.0, steps=9)
     grid = config.grid()
@@ -227,6 +236,14 @@ def test_config_rejects_negative_spacings(tau_min, tau_max):
         SpinSweepConfig(n=4, tau_min=tau_min, tau_max=tau_max)
     with pytest.raises(ValidationError):
         nu_versus_n(3, 4, steps=8, tau_min=tau_min, tau_max=tau_max)
+
+
+@pytest.mark.parametrize("field", ["omega", "tau_min", "tau_max"])
+@pytest.mark.parametrize("value", ["1", True, [1.0]])
+def test_config_rejects_a_value_that_is_not_a_real_number(field, value):
+    # True would otherwise be read as 1
+    with pytest.raises(ValidationError):
+        SpinSweepConfig(n=4, **{field: value})
 
 
 @pytest.mark.parametrize("field", ["omega", "tau_min", "tau_max"])

@@ -48,7 +48,6 @@ from .inequalities import (
     InequalityFamily,
     _gather_slacks,
     _term_groups,
-    max_violation,
     lg_family,
     ngon_family,
     three_time_complete,
@@ -259,11 +258,18 @@ def _triangle_interval(x: float, y: float) -> Interval:
     return Interval(-1.0 + abs(x + y), 1.0 - abs(x - y))
 
 
-def _check_pair_nonneg(b_i: float, b_j: float, c_ij: float, pair: tuple[int, int]) -> None:
+def _negative_pair(b_i: float, b_j: float, c_ij: float) -> tuple[int, int] | None:
+    """The first signs (s_i, s_j) whose pair probability is negative, if any."""
     for s_i in (1, -1):
         for s_j in (1, -1):
             if pairwise_probability(b_i, b_j, c_ij, s_i, s_j) < -NONNEGATIVITY_TOL:
-                raise MarginalError(f"pair probability for {pair} at signs ({s_i},{s_j}) is negative")
+                return s_i, s_j
+    return None
+
+
+def _check_pair_nonneg(b_i: float, b_j: float, c_ij: float, pair: tuple[int, int]) -> None:
+    if signs := _negative_pair(b_i, b_j, c_ij):
+        raise MarginalError(f"pair probability for {pair} at signs ({signs[0]},{signs[1]}) is negative")
 
 
 def d_interval(spec: MomentSpec) -> Interval:
@@ -350,8 +356,19 @@ def _violated_labels(family: InequalityFamily, data: CorrelatorSet | MomentSpec)
 
 
 def _named_violations(family: InequalityFamily, data: CorrelatorSet | MomentSpec) -> tuple:
-    """The violated members' labels, or the first best member's when none is violated."""
-    return _violated_labels(family, data) or (max_violation(family, data)[0].label,)
+    """The violated members' labels, or when none is violated the label of
+    the first member with the largest slack, as ``max_violation`` picks it."""
+    slacks = family.slacks(data)
+    rows = np.flatnonzero(slacks > 1e-12)
+    return tuple(family.labels(rows if rows.size else [int(np.argmax(slacks))]))
+
+
+def _block_violations(family: InequalityFamily, pairs: Sequence[tuple[int, int]],
+                      data: CorrelatorSet | MomentSpec) -> tuple:
+    """``_named_violations`` among the members of ``family`` that read every
+    one of ``pairs``."""
+    in_block = family.coefficients[:, [family.pairs.index(p) for p in pairs]].all(axis=1)
+    return _named_violations(family.take(in_block), data)
 
 
 def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVerdict:
@@ -363,7 +380,9 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     then gets its triple coefficient from the midpoint of ``d_interval``,
     and the blocks multiply into the joint with the 0/0 -> 0 convention.
     The verdict is feasible exactly when every interval on the way is
-    non-empty, and the certificate reproduces all fixed marginals.
+    non-empty, and the certificate reproduces all fixed marginals.  A
+    negative pair probability gives an infeasible verdict that names the
+    violated ``two_time_complete`` members on that pair.
     """
     n = chain.n
     if n < 3:
@@ -372,7 +391,11 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         raise ValidationError("fine_build requires the chain correlator pattern")
     bvec = _validate_b(b, n)
     for (i, j), value in chain.sorted_items():
-        _check_pair_nonneg(bvec[i - 1], bvec[j - 1], value, (i, j))
+        if _negative_pair(bvec[i - 1], bvec[j - 1], value):
+            # a pair probability is a three-time block on the times (0, i, j)
+            block = MomentSpec(n, {(i,): float(bvec[i - 1]), (j,): float(bvec[j - 1]), (i, j): value})
+            return FeasibilityVerdict(False, violated=_block_violations(
+                two_time_complete(n), [(0, i), (0, j), (i, j)], block))
 
     c_in = dict(chain.entries)
     chosen: dict[int, float] = {}
@@ -408,9 +431,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         if interval.is_empty:
             pairs = [(1, k), (1, k + 1), (k, k + 1)]
             block = MomentSpec(n, dict(zip(pairs, [c_1k(k), c_1k(k + 1), c_in[(k, k + 1)]])))
-            three = three_time_complete(n)
-            in_block = three.coefficients[:, [three.pairs.index(p) for p in pairs]].all(axis=1)
-            return FeasibilityVerdict(False, violated=_named_violations(three.take(in_block), block))
+            return FeasibilityVerdict(False, violated=_block_violations(three_time_complete(n), pairs, block))
         moments[(1, 2, 3)] = interval.midpoint()
         blocks[k] = distribution_from_moments(MomentSpec(3, moments))
 
@@ -483,10 +504,11 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
+def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray,
+                                 np.ndarray, np.ndarray]:
     """The candidate condition set over the pairs of the times 0..n, rows
     stacked two-time, three-time, n-gon, as (``_term_groups`` of the rows,
-    bounds, scales).
+    bounds, scales, the float64 (rows x pairs) coefficient matrix).
 
     A row's scale is max(|bound|, 1) when the row holds at every +-1
     outcome, checked exactly in integers, and +inf otherwise, so that only
@@ -506,10 +528,10 @@ def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.n
         raise ValidationError("condition coefficients must be 0 or +-1")
     valid = (terms @ _characters(n, pairs) <= bounds[:, None]).all(axis=1)
     scales = np.where(valid, np.maximum(np.abs(bounds), 1.0), np.inf)
-    groups = _term_groups(terms)
-    for array in (bounds, scales, *(array for group in groups for array in group)):
+    groups, dense = _term_groups(terms), terms.astype(np.float64)
+    for array in (bounds, scales, dense, *(array for group in groups for array in group)):
         array.setflags(write=False)
-    return groups, bounds, scales
+    return groups, bounds, scales, dense
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
@@ -673,25 +695,63 @@ def _draw_block(n: int, mode: str, seed: int, first: int, stop: int) -> np.ndarr
     return block
 
 
+# Each condition row of n = 5 adds at most 11 terms, its bound one of them,
+# of magnitude at most 12 in total: up to ten +-1 multiples of values in
+# [-1, 1] and a bound of at most 2.  In any order of summation, with or
+# without fused multiply-adds (a product by +-1 or 0 is exact), the float sum
+# is within 10 * 2^-53 * 12 < 1.4e-14 of the exact one (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., sec. 4.2), and so is each
+# screen statistic, a max or min over rows of slacks divided by scales >= 1.
+# A BLAS slack and a ``_gather_slacks`` slack thus differ by < 2.8e-14, and a
+# statistic farther than this margin from its threshold decides the same way
+# under both; the samples within it are re-decided from ``_gather_slacks``.
+_SCREEN_MARGIN = 1e-12
+_SCREEN_THRESHOLDS = np.array([[0.0], [BOUNDARY_TOL], [2 * BOUNDARY_TOL]])
+_SCREEN_THRESHOLDS.setflags(write=False)
+
+
+def _screen_statistics(slacks: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """(3 x samples) largest slack, smallest |slack| and largest slack over
+    its row's scale of (rows x samples) slacks: the statistics that
+    ``_SCREEN_THRESHOLDS`` decide."""
+    return np.array((slacks.max(axis=0), np.abs(slacks).min(axis=0),
+                     (slacks / scales[:, None]).max(axis=0)))
+
+
+def _screen(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(holds, boundary, refuted) bool arrays over the samples in the rows
+    of ``bc``, averages then correlators as ``_draw_block`` writes them:
+    every condition holds, some slack lies within ``BOUNDARY_TOL`` of zero,
+    and some valid row is violated by more than twice ``BOUNDARY_TOL``
+    relative to its scale in ``_conditions``.
+
+    The slacks of a block are one BLAS product, and a sample with a
+    statistic within ``_SCREEN_MARGIN`` of its threshold is re-decided
+    from the slacks of ``_gather_slacks``, whose bits depend on that sample
+    alone; so every decision equals the one from ``_gather_slacks`` on
+    every sample, whatever the BLAS build and however samples are blocked."""
+    groups, bounds, scales, dense = _conditions(n)
+    stats = _screen_statistics(dense @ bc.T - bounds[:, None], scales)
+    near = (np.abs(stats - _SCREEN_THRESHOLDS) <= _SCREEN_MARGIN).any(axis=0)
+    if near.any():
+        stats[:, near] = _screen_statistics(_gather_slacks(groups, bounds, bc[near].T), scales)
+    return stats[0] <= 0.0, stats[1] < BOUNDARY_TOL, stats[2] > 2 * BOUNDARY_TOL
+
+
 def _classify_stack(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(holds, feasible, boundary) bool arrays over the samples in the rows
     of ``bc``, averages then correlators as ``_draw_block`` writes them.
 
-    A sample that violates a valid condition row by more than twice the
-    boundary band, relative to the row's scale in ``_conditions``, has a
-    phase-1 optimum above the band, so it is infeasible with no LP: a
-    violated row is itself a certificate of infeasibility once it holds at
-    every +-1 outcome, and the band keeps the screen apart from the LP's
-    tolerance.  Each other sample gets its own float phase-1 solve on the
-    oracle rows of ``lp_feasible``; a block that the screen settles whole
-    makes no LP call.  The slacks from ``_gather_slacks`` are reduced over
-    the rows of their (rows x samples) layout, so every verdict is
-    independent of how samples are blocked."""
-    slacks = _gather_slacks(*_conditions(n)[:2], bc.T)
-    holds = slacks.max(axis=0) <= 0.0
-    boundary = np.abs(slacks).min(axis=0) < BOUNDARY_TOL
+    A sample that ``_screen`` refutes has a phase-1 optimum above the
+    band, so it is infeasible with no LP: a violated row is itself a
+    certificate of infeasibility once it holds at every +-1 outcome, and
+    the band keeps the screen apart from the LP's tolerance.  Each other
+    sample gets its own float phase-1 solve on the oracle rows of
+    ``lp_feasible``; a block that the screen settles whole makes no LP
+    call.  Every verdict is independent of how samples are blocked and of
+    the BLAS build."""
+    holds, boundary, refuted = _screen(n, bc)
     feasible = np.zeros(len(bc), dtype=bool)
-    refuted = (slacks / _conditions(n)[2][:, None]).max(axis=0) > 2 * BOUNDARY_TOL
     if not refuted.all():
         rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
         for k in np.flatnonzero(~refuted).tolist():
@@ -734,7 +794,10 @@ def conjecture_check(
     infeasible" is the direction the sufficiency claim forbids, while the
     converse would indicate a necessity bug.  Reports are reproducible bit
     for bit for a fixed (seed, samples, mode) and independent of the block
-    size and the BLAS build.  ``workers`` accepts only 1.
+    size and the BLAS build: ``_screen`` takes the condition slacks from
+    one BLAS product, and re-decides from exact-order sums each sample
+    whose statistics lie within ``_SCREEN_MARGIN`` of a threshold.
+    ``workers`` accepts only 1.
     """
     for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
         _check_integer(name, value)

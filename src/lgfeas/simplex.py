@@ -116,17 +116,21 @@ def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
     cap = 200 * (m + n + 10)
     iterations = 0
     while True:
-        col = int(np.argmin(obj[: n + m]))
+        col = int(obj[: n + m].argmin())
         if not obj[col] < -tol:
             break
-        ties = np.flatnonzero(tableau[:, col] > pivot_tol)
+        column = tableau[:, col]
+        ties = (column > pivot_tol).nonzero()[0]
         if ties.size == 0:
             raise OracleError("phase-1 objective unbounded below; numerical breakdown")
-        for key in keys:
-            values = tableau[ties, key] / tableau[ties, col]
-            ties = ties[values <= values.min() + tie_tol]
-            if ties.size == 1:
-                break
+        if ties.size > 1:
+            pivots = column[ties]
+            for key in keys:
+                values = tableau[ties, key] / pivots
+                kept = values <= values.min() + tie_tol
+                ties, pivots = ties[kept], pivots[kept]
+                if ties.size == 1:
+                    break
         _pivot(tableau, obj, basis, int(ties[0]), col)
 
         iterations += 1
@@ -169,6 +173,7 @@ def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, co
         tableau[row] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0
-        tableau -= np.outer(factors, tableau[row])
-        obj -= obj[col] * tableau[row]
+        prow = tableau[row]
+        tableau -= factors[:, None] * prow
+        obj -= obj[col] * prow
     basis[row] = col

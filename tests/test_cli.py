@@ -132,6 +132,22 @@ def test_fine_build_infeasible_names_members(tmp_path, capsys):
     assert json.loads(out)["violated"] == ["lg4:+++-"]
 
 
+def test_check_and_fine_build_agree_on_a_negative_pair_probability(tmp_path, capsys):
+    # P(s_1 = s_2 = -1) = (1 - 0.9 - 0.9 - 0.9) / 4 < 0
+    spec = tmp_path / "negative_pair.json"
+    spec.write_text(
+        json.dumps({"n": 3, "moments": {"1": 0.9, "2": 0.9, "3": 0.0,
+                                        "1,2": -0.9, "2,3": 0.0, "1,3": 0.0}})
+    )
+    verdicts = []
+    for command in ("check", "fine-build"):
+        code, out = _run(capsys, command, "--moments", str(spec))
+        assert code == 0
+        verdicts.append(json.loads(out))
+    assert [v["feasible"] for v in verdicts] == [False, False]
+    assert verdicts[1]["violated"] == ["two3:1.2:--"]
+
+
 def test_conjecture_writes_report_deterministically(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "report.json"

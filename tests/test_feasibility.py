@@ -47,6 +47,7 @@ from lgfeas.feasibility import (
     _constraint_rows,
     _draw_block,
     _sample_to_spec,
+    _screen,
     _suspended,
 )
 from lgfeas.core import OracleError
@@ -360,9 +361,20 @@ def test_fine_build_chsh_point_names_the_violated_member():
 
 
 def test_fine_build_rejects_negative_pair_inputs():
+    # P(s_1 = s_2 = -1) = (1 - 0.9 - 0.9 - 1) / 4 < 0, and (1, 2) is the first pair
     chain = CorrelatorSet(3, {p: -1.0 for p in chain_pairs(3)})
-    with pytest.raises(MarginalError):
-        fine_build([0.9, 0.9, 0.9], chain)
+    verdict = fine_build([0.9, 0.9, 0.9], chain)
+    assert not verdict.feasible and verdict.certificate is None
+    assert verdict.violated == ("two3:1.2:--",)
+    # only the pair (2, 3) is negative, at (s_2, s_3) = (-1, +1); the labels
+    # are those of the violated two-time members on the data
+    b = [0.0, 0.9, -0.9, 0.0]
+    chain = CorrelatorSet(4, {(1, 2): 0.0, (2, 3): 0.5, (3, 4): 0.0, (1, 4): 0.0})
+    spec = MomentSpec(4, {**{(i,): v for i, v in enumerate(b, 1)}, **chain.entries})
+    expected = tuple(m.label for m in two_time_complete(4) if evaluate(m, spec) > 1e-12)
+    verdict = fine_build(b, chain)
+    assert expected == verdict.violated == ("two4:2.3:-+",)
+    assert not lp_feasible(b, chain).feasible
 
 
 def test_fine_build_requires_chain_pattern():
@@ -570,7 +582,7 @@ def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
 
 def _screen_slacks(bc):
     # (samples x rows) slacks of the screen on the (samples x columns) draws
-    groups, bounds, _ = _conditions(5)
+    groups, bounds = _conditions(5)[:2]
     return _gather_slacks(groups, bounds, bc.T).T
 
 
@@ -784,6 +796,56 @@ def test_only_samples_past_the_band_skip_the_lp(monkeypatch, past, solved):
     [holds], [feasible], [boundary] = _classify_stack(5, np.hstack((np.zeros((1, 5)), c)))
     assert len(calls) == (1 if solved else 0)
     assert not holds and not feasible and boundary == solved
+
+
+def _gathered_decisions(bc):
+    # (holds, boundary, refuted) from the slacks of ``_gather_slacks``
+    slacks = _screen_slacks(bc)
+    return (slacks.max(axis=1) <= 0.0, np.abs(slacks).min(axis=1) < BOUNDARY_TOL,
+            (slacks / _conditions(5)[2]).max(axis=1) > 2 * BOUNDARY_TOL)
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """Records the (columns x samples) values the screen re-decides from
+    ``_gather_slacks``."""
+    seen = []
+
+    def recording(groups, bounds, values):
+        seen.append(values.copy())
+        return _gather_slacks(groups, bounds, values)
+
+    monkeypatch.setattr(feasibility, "_gather_slacks", recording)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "general"])
+def test_blas_screen_decides_as_the_gathered_slacks(fallback, mode):
+    # 10^5 draws, then halved draws rounded to multiples of 1/4: their
+    # slacks are multiples of 1/4, and over a third of them have a largest
+    # slack of exactly 0, which sends them through the fallback
+    blocks = [_draw_block(5, mode, 29, first, first + 10_000) for first in range(0, 100_000, 10_000)]
+    blocks.append(np.round(blocks[0][:2000] * 2) / 4)
+    for bc in blocks:
+        for got, want in zip(_screen(5, bc), _gathered_decisions(bc)):
+            assert np.array_equal(got, want)
+    assert sum(values.shape[1] for values in fallback) > 600
+
+
+def test_a_slack_pinned_on_zero_is_re_decided_from_the_gathered_sums(fallback):
+    # C_12 = C_13 = -1/2 and C_23 = 0 put the triangle (1, 2, 3) row
+    # 1 + C_12 + C_13 + C_23 >= 0 exactly on its bound, so the largest slack
+    # is 0; the drawn samples around it sit far from every threshold
+    bc = _draw_block(5, "general", 4, 0, 9)
+    bc[4] = 0.0
+    bc[4, [5, 6]] = -0.5
+    decisions = _screen(5, bc)
+    assert len(fallback) == 1 and np.array_equal(fallback[0], bc[4:5].T)
+    for got, want in zip(decisions, _gathered_decisions(bc)):
+        assert np.array_equal(got, want)
+    assert [d[4] for d in decisions] == [True, True, False]
+    [holds], [feasible], [boundary] = _classify_stack(5, bc[4:5])
+    assert holds and feasible and boundary
 
 
 def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(lowered_ngon_bound):

@@ -174,21 +174,32 @@ def _complete_systems(rng):
             yield a, rhs
 
 
-def test_exact_pivots_match_a_dense_rational_elimination(routes, monkeypatch):
+@pytest.fixture
+def checked_pivots(monkeypatch):
+    """Checks every pivot against ``_dense_pivot``, bit for bit, and counts
+    the pivots of each arithmetic."""
     pivot = simplex._pivot
-    pivots = []
+    counts = {"exact": 0, "float": 0}
 
     def checked(tableau, obj, basis, row, col):
         expected = (tableau.copy(), obj.copy(), basis.copy())
         pivot(tableau, obj, basis, row, col)
+        _dense_pivot(*expected, row, col)
         if tableau.dtype == object:
-            _dense_pivot(*expected, row, col)
             assert all(type(v) is Fraction for v in tableau.flat)
             for got, want in zip((tableau, obj, basis), expected):
                 assert (got == want).all()
-            pivots.append((row, col))
+            counts["exact"] += 1
+        else:
+            for got, want in zip((tableau, obj, basis), expected):
+                assert got.tobytes() == want.tobytes()
+            counts["float"] += 1
 
     monkeypatch.setattr(simplex, "_pivot", checked)
+    return counts
+
+
+def test_exact_pivots_match_a_dense_rational_elimination(routes, checked_pivots):
     # the float run of this system stops one exact pivot short (see above)
     delta = Fraction(1, 2**40)
     systems = [(_fractions([[1, 1], [1, 1 - delta]]), _fractions([1, 1 - delta]))]
@@ -199,7 +210,19 @@ def test_exact_pivots_match_a_dense_rational_elimination(routes, monkeypatch):
         result = solve_phase1(a, rhs)
         seen.add("cold" if not routes[0] else "continued" if result.iterations else "warm")
     assert seen == {"warm", "continued", "cold"}
-    assert len(pivots) > 100
+    assert checked_pivots["exact"] > 100
+
+
+def test_float_pivots_match_a_dense_outer_product_update(checked_pivots):
+    # the n = 5 probe below, then float runs of the complete systems
+    a = _constraint_rows(5, _suspended(5, complete_pairs(5)))
+    for mode in ("symmetric", "general"):
+        for bc in _draw_block(5, mode, 190604865, 0, 16):
+            solve_phase1(a, np.concatenate(([1.0], bc)))
+    assert checked_pivots["float"] == 427
+    for system, rhs in _complete_systems(np.random.default_rng(18)):
+        solve_phase1(system.astype(float), rhs.astype(float))
+    assert checked_pivots["float"] > 500
 
 
 def test_float_pivot_path_on_the_n5_probe():

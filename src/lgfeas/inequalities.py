@@ -161,12 +161,18 @@ class InequalityFamily:
         arrays = ("coefficients", "bounds", "codes")
         return replace(self, **{name: getattr(self, name)[rows] for name in arrays})
 
+    @cached_property
+    def _slack_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``_term_groups`` of the rows, built on the first ``slacks`` call and
+        kept with the family: one int16 entry per term and one row number
+        per member, about 25 MB for ``lg_family(20)``."""
+        return _term_groups(self.coefficients)
+
     def slacks(self, data: CorrelatorSet | MomentSpec) -> np.ndarray:
         """Signed slack of every member on the data; positive means violated.
         Terms add in column order, so members tie when their slacks are
         bit-equal; slacks equal in exact arithmetic can differ by an ulp."""
-        groups = _term_groups(self.coefficients)
-        return _gather_slacks(groups, self.bounds, _pair_values(self.pairs, data))
+        return _gather_slacks(self._slack_tables, self.bounds, _pair_values(self.pairs, data))
 
 
 def _pair_values(pairs: Sequence[tuple[int, int]], data: CorrelatorSet | MomentSpec) -> np.ndarray:

@@ -37,9 +37,9 @@ from lgfeas import (
     v_ngon,
 )
 from lgfeas.cltvolume import erf, exact_uniform_sum_tail
-from lgfeas.core import _walsh_hadamard, subset_to_mask
+from lgfeas.core import _walsh_hadamard
 from lgfeas.simplex import FEASIBILITY_TOL
-from util import dense_conditions, sample_nonneg_pair_moments
+from util import dense_conditions, sample_nonneg_pair_moments, subset_to_mask
 
 BOUNDARY = 1e-7
 

@@ -259,6 +259,15 @@ def test_non_numeric_moment_exits_2(tmp_path, capsys):
     _assert_input_error(capsys, main(["check", "--moments", str(spec)]))
 
 
+@pytest.mark.parametrize("value", [True, "0.5", None])
+@pytest.mark.parametrize("sub", ["check", "fine-build"])
+def test_a_moment_value_that_is_no_real_number_exits_2(tmp_path, capsys, sub, value):
+    # true and "0.5" once read as 1.0 and 0.5
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"n": 3, "moments": {"1,2": value, "2,3": 0.0, "1,3": 0.0}}))
+    _assert_input_error(capsys, main([sub, "--moments", str(spec)]))
+
+
 @pytest.mark.parametrize("n", [3.9, "3", True])
 @pytest.mark.parametrize("sub", ["check", "fine-build"])
 def test_non_integer_n_exits_2(tmp_path, capsys, sub, n):

@@ -1,3 +1,6 @@
+import math
+import re
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +22,9 @@ from lgfeas import (
     moments_from_distribution,
     pairwise_probability,
 )
-from util import random_nonneg_distribution
+from lgfeas import core
+from lgfeas.core import _walsh_hadamard
+from util import random_nonneg_distribution, reference_dense, reference_moments
 
 
 def test_sign_vector_index_convention():
@@ -179,6 +184,138 @@ def test_moment_spec_validation():
         MomentSpec(21, {})
 
 
+def _bits(values) -> bytes:
+    return np.array(list(values), dtype=np.float64).tobytes()
+
+
+def _quasi_distribution(rng, n) -> JointDistribution:
+    """The expansion of random coefficients in [-1, 1]: a quasi-distribution
+    with negative entries for n >= 2."""
+    dense = np.concatenate(([1.0], rng.uniform(-1.0, 1.0, (1 << n) - 1)))
+    p = _walsh_hadamard(dense) / (1 << n)
+    return JointDistribution(n, p - (math.fsum(p.tolist()) - 1.0) / p.size)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("kind", ["random", "quasi"])
+def test_conversions_match_the_per_subset_reference(n, kind):
+    # keys, key order and float bits of the old one-subset-at-a-time builders,
+    # on both sides of the entry count where the array passes take over
+    rng = np.random.default_rng([n, kind == "quasi"])
+    dist = random_nonneg_distribution(rng, n) if kind == "random" else _quasi_distribution(rng, n)
+    if kind == "quasi":
+        assert dist.min_value() < 0.0
+    spec = moments_from_distribution(dist)
+    expected = reference_moments(dist)
+    assert spec.moments == expected
+    assert list(spec.moments) == list(expected)
+    assert _bits(spec.moments.values()) == _bits(expected.values())
+    assert spec.to_dense().tobytes() == reference_dense(spec).tobytes()
+    # a sparse spec in shuffled key order, holding ints, Fractions and numpy floats
+    keys = list(expected)
+    picked = [keys[k] for k in rng.permutation(len(keys))[: max(1, len(keys) // 3)]]
+    kinds = [float, np.float64, np.float32, lambda v: Fraction(round(v * 64), 64), lambda v: int(v)]
+    sparse = MomentSpec(n, {key: kinds[k % 5](expected[key]) for k, key in enumerate(picked)})
+    assert list(sparse.moments) == picked
+    assert all(type(v) is float for v in sparse.moments.values())
+    assert sparse.to_dense().tobytes() == reference_dense(sparse).tobytes()
+
+
+def _full_moments(n: int) -> dict:
+    return reference_moments(JointDistribution.uniform(n))
+
+
+_BAD_KEYS = [
+    ((2, 1), "subset (2, 1) is not strictly increasing"),
+    ((1, 1), "subset (1, 1) is not strictly increasing"),
+    ((), "subset () is not strictly increasing"),
+    ((0, 2), "subset (0, 2) out of range for n=6"),
+    ((-1, 2), "subset (-1, 2) out of range for n=6"),
+    ((2, 7), "subset (2, 7) out of range for n=6"),
+    ((2, 300), "subset (2, 300) out of range for n=6"),
+    ((1.5, 2), "subset (1.5, 2) is not a tuple of integer times"),
+    ((1.0, 2), "subset (1.0, 2) is not a tuple of integer times"),
+    ((True, 2), "subset (True, 2) is not a tuple of integer times"),
+    ((1, "2"), "subset (1, '2') is not a tuple of integer times"),
+    (1, "subset 1 is not a tuple of integer times"),
+    ("12", "subset '12' is not a tuple of integer times"),
+    (frozenset({1, 2}), "is not a tuple of integer times"),
+]
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+@pytest.mark.parametrize(("key", "message"), _BAD_KEYS)
+def test_each_malformed_key_gets_its_message(size, key, message):
+    # a one-entry map is walked; 63 valid entries take the array passes
+    # first, then the walk names the bad key
+    moments = _full_moments(6) if size == "large" else {}
+    moments.pop(key, None)  # (1.0, 2) and (True, 2) equal the key (1, 2)
+    moments[key] = 0.5
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        MomentSpec(6, moments)
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+@pytest.mark.parametrize("value", [None, "0.5", True, np.True_, math.nan, math.inf, -1.5,
+                                   Fraction(3, 2), pytest.param(10**400, id="10**400"),
+                                   pytest.param(Fraction(10**400), id="Fraction(10**400)")])
+def test_malformed_values_are_refused(size, value):
+    moments = _full_moments(6) if size == "large" else {}
+    moments[(2, 3)] = value
+    with pytest.raises(ValidationError, match=re.escape("moment (2, 3) must")):
+        MomentSpec(6, moments)
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_the_first_malformed_entry_is_named(size):
+    moments = _full_moments(6) if size == "large" else {(1,): 0.0}
+    moments.pop((1, 2), None)  # so that it follows (3, 2)
+    moments.update({(3, 2): 0.5, (1, 2): 2.0, (9,): 0.0})
+    with pytest.raises(ValidationError, match=re.escape("subset (3, 2) is not strictly")):
+        MomentSpec(6, moments)
+    del moments[(3, 2)]
+    with pytest.raises(ValidationError, match=re.escape("moment (1, 2) must lie in [-1, 1]")):
+        MomentSpec(6, moments)
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_real_values_are_stored_as_floats(size):
+    moments = _full_moments(6) if size == "large" else {}
+    moments.update({(1,): Fraction(1, 3), (2,): np.float32(0.25), (3,): 1, (4,): np.int64(-1),
+                    (np.int64(2), np.int64(5)): 1.0 + 1e-13})
+    spec = MomentSpec(6, moments)
+    assert spec.b(1) == 1 / 3 and spec.b(2) == 0.25 and spec.b(3) == 1.0 and spec.b(4) == -1.0
+    assert spec.c(2, 5) == 1.0 + 1e-13
+    assert all(type(v) is float for v in spec.moments.values())
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_valid_large_maps_are_not_walked(monkeypatch, mixed):
+    # the array passes accept every well-formed map on their own; the walk
+    # runs only to name a malformed entry
+    moments = _full_moments(7)
+    if mixed:
+        moments.update({(1,): Fraction(1, 3), (2,): np.float32(0.25), (3,): 1,
+                        (np.int64(2), np.int64(5)): np.float64(-0.5)})
+    monkeypatch.setattr(core, "_check_subset", None)
+    spec = MomentSpec(7, moments)
+    assert spec.moments == {key: float(value) for key, value in moments.items()}
+
+
+def test_conversions_at_n_18_match_the_reference_on_a_sample():
+    dist = _quasi_distribution(np.random.default_rng(18), 18)
+    spec = moments_from_distribution(dist)
+    coeffs = _walsh_hadamard(dist.p)
+    masks = np.random.default_rng(0).integers(1, 1 << 18, 500).tolist()
+    keys = list(spec.moments)
+    for mask in masks:
+        subset = keys[mask - 1]
+        assert sum(1 << (t - 1) for t in subset) == mask
+        assert np.float64(spec.moments[subset]).tobytes() == coeffs[mask].tobytes()
+    dense = spec.to_dense()
+    assert dense[0] == 1.0 and dense[1:].tobytes() == coeffs[1:].tobytes()
+
+
 def test_moment_spec_json_round_trip():
     spec = MomentSpec(5, {(1,): 0.25, (1, 2): -0.5, (1, 2, 3): 0.125})
     payload = spec.to_json_dict()
@@ -201,6 +338,28 @@ def test_correlator_set_patterns():
 def test_correlator_set_from_json_rejects_non_numeric_value():
     with pytest.raises(ValidationError):
         CorrelatorSet.from_json_dict({"n": 3, "correlators": {"1,2": "x"}})
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, math.nan, 1.5])
+def test_correlator_values_follow_the_moment_rule(value):
+    entries = {(1, 2): value, (2, 3): 0.0, (1, 3): 0.0}
+    with pytest.raises(ValidationError, match=re.escape("correlator (1, 2) must")):
+        CorrelatorSet(3, entries)
+    payload = {"n": 3, "correlators": {"1,2": value, "2,3": 0.0, "1,3": 0.0}}
+    with pytest.raises(ValidationError):
+        CorrelatorSet.from_json_dict(payload)
+
+
+@pytest.mark.parametrize("key", [1, (1,), (1, 2, 3), (1.5, 2), (True, 2)])
+def test_correlator_keys_must_be_pairs_of_integer_times(key):
+    with pytest.raises(ValidationError, match="is not a pair of integer times"):
+        CorrelatorSet(3, {key: 0.0, (2, 3): 0.0, (1, 3): 0.0})
+
+
+def test_correlator_values_are_stored_as_floats():
+    data = CorrelatorSet(3, {(1, 2): Fraction(1, 2), (2, 3): 1, (1, 3): np.float32(0.25)})
+    assert data.entries == {(1, 2): 0.5, (2, 3): 1.0, (1, 3): 0.25}
+    assert all(type(v) is float for v in data.entries.values())
 
 
 def test_correlator_set_from_json_rejects_non_mapping_correlators():

@@ -278,6 +278,18 @@ def test_evaluate_matches_family_slacks_bit_for_bit(build, n):
                 assert np.float64(evaluate(family[k], data)).tobytes() == slacks[k].tobytes()
 
 
+def test_slack_tables_are_built_once_per_family():
+    family = lg_family(6)
+    data = CorrelatorSet(6, {pair: 0.3 for pair in chain_pairs(6)})
+    first = family.slacks(data)
+    tables = family._slack_tables
+    assert family.slacks(data).tobytes() == first.tobytes()
+    assert family._slack_tables is tables
+    # a sub-family builds its own tables from its own rows
+    rows = np.arange(len(family) - 1, -1, -3)
+    assert family.take(rows).slacks(data).tobytes() == first[rows].tobytes()
+
+
 def test_evaluate_adds_a_double_coefficient_twice():
     # 2 B_1 - B_3 + 2 C_12 - 2 C_13 + C_23 <= 1, against the exact rational
     # slack: 8 roundings of partial sums below 9 in magnitude leave it within

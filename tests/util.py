@@ -10,7 +10,8 @@ from itertools import combinations
 
 import numpy as np
 
-from lgfeas import JointDistribution, pairwise_probability
+from lgfeas import JointDistribution, MomentSpec, pairwise_probability
+from lgfeas.core import _walsh_hadamard
 
 
 def pair_table_nonneg(b_i: float, b_j: float, c_ij: float) -> bool:
@@ -63,3 +64,30 @@ def dense_conditions(families):
         block[:, [pairs.index(pair) for pair in family.pairs]] = family.coefficients
         blocks.append(block)
     return np.concatenate(blocks), np.concatenate([family.bounds for family in families])
+
+
+def subset_to_mask(subset) -> int:
+    """The outcome bit mask of a subset of the times 1..n."""
+    return sum(1 << (i - 1) for i in subset)
+
+
+def mask_to_subset(mask: int) -> tuple[int, ...]:
+    """The subset of the times 1..n whose bits are set in ``mask``."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def reference_moments(dist: JointDistribution) -> dict:
+    """The moment dict of ``dist`` built one subset at a time, in mask order:
+    the reference for ``moments_from_distribution``."""
+    coeffs = _walsh_hadamard(dist.p)
+    return {mask_to_subset(mask): float(coeffs[mask]) for mask in range(1, coeffs.size)}
+
+
+def reference_dense(spec: MomentSpec) -> np.ndarray:
+    """``spec`` as a mask-indexed coefficient vector, one subset at a time:
+    the reference for ``MomentSpec.to_dense``."""
+    dense = np.zeros(1 << spec.n)
+    dense[0] = 1.0
+    for subset, value in spec.moments.items():
+        dense[subset_to_mask(subset)] = value
+    return dense

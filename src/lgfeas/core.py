@@ -197,18 +197,24 @@ _ARRAY_PASS_MIN = 16
 
 
 def _masks(keys: Collection[tuple[int, ...]]) -> np.ndarray:
-    """The bit mask of each well-formed key: one or-``reduceat`` of
-    1 << (t - 1) over its flattened times.  Each array is dropped once used;
-    at n = 18 the int32 bits alone take 9 MB."""
+    """The bit mask of each key of times 0..n: one or-``reduceat`` of
+    (1 << t) >> 1 over its flattened times, so that time 0 (s_0 = +1) and
+    the empty key add no bit.  Each array is dropped once used; at n = 18
+    the int32 bits alone take 9 MB."""
     sizes, times = _flatten(keys)
     starts = np.cumsum(sizes)
     starts -= sizes
-    del sizes
     bits = times.astype(np.int32)
     del times
-    bits -= 1
     np.left_shift(1, bits, out=bits)
-    return np.bitwise_or.reduceat(bits, starts)
+    bits >>= 1
+    if sizes.all():
+        return np.bitwise_or.reduceat(bits, starts)
+    # reduceat gives an empty segment the next entry: skip the empty keys
+    masks = np.zeros(sizes.size, dtype=np.int32)
+    nonempty = sizes > 0
+    masks[nonempty] = np.bitwise_or.reduceat(bits, starts[nonempty]) if bits.size else 0
+    return masks
 
 
 def _well_formed(n: int, keys: Collection, values: Collection, value_types: set) -> bool:
@@ -427,7 +433,7 @@ class JointDistribution:
             raise DimensionError(f"expected {1 << self.n} values for n={self.n}, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("distribution values must be finite")
-        total = math.fsum(arr.tolist())
+        total = _exact_sum(arr)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(f"distribution must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
         arr.setflags(write=False)
@@ -446,7 +452,7 @@ class JointDistribution:
         return cls(sv.n, p)
 
     def total(self) -> float:
-        return math.fsum(self.p.tolist())
+        return _exact_sum(self.p)
 
     def min_value(self) -> float:
         return float(self.p.min())
@@ -495,13 +501,51 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return flat.reshape(arr.shape)
 
 
+# Vectors shorter than this are summed by ``math.fsum`` over a list, the
+# faster way there: 44 against 70 us at 2^10 entries, 167 against 68 us at
+# 2^12 (2-core x86 VM).
+_EXACT_SUM_MIN = 1 << 11
+# entries per ``bincount`` pass of ``_exact_sum``: a pass adds at most 2^16
+# halves below 2^32, so every float64 count is an integer below 2^48, exact
+_EXACT_SUM_CHUNK = 1 << 16
+# frexp exponents of finite float64 values lie in -1073..1024
+_EXPONENT_OFFSET, _EXPONENTS = 1074, 2099
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D float64 vector, bit for bit: the exact sum,
+    rounded once (a zero sum is +0.0), with no Python float per entry.
+
+    Each entry is an integer d below 2^53 times 2^(e - 53) (``np.frexp``).
+    Per chunk, ``np.bincount`` counts the high and the low 32 bits of d per
+    exponent e; the counts add up in int64 and then in one Python integer,
+    and one int / int division rounds the total half to even, as fsum
+    does.  Non-finite entries give NumPy's sum, nan or +-inf."""
+    if values.size < _EXACT_SUM_MIN:
+        return math.fsum(values.tolist())
+    if not np.isfinite(values).all():
+        return float(values.sum())
+    high = np.zeros(_EXPONENTS, dtype=np.int64)
+    low = np.zeros(_EXPONENTS, dtype=np.int64)
+    for start in range(0, values.size, _EXACT_SUM_CHUNK):
+        mantissa, exponent = np.frexp(values[start:start + _EXACT_SUM_CHUNK])
+        digits = np.ldexp(mantissa, 53).astype(np.int64)
+        exponent += _EXPONENT_OFFSET
+        high += np.bincount(exponent, digits >> 32, _EXPONENTS).astype(np.int64)
+        low += np.bincount(exponent, digits & 0xFFFFFFFF, _EXPONENTS).astype(np.int64)
+    total = 0
+    for e in np.flatnonzero(high | low).tolist():
+        total += ((int(high[e]) << 32) + int(low[e])) << e
+    return total / (1 << (_EXPONENT_OFFSET + 53))
+
+
 def _drift_corrected(p: np.ndarray) -> np.ndarray:
     """Shift uniformly so the vector sums to exactly 1 (fsum sense).
 
     A uniform shift adjusts only the empty-subset coefficient, which owns
     normalization; every other moment is untouched.
     """
-    drift = math.fsum(p.tolist()) - 1.0
+    drift = _exact_sum(p) - 1.0
     if drift != 0.0:
         p = p - drift / p.size
     return p

@@ -3,7 +3,9 @@
 Two independent routes answer the same question:
 
 * an LP feasibility oracle (``lp_feasible``) over the 2^n outcome
-  probabilities, built on the in-package phase-1 simplex; and
+  probabilities, built on the in-package phase-1 simplex, which first
+  tries the condition rows of ``_conditions`` that hold at every +-1
+  outcome: a row violated past the band refutes the data with no LP; and
 * constructive solvers that assemble an explicit distribution: the
   three-time coefficient interval (``d_interval``), the free-correlator
   interval of the chain recursion (``c1n_interval``), the product
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .core import (
     ValidationError,
     _check_integer,
     _drift_corrected,
+    _masks,
     _validate_coefficient,
     _walsh_hadamard,
     chain_pairs,
@@ -88,9 +92,11 @@ class FeasibilityVerdict:
     """Outcome of a feasibility question, with a certificate when positive.
 
     ``violated`` names family members (by label) that explain a negative
-    verdict when a constructive solver can point at them; the LP oracle
-    leaves it as None.  ``phase1_objective`` is the oracle's residual
-    infeasibility measure when available (0 means feasible outright).
+    verdict: the condition rows that refute the data before the oracle
+    builds a tableau, or the members a constructive solver points at.  An
+    infeasible verdict of the LP itself leaves it as None.
+    ``phase1_objective`` is the LP's residual infeasibility measure when an
+    LP ran (0 means feasible outright), and None otherwise.
     """
 
     feasible: bool
@@ -156,11 +162,6 @@ class ConjectureReport:
 # the LP feasibility oracle
 # ---------------------------------------------------------------------------
 
-def _masks(subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """The outcome bit mask of each subset of the times 0..n; s_0 = +1 adds no bit."""
-    return np.array([sum((1 << i) >> 1 for i in t) for t in subsets], dtype=np.int64)
-
-
 def _characters(n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """One int8 row prod_{i in T} s_i over the 2^n outcomes per subset T
     of the times 0..n."""
@@ -207,6 +208,123 @@ def _validate_b(b: Sequence[float] | None, n: int) -> np.ndarray:
     return arr
 
 
+# Rows checked for validity at a time: (2^n x rows) int16 blocks of at most
+# 2^18 entries, 512 KB.  One int64 product over all rows of chain n = 12
+# data, 2,096 x 4,096, would take 69 MB.
+_VALIDITY_BLOCK = 1 << 18
+
+
+class _Conditions(NamedTuple):
+    """Condition rows over the pairs of the times 0..n of one data pattern,
+    columns in the order of ``_suspended(n, sorted pairs)``."""
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # ``_term_groups`` of the rows
+    bounds: np.ndarray
+    scales: np.ndarray
+    terms: np.ndarray  # int8 (rows x pairs)
+    families: tuple[InequalityFamily, ...]  # whose rows are stacked, in order
+
+
+def _condition_families(n: int, pattern: str) -> tuple[InequalityFamily, ...]:
+    """Complete data: the two-time, three-time and n-gon families.  Chain
+    data: the two-time rows on the chain triangles (0, i, j), then the lg
+    family."""
+    two = two_time_complete(n)
+    if pattern == "chain":
+        on_chain = two.coefficients[:, [two.pairs.index(pair) for pair in chain_pairs(n)]]
+        return two.take(on_chain.any(axis=1)), lg_family(n)
+    return (two, three_time_complete(n), ngon_family(n)) if n >= 3 else (two,)
+
+
+def _outcome_maxima(n: int, masks: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The largest value over the 2^n +-1 outcomes s of each row h of
+    ``terms``, sum_p h_p prod_{i in p} s_i over the pairs p with bit masks
+    ``masks``: one in-place Walsh-Hadamard transform of the rows' (outcomes
+    x rows) coefficient table.  Each butterfly adds or subtracts whole
+    (rows)-long runs, so every pass is a few long array operations.  Every
+    partial sum is a signed sum of some of a row's coefficients, at most
+    210 in magnitude for coefficients in {-1, 0, 1} over the pairs of
+    times 0..20, so int16 holds them exactly."""
+    table = np.zeros((1 << n, len(terms)), dtype=np.int16)
+    table[masks] = terms.T
+    run = len(terms)
+    while run < table.size:
+        halves = table.reshape(-1, 2, run)
+        top = halves[:, 0].copy()
+        halves[:, 0] += halves[:, 1]
+        np.subtract(top, halves[:, 1], out=halves[:, 1])
+        run *= 2
+    return table.max(axis=0)
+
+
+@lru_cache(maxsize=32)
+def _conditions(n: int, pattern: str) -> _Conditions:
+    """The condition rows of ``_condition_families`` for data of the given
+    pattern, ``"complete"`` or ``"chain"``, over the pairs that data fixes
+    and the averages (0, i).
+
+    A row's scale is max(|bound|, 1) when the row holds at every +-1
+    outcome, checked exactly, and +inf otherwise, so that only a valid row
+    can refute data: for a valid row, h . (b, c) - bound <= scale * (the
+    phase-1 objective) on the n-time system; pair the row (-bound, h) with
+    A x = rhs - r.  The check runs ``_outcome_maxima`` on blocks of rows."""
+    fixed = complete_pairs(n) if pattern == "complete" else tuple(sorted(chain_pairs(n)))
+    pairs = _suspended(n, fixed)
+    column = {pair: k for k, pair in enumerate(pairs)}
+    families = _condition_families(n, pattern)
+    blocks = []
+    for family in families:
+        read = np.array([pair in column for pair in family.pairs])
+        if family.coefficients[:, ~read].any():
+            raise ValidationError(f"{family.name} rows read a pair that {pattern} data leaves free")
+        block = np.zeros((len(family), len(pairs)), dtype=np.int8)
+        block[:, [column[pair] for pair in family.pairs if pair in column]] = family.coefficients[:, read]
+        blocks.append(block)
+    terms = np.concatenate(blocks)
+    bounds = np.concatenate([family.bounds for family in families])
+    if np.abs(terms).max(initial=0) > 1:
+        raise ValidationError("condition coefficients must be 0 or +-1")
+    masks, step = _masks(pairs), max(1, _VALIDITY_BLOCK >> n)
+    valid = np.concatenate([
+        _outcome_maxima(n, masks, terms[start:start + step]) <= bounds[start:start + step]
+        for start in range(0, len(terms), step)])
+    scales = np.where(valid, np.maximum(np.abs(bounds), 1.0), np.inf)
+    groups = _term_groups(terms)
+    for array in (bounds, scales, terms, *(array for group in groups for array in group)):
+        array.setflags(write=False)
+    return _Conditions(groups, bounds, scales, terms, families)
+
+
+def _refuting_rows(conditions: _Conditions, values: np.ndarray, exact: bool) -> np.ndarray:
+    """The rows of ``conditions`` whose slack on ``values``, from
+    ``_gather_slacks``, exceeds twice ``BOUNDARY_TOL`` times the row's
+    scale, as ``_screen`` decides; with ``exact``, those of them whose
+    slack is also positive in ``Fraction``s."""
+    slacks = _gather_slacks(conditions.groups, conditions.bounds, values)
+    rows = np.flatnonzero(slacks / conditions.scales > 2 * BOUNDARY_TOL)
+    if exact and rows.size:
+        fractions = [Fraction(value) for value in values.tolist()]
+
+        def exact_slack(row: int) -> Fraction:
+            terms = conditions.terms[row]
+            total = sum((fractions[c] * int(terms[c]) for c in np.flatnonzero(terms).tolist()),
+                        Fraction(0))
+            return total - Fraction(conditions.bounds[row])
+
+        rows = rows[[exact_slack(row) > 0 for row in rows.tolist()]]
+    return rows
+
+
+def _row_labels(families: Sequence[InequalityFamily], rows: np.ndarray) -> tuple[str, ...]:
+    """Labels of the given rows of the families' rows stacked in order."""
+    labels, start = [], 0
+    for family in families:
+        stop = start + len(family)
+        labels += family.labels(rows[(rows >= start) & (rows < stop)] - start)
+        start = stop
+    return tuple(labels)
+
+
 def lp_feasible(
     b: Sequence[float] | None,
     correlators: CorrelatorSet,
@@ -220,6 +338,15 @@ def lp_feasible(
     correlator keys are the fixed pairs; absent pairs are unconstrained.
     ``exact=True`` (n <= 6) re-solves in rational arithmetic from the basis
     the float solve ends on, which settles verdicts on knife-edge inputs.
+
+    Before any tableau is built, the data goes through the condition rows
+    of its pattern (``_conditions``) by ``_screen``'s rule: a valid row
+    whose slack exceeds twice ``BOUNDARY_TOL`` times its scale proves a
+    phase-1 optimum above 2e-7, far above the LP's tolerance, so the
+    verdict is infeasible with no LP and ``violated`` names those rows
+    (``phase1_objective`` stays None).  With ``exact=True`` a named row's
+    slack is also confirmed positive in ``Fraction``s.  All other data
+    goes to the LP as before.
     """
     n = correlators.n
     if n > ORACLE_MAX_TIMES:
@@ -228,9 +355,13 @@ def lp_feasible(
         raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
     bvec = _validate_b(b, n)
     pairs = tuple(sorted(correlators.entries))
-    rows = _constraint_rows(n, _suspended(n, pairs))
     rhs = np.concatenate(([1.0], bvec, [correlators.entries[p] for p in pairs]))
+    conditions = _conditions(n, correlators.pattern)
+    refuting = _refuting_rows(conditions, rhs[1:], exact)
+    if refuting.size:
+        return FeasibilityVerdict(False, violated=_row_labels(conditions.families, refuting))
 
+    rows = _constraint_rows(n, _suspended(n, pairs))
     if exact:
         result = solve_phase1(rows.astype(object), rhs.astype(object))
     else:
@@ -503,37 +634,6 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
 # the n = 5 sampling experiment
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _conditions(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray,
-                                 np.ndarray, np.ndarray]:
-    """The candidate condition set over the pairs of the times 0..n, rows
-    stacked two-time, three-time, n-gon, as (``_term_groups`` of the rows,
-    bounds, scales, the float64 (rows x pairs) coefficient matrix).
-
-    A row's scale is max(|bound|, 1) when the row holds at every +-1
-    outcome, checked exactly in integers, and +inf otherwise, so that only
-    a valid row can refute a sample: for a valid row, h . (b, c) - bound <=
-    scale * (the phase-1 objective) on the n-time system; pair the row
-    (-bound, h) with A x = rhs - r."""
-    pairs = _suspended(n, complete_pairs(n))
-    families = (two_time_complete(n), three_time_complete(n), ngon_family(n))
-    blocks = []
-    for family in families:
-        block = np.zeros((len(family), len(pairs)), dtype=np.int64)
-        block[:, [pairs.index(pair) for pair in family.pairs]] = family.coefficients
-        blocks.append(block)
-    terms = np.concatenate(blocks)
-    bounds = np.concatenate([family.bounds for family in families])
-    if not np.isin(terms, (-1, 0, 1)).all():
-        raise ValidationError("condition coefficients must be 0 or +-1")
-    valid = (terms @ _characters(n, pairs) <= bounds[:, None]).all(axis=1)
-    scales = np.where(valid, np.maximum(np.abs(bounds), 1.0), np.inf)
-    groups, dense = _term_groups(terms), terms.astype(np.float64)
-    for array in (bounds, scales, dense, *(array for group in groups for array in group)):
-        array.setflags(write=False)
-    return groups, bounds, scales, dense
-
-
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
 # mix_entropy, generate_state) and PCG64 LCG multiplier (pcg64.h, pcg64_set_seed);
 # array operands are NumPy scalars, so no Python int is converted per pass
@@ -730,8 +830,8 @@ def _screen(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     from the slacks of ``_gather_slacks``, whose bits depend on that sample
     alone; so every decision equals the one from ``_gather_slacks`` on
     every sample, whatever the BLAS build and however samples are blocked."""
-    groups, bounds, scales, dense = _conditions(n)
-    stats = _screen_statistics(dense @ bc.T - bounds[:, None], scales)
+    groups, bounds, scales, terms, _ = _conditions(n, "complete")
+    stats = _screen_statistics(terms.astype(np.float64) @ bc.T - bounds[:, None], scales)
     near = (np.abs(stats - _SCREEN_THRESHOLDS) <= _SCREEN_MARGIN).any(axis=0)
     if near.any():
         stats[:, near] = _screen_statistics(_gather_slacks(groups, bounds, bc[near].T), scales)
@@ -789,7 +889,8 @@ def conjecture_check(
     between the LP's tolerance and ``BOUNDARY_TOL``.  Only the rare
     non-boundary disagreements leave array code: the oracle re-decides
     each in rational arithmetic (``lp_feasible_from_spec`` with
-    ``exact=True``), and those that still disagree are the
+    ``exact=True``; its pre-screen applies ``_screen``'s rule to the same
+    slacks, so it refutes none of them), and those that still disagree are the
     counterexamples, in ascending sample index; "conditions hold, oracle
     infeasible" is the direction the sufficiency claim forbids, while the
     converse would indicate a necessity bug.  Reports are reproducible bit

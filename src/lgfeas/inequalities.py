@@ -192,7 +192,8 @@ def _term_groups(coefficients: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray
     weights = np.abs(coefficients)
     counts, unit = weights.sum(axis=1), weights.max(initial=1) == 1
     groups = []
-    for count in np.unique(counts).tolist():
+    # a set, not np.unique, whose first call imports numpy.ma (about 1 MB)
+    for count in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == count)
         block = coefficients if rows.size == counts.size else coefficients[rows]
         if unit and count == width:

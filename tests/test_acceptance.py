@@ -38,7 +38,8 @@ from lgfeas import (
 )
 from lgfeas.cltvolume import erf, exact_uniform_sum_tail
 from lgfeas.core import _walsh_hadamard
-from lgfeas.simplex import FEASIBILITY_TOL
+from lgfeas.feasibility import _constraint_rows, _suspended
+from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
 from util import dense_conditions, sample_nonneg_pair_moments, subset_to_mask
 
 BOUNDARY = 1e-7
@@ -68,6 +69,13 @@ def test_criterion_2_equal_spacing_deduplication():
     _report(2, "distinct members 10/10/272", started)
 
 
+def _phase1(n, pairs, b, c):
+    # the oracle's LP, solved directly: an independent check of verdicts
+    # that the oracle may reach from the condition rows with no LP
+    rhs = np.concatenate(([1.0], b, [c[pair] for pair in sorted(pairs)]))
+    return solve_phase1(_constraint_rows(n, _suspended(n, tuple(sorted(pairs)))), rhs)
+
+
 def test_criterion_3_three_time_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(3)
@@ -84,16 +92,17 @@ def test_criterion_3_three_time_equivalence():
         family_ok = max(slacks) <= 0.0
         interval = d_interval(spec)
         verdict = lp_feasible(b, CorrelatorSet(3, c))
+        lp = _phase1(3, complete_pairs(3), b, c)
         near_edge = (
             min(abs(s) for s in slacks) < BOUNDARY
             or abs(interval.lo - interval.hi) < BOUNDARY
-            or FEASIBILITY_TOL < verdict.phase1_objective < BOUNDARY
+            or FEASIBILITY_TOL < lp.objective < BOUNDARY
         )
         if near_edge:
             boundary += 1
             continue
         checked += 1
-        assert family_ok == (not interval.is_empty) == verdict.feasible
+        assert family_ok == (not interval.is_empty) == verdict.feasible == lp.feasible
     assert time.perf_counter() - started < 120.0
     _report(3, f"three-way agreement on {checked} samples ({boundary} boundary)", started)
 
@@ -114,15 +123,16 @@ def test_criterion_4_chain_equivalence_n4_to_n7():
             family_ok = max(slacks) <= 0.0
             built = fine_build(b, CorrelatorSet(n, c))
             verdict = lp_feasible(b, CorrelatorSet(n, c))
+            lp = _phase1(n, chain_pairs(n), b, c)
             near_edge = (
                 min(abs(s) for s in slacks) < BOUNDARY
-                or FEASIBILITY_TOL < verdict.phase1_objective < BOUNDARY
+                or FEASIBILITY_TOL < lp.objective < BOUNDARY
             )
             if near_edge:
                 total_boundary += 1
                 continue
             checked += 1
-            assert built.feasible == family_ok == verdict.feasible
+            assert built.feasible == family_ok == verdict.feasible == lp.feasible
             if built.feasible:
                 spec = moments_from_distribution(built.certificate)
                 assert all(abs(spec.b(i) - b[i - 1]) <= 1e-9 for i in range(1, n + 1))

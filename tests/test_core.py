@@ -316,6 +316,53 @@ def test_conversions_at_n_18_match_the_reference_on_a_sample():
     assert dense[0] == 1.0 and dense[1:].tobytes() == coeffs[1:].tobytes()
 
 
+def test_masks_of_subsets_of_the_times_0_to_n_match_a_per_subset_sum():
+    # time 0 (s_0 = +1) and the empty key add no bit; the oracle's rows and
+    # certificate check read their pair masks from here
+    subsets = [s for size in range(7) for s in combinations(range(7), size)]
+    rng = np.random.default_rng(5)
+    for keys in (subsets, subsets[1:], [()], [(), ()], [(0,), (), (0, 3)],
+                 [subsets[k] for k in rng.integers(0, len(subsets), 300).tolist()]):
+        assert core._masks(keys).tolist() == [sum((1 << t) >> 1 for t in key) for key in keys]
+
+
+def _exact_sum_cases(rng, size):
+    # ordinary distributions, values over the whole exponent range, values
+    # on a few binades with subnormals and exact cancellations, and
+    # alternating halves whose partial sums tie between two floats
+    yield rng.dirichlet(np.ones(size))
+    yield rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-300, 300, size)
+    yield rng.choice([0.1, -0.1, 2.0**-1074, -(2.0**-1074), 1.0, -1.0, 2.0**-53, 3.0, 0.0], size)
+    yield np.where(np.arange(size) % 2, 2.0**-53, 1.0) * rng.choice([1.0, -1.0], size)
+
+
+@pytest.mark.parametrize("size", [1, 2047, 2048, 2049, 1 << 16, (1 << 16) + 5, 1 << 18])
+def test_exact_sum_equals_fsum_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for values in _exact_sum_cases(rng, size):
+        want = math.fsum(values.tolist())
+        if want:
+            assert np.float64(core._exact_sum(values)).tobytes() == np.float64(want).tobytes()
+        else:
+            assert core._exact_sum(values) == 0.0
+
+
+def test_exact_sum_of_non_finite_values_follows_numpy():
+    values = np.zeros(4096)
+    values[7] = math.inf
+    assert core._exact_sum(values) == math.inf
+    values[9] = math.nan
+    assert math.isnan(core._exact_sum(values))
+
+
+def test_drift_correction_keeps_the_fsum_shift():
+    # the shift of the list-based fsum, bit for bit, at 2^14 entries
+    for seed in range(4):
+        p = _quasi_distribution(np.random.default_rng(seed), 14).p * (1 + 1e-13)
+        want = p - (math.fsum(p.tolist()) - 1.0) / p.size
+        assert core._drift_corrected(p).tobytes() == want.tobytes()
+
+
 def test_moment_spec_json_round_trip():
     spec = MomentSpec(5, {(1,): 0.25, (1, 2): -0.5, (1, 2, 3): 0.125})
     payload = spec.to_json_dict()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -50,7 +51,7 @@ from lgfeas.feasibility import (
     _screen,
     _suspended,
 )
-from lgfeas.core import OracleError
+from lgfeas.core import OracleError, _masks
 from lgfeas.inequalities import _gather_slacks
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
 from util import dense_conditions, pair_table_nonneg, sample_nonneg_pair_moments
@@ -287,14 +288,173 @@ def test_lp_certifies_complete_moments_of_a_distribution(n):
     _assert_certified(lp_feasible(b, data), b, data)
 
 
-@pytest.mark.parametrize("n", [9, 10])
+def _cosine(n, pairs, tau):
+    return CorrelatorSet(n, {(i, j): math.cos(tau * (j - i)) for i, j in pairs})
+
+
+@pytest.mark.parametrize("n", range(9, 13))
 def test_lp_refutes_complete_cosine_data(n):
-    # tau = pi/3: 1 + C13 - C12 - C23 = -1/2 breaks the (1,2,3) three-time member
-    tau = math.pi / 3
-    data = CorrelatorSet(n, {(i, j): math.cos(tau * (j - i)) for i, j in complete_pairs(n)})
+    # tau = pi/3: 1 + C13 - C12 - C23 = -1/2 breaks the (1,2,3) three-time
+    # member; the first call builds the tables, well inside a second
+    data = _cosine(n, complete_pairs(n), math.pi / 3)
+    _conditions.cache_clear()
+    started = time.perf_counter()
     verdict = lp_feasible(None, data)
-    assert not verdict.feasible
-    assert verdict.phase1_objective > FEASIBILITY_TOL
+    assert time.perf_counter() - started < 1.0
+    assert not verdict.feasible and verdict.phase1_objective is None
+    assert f"three{n}:1.2.3:+-+" in verdict.violated
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_phase1_refutes_complete_cosine_data(n):
+    # the LP alone, which the oracle no longer reaches on this data
+    rows = _constraint_rows(n, _suspended(n, complete_pairs(n)))
+    values = [math.cos(math.pi / 3 * (j - i)) for i, j in complete_pairs(n)]
+    result = solve_phase1(rows, np.concatenate(([1.0], np.zeros(n), values)))
+    assert not result.feasible and result.objective > FEASIBILITY_TOL
+
+
+def _band_data(pattern, n, past):
+    """Zero averages and correlators on which one valid row's slack over
+    its scale is ``past``: the all-plus lg member on chain data, the
+    (1, 2, 3) three-time member 1 + C_12 + C_13 + C_23 >= 0 on complete
+    data."""
+    if pattern == "chain":
+        # (n - 1) x + x <= n - 2 with scale n - 2
+        x = (n - 2) * (1 + past) / n
+        values = {pair: (-x if pair == (1, n) else x) for pair in chain_pairs(n)}
+    else:
+        values = {pair: 0.0 for pair in complete_pairs(n)}
+        values.update({(1, 2): -(1 + past) / 3, (1, 3): -(1 + past) / 3, (2, 3): -(1 + past) / 3})
+    return CorrelatorSet(n, values)
+
+
+def _oracle_cases(pattern, n, rng):
+    pairs = complete_pairs(n) if pattern == "complete" else chain_pairs(n)
+    for _ in range(2):
+        p = 0.5 / (1 << n) + 0.5 * rng.dirichlet(np.ones(1 << n))
+        spec = moments_from_distribution(JointDistribution(n, p / p.sum()))
+        yield [spec.b(i) for i in range(1, n + 1)], CorrelatorSet(n, {q: spec.c(*q) for q in pairs})
+    for _ in range(2):
+        b, c = sample_nonneg_pair_moments(rng, n, pairs)
+        yield b, CorrelatorSet(n, c)
+    yield None, _cosine(n, pairs, (math.pi / n if pattern == "chain" else math.pi / 3))
+    for past in (1e-3, 3e-7, 1e-7, 1e-8):
+        yield None, _band_data(pattern, n, past)
+
+
+@pytest.mark.parametrize("pattern, n", [("chain", n) for n in range(3, 11)]
+                         + [("complete", n) for n in range(3, 8)])
+def test_oracle_verdicts_equal_a_direct_phase1_solve(pattern, n):
+    # random moments (feasible), uniform draws (mostly refuted), cosine
+    # data, and slacks above and below the band of the pre-screen
+    rng = np.random.default_rng(n)
+    refuted = solved = 0
+    for b, data in _oracle_cases(pattern, n, rng):
+        pairs = tuple(sorted(data.entries))
+        rows = _constraint_rows(n, _suspended(n, pairs))
+        rhs = np.concatenate(([1.0], np.zeros(n) if b is None else b, [data.entries[q] for q in pairs]))
+        for exact in (False, True) if n <= 5 else (False,):
+            verdict = lp_feasible(b, data, exact=exact)
+            direct = solve_phase1(*((rows.astype(object), rhs.astype(object)) if exact else (rows, rhs)))
+            assert verdict.feasible == direct.feasible
+            if verdict.violated is None:
+                solved += 1
+            else:
+                refuted += 1
+                assert not verdict.feasible and verdict.phase1_objective is None
+    assert refuted and solved
+
+
+@pytest.mark.parametrize("pattern", ["chain", "complete"])
+def test_only_data_past_the_band_skips_the_lp(monkeypatch, pattern):
+    calls = []
+
+    def recording(rows, rhs):
+        calls.append(rhs)
+        return solve_phase1(rows, rhs)
+
+    monkeypatch.setattr(feasibility, "solve_phase1", recording)
+    for past, refuted in ((1e-3, True), (3e-7, True), (1e-7, False), (1e-8, False)):
+        calls.clear()
+        verdict = lp_feasible(None, _band_data(pattern, 6, past))
+        assert not verdict.feasible
+        assert (verdict.violated is not None, len(calls)) == (refuted, 0 if refuted else 1)
+    label = "lg6:+++++-" if pattern == "chain" else "three6:1.2.3:+++"
+    assert lp_feasible(None, _band_data(pattern, 6, 1e-3)).violated == (label,)
+
+
+def test_exact_refutation_confirms_the_named_slacks(monkeypatch):
+    # float slacks pushed up by 1 name rows that hold on this feasible
+    # data; exact mode recomputes them in Fractions and goes to the LP
+    data = _band_data("complete", 4, -1e-3)
+    monkeypatch.setattr(feasibility, "_gather_slacks",
+                        lambda groups, bounds, values: _gather_slacks(groups, bounds, values) + 1.0)
+    assert lp_feasible(None, data).violated
+    verdict = lp_feasible(None, data, exact=True)
+    assert verdict.feasible and verdict.violated is None
+
+
+@pytest.mark.parametrize("pattern, family, n", [("complete", "three_time_complete", 5),
+                                                ("chain", "lg_family", 6)])
+def test_a_corrupted_row_gets_an_infinite_scale_and_never_refutes(monkeypatch, pattern, family, n):
+    # the band data's row with its bound lowered by 1 cuts off feasible data
+    original, row = getattr(feasibility, family)(n), 0
+    assert original.labels([row]) == ["three5:1.2.3:+++" if pattern == "complete" else "lg6:+++++-"]
+    lowered = original.bounds.copy()
+    lowered[row] -= 1.0
+    monkeypatch.setattr(feasibility, family, lambda n: replace(original, bounds=lowered))
+    _conditions.cache_clear()
+    try:
+        conditions = _conditions(n, pattern)
+        offset = len(conditions.families[0])
+        assert np.isinf(conditions.scales[offset + row])
+        assert np.isfinite(np.delete(conditions.scales, offset + row)).all()
+        # slack -1e-3 under the true bound, +1 - 1e-3 under the lowered one
+        data = _band_data(pattern, n, -1e-3)
+        verdict = lp_feasible(None, data)
+        assert verdict.feasible and verdict.violated is None
+    finally:
+        _conditions.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_outcome_maxima_equal_the_dense_product(n):
+    pairs = _suspended(n, complete_pairs(n))
+    terms = np.random.default_rng(n).integers(-1, 2, (50, len(pairs))).astype(np.int8)
+    dense = terms.astype(np.int64) @ _constraint_rows(n, pairs)[1:].astype(np.int64)
+    got = feasibility._outcome_maxima(n, _masks(pairs), terms)
+    assert got.tolist() == dense.max(axis=1).tolist()
+
+
+def test_outcome_maxima_hold_the_largest_sums_at_n_20():
+    # all 210 coefficients +1 reach 210 at s = +1; all -1 give
+    # -(S + (S^2 - 20) / 2) with S = sum s_i, largest (10) at S = 0 or -2
+    pairs = _suspended(20, complete_pairs(20))
+    terms = np.array([[1] * 210, [-1] * 210], dtype=np.int8)
+    assert feasibility._outcome_maxima(20, _masks(pairs), terms).tolist() == [210, 10]
+
+
+def test_conditions_refuse_a_row_that_reads_a_free_pair(monkeypatch):
+    # chain data leaves C_13 free at n = 5, which three-time rows read
+    monkeypatch.setattr(feasibility, "_condition_families", lambda n, pattern: (three_time_complete(n),))
+    _conditions.cache_clear()
+    try:
+        with pytest.raises(ValidationError, match="leaves free"):
+            _conditions(5, "chain")
+    finally:
+        _conditions.cache_clear()
+
+
+def test_chain_conditions_are_the_chain_triangles_and_the_lg_family():
+    conditions = _conditions(6, "chain")
+    two, lg = conditions.families
+    assert lg.name == "lg" and len(lg) == 32
+    # four pair-probability rows on each of the six triangles (0, i, j)
+    assert sorted({label.split(":")[1] for label in two.labels()}) == sorted(
+        f"{i}.{j}" for i, j in chain_pairs(6))
+    assert len(two) == 24 and conditions.terms.shape == (56, 12)
+    assert (conditions.scales == np.r_[np.ones(24), 4.0 * np.ones(32)]).all()
 
 
 def test_lp_respects_oracle_scale_cap():
@@ -582,7 +742,7 @@ def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
 
 def _screen_slacks(bc):
     # (samples x rows) slacks of the screen on the (samples x columns) draws
-    groups, bounds = _conditions(5)[:2]
+    groups, bounds = _conditions(5, "complete")[:2]
     return _gather_slacks(groups, bounds, bc.T).T
 
 
@@ -603,7 +763,7 @@ def _condition_families():
 def lowered_ngon_bound(monkeypatch):
     # lowering an n-gon bound from 2 to 1 (row 80) makes the row cut off
     # feasible data; yields the scales of the unchanged rows
-    valid = _conditions(5)[2]
+    valid = _conditions(5, "complete")[2]
     ngon = ngon_family(5)
     lowered = ngon.bounds.copy()
     lowered[0] = 1.0
@@ -626,7 +786,7 @@ def _dense_slacks(bc):
 
 def test_condition_terms_cover_every_row_once_in_column_order():
     a, _ = dense_conditions(_condition_families())
-    groups = _conditions(5)[0]
+    groups = _conditions(5, "complete")[0]
     seen = []
     for rows, table in groups:
         assert table.shape == (table.shape[0], rows.size)
@@ -662,7 +822,7 @@ def test_conditions_refuse_a_coefficient_outside_unit_range(monkeypatch):
     _conditions.cache_clear()
     try:
         with pytest.raises(ValidationError):
-            _conditions(5)
+            _conditions(5, "complete")
     finally:
         _conditions.cache_clear()
 
@@ -765,7 +925,7 @@ def test_symmetric_blocks_match_a_per_sample_reference():
 
 def test_screen_scales_pin_every_n5_condition_row_as_valid():
     # 40 two-time and 40 three-time rows with bound 1, then 16 n-gon rows with bound 2
-    assert _conditions(5)[2].tolist() == [1.0] * 80 + [2.0] * 16
+    assert _conditions(5, "complete")[2].tolist() == [1.0] * 80 + [2.0] * 16
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "general"])
@@ -773,7 +933,7 @@ def test_screened_samples_have_a_phase1_optimum_above_their_scaled_slack(mode):
     a, bounds = dense_conditions(_condition_families())
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     bc = _draw_block(5, mode, 3, 0, 3000)
-    scaled = ((bc @ a.T - bounds) / _conditions(5)[2]).max(axis=1)
+    scaled = ((bc @ a.T - bounds) / _conditions(5, "complete")[2]).max(axis=1)
     screened = np.flatnonzero(scaled > 2 * BOUNDARY_TOL)
     assert screened.size > 2900
     objectives = np.array([solve_phase1(rows, np.concatenate(([1.0], bc[k]))).objective
@@ -802,7 +962,7 @@ def _gathered_decisions(bc):
     # (holds, boundary, refuted) from the slacks of ``_gather_slacks``
     slacks = _screen_slacks(bc)
     return (slacks.max(axis=1) <= 0.0, np.abs(slacks).min(axis=1) < BOUNDARY_TOL,
-            (slacks / _conditions(5)[2]).max(axis=1) > 2 * BOUNDARY_TOL)
+            (slacks / _conditions(5, "complete")[2]).max(axis=1) > 2 * BOUNDARY_TOL)
 
 
 @pytest.fixture
@@ -850,7 +1010,7 @@ def test_a_slack_pinned_on_zero_is_re_decided_from_the_gathered_sums(fallback):
 
 def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(lowered_ngon_bound):
     samples = 2 * CONJECTURE_BLOCK + 3
-    scales = _conditions(5)[2]
+    scales = _conditions(5, "complete")[2]
     report = conjecture_check(samples, 8, "symmetric")
     reference = _reference_report(samples, 8, "symmetric")
     valid = lowered_ngon_bound

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true",
                    help="emit all 2^n sign vectors for the ngon family")
 
-    p = command("check", _cmd_check, "decide feasibility of a moment file via the LP oracle",
+    p = command("check", _cmd_check, "decide feasibility of a moment file via the oracle",
                 strict=True)
     p.add_argument("--moments", required=True, help="MomentSpec JSON file")
     p.add_argument("--exact", action="store_true", help="rational arithmetic (n <= 6)")

@@ -5,7 +5,9 @@ Two independent routes answer the same question:
 * an LP feasibility oracle (``lp_feasible``) over the 2^n outcome
   probabilities, built on the in-package phase-1 simplex, which first
   tries the condition rows of ``_conditions`` that hold at every +-1
-  outcome: a row violated past the band refutes the data with no LP; and
+  outcome: a row violated past the band refutes the data with no LP;
+  float chain data that the rows leave are then certified by
+  ``fine_build`` before any tableau; and
 * constructive solvers that assemble an explicit distribution: the
   three-time coefficient interval (``d_interval``), the free-correlator
   interval of the chain recursion (``c1n_interval``), the product
@@ -45,7 +47,6 @@ from .core import (
     _walsh_hadamard,
     chain_pairs,
     complete_pairs,
-    distribution_from_moments,
     pairwise_probability,
 )
 from .inequalities import (
@@ -345,14 +346,26 @@ def lp_feasible(
     phase-1 optimum above 2e-7, far above the LP's tolerance, so the
     verdict is infeasible with no LP and ``violated`` names those rows
     (``phase1_objective`` stays None).  With ``exact=True`` a named row's
-    slack is also confirmed positive in ``Fraction``s.  All other data
-    goes to the LP as before.
+    slack is also confirmed positive in ``Fraction``s.
+
+    Float data on the chain pair set (n >= 3; at n = 3 that is also the
+    complete set) that the rows leave is then certified by Fine's
+    construction first: a feasible ``fine_build`` verdict is returned as
+    it is, with its certificate and no ``phase1_objective``.  When the
+    construction cannot certify the data (an infeasible block inside the
+    band, or a knife-edge product it refuses with ``OracleError`` or
+    ``MarginalError``), the LP decides.  Chain data with 13 <= n <= 20,
+    past the LP's range, are decided by ``fine_build`` alone, with no
+    screen.  Complete data go to the LP up to n = ``ORACLE_MAX_TIMES``.
     """
     n = correlators.n
-    if n > ORACLE_MAX_TIMES:
-        raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES}, got {n}")
     if exact and n > EXACT_MAX_TIMES:
         raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
+    chain = not exact and n >= 3 and frozenset(correlators.entries) == frozenset(chain_pairs(n))
+    if n > ORACLE_MAX_TIMES:
+        if not chain:
+            raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES} for complete data, got {n}")
+        return fine_build(b, correlators)
     bvec = _validate_b(b, n)
     pairs = tuple(sorted(correlators.entries))
     rhs = np.concatenate(([1.0], bvec, [correlators.entries[p] for p in pairs]))
@@ -360,6 +373,13 @@ def lp_feasible(
     refuting = _refuting_rows(conditions, rhs[1:], exact)
     if refuting.size:
         return FeasibilityVerdict(False, violated=_row_labels(conditions.families, refuting))
+    if chain:
+        try:
+            verdict = fine_build(bvec, correlators)
+            if verdict.feasible:
+                return verdict
+        except (OracleError, MarginalError):
+            pass  # a knife-edge product: the LP decides
 
     rows = _constraint_rows(n, _suspended(n, pairs))
     if exact:
@@ -403,6 +423,32 @@ def _check_pair_nonneg(b_i: float, b_j: float, c_ij: float, pair: tuple[int, int
         raise MarginalError(f"pair probability for {pair} at signs ({signs[0]},{signs[1]}) is negative")
 
 
+# the signs of the terms (B_1, B_2, B_3, C_12, C_13, C_23) of A(s) at each
+# outcome s, by mask, and whether the outcome's sign product is even
+_D_OUTCOMES = tuple(
+    ((s[0], s[1], s[2], s[0] * s[1], s[0] * s[2], s[1] * s[2]), s[0] * s[1] * s[2] == 1)
+    for s in ([1 if not (mask >> k) & 1 else -1 for k in range(3)] for mask in range(8)))
+
+
+def _d_bounds(b1: float, b2: float, b3: float,
+              c12: float, c13: float, c23: float) -> tuple[float, float]:
+    """The bounds of ``d_interval`` on plain floats: the three pair
+    probabilities are checked (MarginalError), then each outcome's A(s) is
+    1 + the ``math.fsum`` of its six signed terms."""
+    b = (b1, b2, b3)
+    for (i, j), value in (((1, 2), c12), ((1, 3), c13), ((2, 3), c23)):
+        _check_pair_nonneg(b[i - 1], b[j - 1], value, (i, j))
+    terms = (b1, b2, b3, c12, c13, c23)
+    lower, upper = -1.0, 1.0
+    for signs, even in _D_OUTCOMES:
+        a_val = 1.0 + math.fsum([term * sign for term, sign in zip(terms, signs)])
+        if even:
+            lower = max(lower, -a_val)
+        else:
+            upper = min(upper, a_val)
+    return lower, upper
+
+
 def d_interval(spec: MomentSpec) -> Interval:
     """Admissible range of the triple coefficient for a three-time block.
 
@@ -413,23 +459,7 @@ def d_interval(spec: MomentSpec) -> Interval:
     """
     if spec.n != 3:
         raise DimensionError(f"d_interval needs n=3, got n={spec.n}")
-    b = [spec.b(i) for i in (1, 2, 3)]
-    c = {pair: spec.c(*pair) for pair in ((1, 2), (1, 3), (2, 3))}
-    for (i, j), value in c.items():
-        _check_pair_nonneg(b[i - 1], b[j - 1], value, (i, j))
-
-    lower, upper = -1.0, 1.0
-    for mask in range(8):
-        s = [1 if not (mask >> k) & 1 else -1 for k in range(3)]
-        a_val = 1.0 + math.fsum(
-            [b[0] * s[0], b[1] * s[1], b[2] * s[2]]
-            + [c[(i, j)] * s[i - 1] * s[j - 1] for (i, j) in c]
-        )
-        if s[0] * s[1] * s[2] == 1:
-            lower = max(lower, -a_val)
-        else:
-            upper = min(upper, a_val)
-    return Interval(lower, upper)
+    return Interval(*_d_bounds(spec.b(1), spec.b(2), spec.b(3), spec.c(1, 2), spec.c(1, 3), spec.c(2, 3)))
 
 
 def _parity_max(values: Sequence[float], parity: int) -> float:
@@ -502,6 +532,13 @@ def _block_violations(family: InequalityFamily, pairs: Sequence[tuple[int, int]]
     return _named_violations(family.take(in_block), data)
 
 
+def _block_expansions(rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """The three-time moment expansion of each row of eight coefficients in
+    subset-mask order (the unit first): one transform over all rows, then
+    each shifted to sum to 1, as ``distribution_from_moments`` does."""
+    return [_drift_corrected(block) for block in _walsh_hadamard(rows) / 8]
+
+
 def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVerdict:
     """Build a joint distribution matching chain-pattern data by the product
     construction, or report the violated family members.
@@ -521,59 +558,47 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     if frozenset(chain.entries) != frozenset(chain_pairs(n)):
         raise ValidationError("fine_build requires the chain correlator pattern")
     bvec = _validate_b(b, n)
+    bs = bvec.tolist()
     for (i, j), value in chain.sorted_items():
-        if _negative_pair(bvec[i - 1], bvec[j - 1], value):
+        if _negative_pair(bs[i - 1], bs[j - 1], value):
             # a pair probability is a three-time block on the times (0, i, j)
-            block = MomentSpec(n, {(i,): float(bvec[i - 1]), (j,): float(bvec[j - 1]), (i, j): value})
+            block = MomentSpec(n, {(i,): bs[i - 1], (j,): bs[j - 1], (i, j): value})
             return FeasibilityVerdict(False, violated=_block_violations(
                 two_time_complete(n), [(0, i), (0, j), (i, j)], block))
 
     c_in = dict(chain.entries)
-    chosen: dict[int, float] = {}
+    # closures[k] is C_1k for k = 2..n: the fixed C_12 and C_1n, and between
+    # them the chosen midpoints, from k = n - 1 down
+    closures = [0.0] * (n + 1)
+    closures[2], closures[n] = c_in[(1, 2)], c_in[(1, n)]
     for k in range(n - 1, 2, -1):
         chain_part = [c_in[(i, i + 1)] for i in range(1, k)]
-        c_next = c_in[(k, k + 1)]
-        c_closure = c_in[(1, n)] if k + 1 == n else chosen[k + 1]
-        interval = c1n_interval(chain_part, c_next, c_closure, bvec[0], bvec[k - 1])
+        interval = c1n_interval(chain_part, c_in[(k, k + 1)], closures[k + 1], bs[0], bs[k - 1])
         if interval.is_empty:
-            values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [c_closure]
+            values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [closures[k + 1]]
             block = CorrelatorSet(k + 1, dict(zip(chain_pairs(k + 1), values)))
             return FeasibilityVerdict(False, violated=_named_violations(lg_family(k + 1), block))
-        chosen[k] = interval.midpoint()
+        closures[k] = interval.midpoint()
 
-    def c_1k(k: int) -> float:
-        if k == 2:
-            return c_in[(1, 2)]
-        if k == n:
-            return c_in[(1, n)]
-        return chosen[k]
-
-    blocks: dict[int, JointDistribution] = {}
+    rows = []
     for k in range(2, n):
-        moments = {
-            (1,): float(bvec[0]),
-            (2,): float(bvec[k - 1]),
-            (3,): float(bvec[k]),
-            (1, 2): c_1k(k),
-            (2, 3): c_in[(k, k + 1)],
-            (1, 3): c_1k(k + 1),
-        }
-        interval = d_interval(MomentSpec(3, moments))
+        c_k, c_next, c_step = closures[k], closures[k + 1], c_in[(k, k + 1)]
+        interval = Interval(*_d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step))
         if interval.is_empty:
             pairs = [(1, k), (1, k + 1), (k, k + 1)]
-            block = MomentSpec(n, dict(zip(pairs, [c_1k(k), c_1k(k + 1), c_in[(k, k + 1)]])))
+            block = MomentSpec(n, dict(zip(pairs, [c_k, c_next, c_step])))
             return FeasibilityVerdict(False, violated=_block_violations(three_time_complete(n), pairs, block))
-        moments[(1, 2, 3)] = interval.midpoint()
-        blocks[k] = distribution_from_moments(MomentSpec(3, moments))
+        rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, interval.midpoint()])
+    blocks = _block_expansions(rows)  # on the times (1, k, k + 1), k = 2..n-1
 
     idx = np.arange(1 << n)
     bit = lambda t: (idx >> (t - 1)) & 1  # noqa: E731
     sign = lambda t: 1.0 - 2.0 * bit(t)  # noqa: E731
 
-    p = blocks[2].p[bit(1) | (bit(2) << 1) | (bit(3) << 2)].copy()
+    p = blocks[0][bit(1) | (bit(2) << 1) | (bit(3) << 2)]
     for k in range(3, n):
-        numerator = blocks[k].p[bit(1) | (bit(k) << 1) | (bit(k + 1) << 2)]
-        denominator = pairwise_probability(bvec[0], bvec[k - 1], c_1k(k), sign(1), sign(k))
+        numerator = blocks[k - 2][bit(1) | (bit(k) << 1) | (bit(k + 1) << 2)]
+        denominator = pairwise_probability(bs[0], bs[k - 1], closures[k], sign(1), sign(k))
         ratio = np.zeros_like(p)
         usable = denominator > 1e-14
         ratio[usable] = numerator[usable] / denominator[usable]

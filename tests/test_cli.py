@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lgfeas
 from lgfeas.cli import main
+from util import markov_chain_data
 
 
 def _run(capsys, *argv):
@@ -146,6 +148,24 @@ def test_check_and_fine_build_agree_on_a_negative_pair_probability(tmp_path, cap
         verdicts.append(json.loads(out))
     assert [v["feasible"] for v in verdicts] == [False, False]
     assert verdicts[1]["violated"] == ["two3:1.2:--"]
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_check_prints_the_fine_build_payload_on_feasible_chain_data(tmp_path, capsys, n):
+    # feasible chain data share one route, past the LP's n <= 12 too: the
+    # construction's certificate and no phase1_objective
+    b, entries = markov_chain_data(np.random.default_rng(n), n)
+    moments = {**{str(i): v for i, v in enumerate(b, 1)},
+               **{f"{i},{j}": v for (i, j), v in entries.items()}}
+    spec = tmp_path / "markov.json"
+    spec.write_text(json.dumps({"n": n, "moments": moments}))
+    payloads = []
+    for command in ("check", "fine-build"):
+        code, out = _run(capsys, command, "--moments", str(spec))
+        assert code == 0
+        payloads.append(out)
+    assert payloads[0] == payloads[1]
+    assert set(json.loads(payloads[0])) == {"feasible", "certificate"}
 
 
 def test_conjecture_writes_report_deterministically(tmp_path, capsys, monkeypatch):

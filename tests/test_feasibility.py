@@ -26,6 +26,7 @@ from lgfeas import (
     complete_pairs,
     conjecture_check,
     d_interval,
+    distribution_from_moments,
     evaluate,
     fine_build,
     lg_family,
@@ -42,10 +43,12 @@ from lgfeas.feasibility import (
     BOUNDARY_TOL,
     CONJECTURE_BLOCK,
     ConjectureReport,
+    _block_expansions,
     _certified,
     _classify_stack,
     _conditions,
     _constraint_rows,
+    _d_bounds,
     _draw_block,
     _sample_to_spec,
     _screen,
@@ -54,7 +57,7 @@ from lgfeas.feasibility import (
 from lgfeas.core import OracleError, _masks
 from lgfeas.inequalities import _gather_slacks
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
-from util import dense_conditions, pair_table_nonneg, sample_nonneg_pair_moments
+from util import dense_conditions, markov_chain_data, pair_table_nonneg, sample_nonneg_pair_moments
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +461,13 @@ def test_chain_conditions_are_the_chain_triangles_and_the_lg_family():
 
 
 def test_lp_respects_oracle_scale_cap():
+    # chain data past n = 12 go to fine_build; complete data and exact mode keep their caps
     with pytest.raises(DimensionError):
-        lp_feasible(None, CorrelatorSet(13, {p: 0.0 for p in chain_pairs(13)}))
+        lp_feasible(None, CorrelatorSet(13, {p: 0.0 for p in complete_pairs(13)}))
     with pytest.raises(DimensionError):
         lp_feasible(None, CorrelatorSet(7, {p: 0.0 for p in chain_pairs(7)}), exact=True)
+    with pytest.raises(DimensionError):
+        lp_feasible(None, CorrelatorSet(13, {p: 0.0 for p in chain_pairs(13)}), exact=True)
 
 
 def test_certified_rejects_a_moment_off_by_1e_6_and_an_entry_at_minus_1e_6():
@@ -489,6 +495,147 @@ def test_lp_refuses_exact_mode_before_building_rows():
     with pytest.raises(DimensionError):
         lp_feasible(None, CorrelatorSet(12, {p: 0.0 for p in complete_pairs(12)}), exact=True)
     assert _constraint_rows.cache_info().currsize == cached
+
+
+# ---------------------------------------------------------------------------
+# chain data: Fine's construction before the LP
+# ---------------------------------------------------------------------------
+
+def _chain_cases(n, rng, draws):
+    """``draws`` pairs of Markov-chain data with and without averages
+    (feasible), then cosine data that breaks the all-plus lg member
+    (infeasible)."""
+    for averages in (True, False) * draws:
+        b, entries = markov_chain_data(rng, n, averages)
+        yield b, CorrelatorSet(n, entries)
+    yield None, _cosine(n, chain_pairs(n), math.pi / n)
+
+
+def _phase1_verdict(b, data):
+    n, pairs = data.n, tuple(sorted(data.entries))
+    rhs = np.concatenate(([1.0], np.zeros(n) if b is None else b, [data.entries[q] for q in pairs]))
+    return solve_phase1(_constraint_rows(n, _suspended(n, pairs)), rhs).feasible
+
+
+def _same_verdict(got, want):
+    assert (got.feasible, got.violated, got.phase1_objective) == (
+        want.feasible, want.violated, want.phase1_objective)
+    if want.certificate is not None:
+        assert got.certificate.p.tobytes() == want.certificate.p.tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_chain_verdicts_are_certified_by_the_construction(n):
+    rng = np.random.default_rng(1000 + n)
+    certified = 0
+    for b, data in _chain_cases(n, rng, 2):
+        verdict = lp_feasible(b, data)
+        assert verdict.feasible == _phase1_verdict(b, data)
+        if verdict.feasible:
+            certified += 1
+            assert verdict.phase1_objective is None
+            _same_verdict(verdict, fine_build(b, data))
+        else:
+            assert verdict.violated and verdict.phase1_objective is None
+    assert certified == 4
+
+
+def _spies(monkeypatch):
+    calls = {"fine_build": [], "solve_phase1": []}
+
+    def spy(name):
+        original = getattr(feasibility, name)
+
+        def recording(*args):
+            result = original(*args)
+            calls[name].append(result)
+            return result
+        monkeypatch.setattr(feasibility, name, recording)
+
+    spy("fine_build")
+    spy("solve_phase1")
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_an_infeasible_chain_inside_the_band_reaches_the_lp(monkeypatch, n):
+    calls = _spies(monkeypatch)
+    verdict = lp_feasible(None, _band_data("chain", n, 1e-7))
+    assert not verdict.feasible and verdict.violated is None
+    assert [v.feasible for v in calls["fine_build"]] == [False]
+    assert len(calls["solve_phase1"]) == 1
+    assert verdict.phase1_objective == calls["solve_phase1"][0].objective
+
+
+@pytest.mark.parametrize("refusal, target", [(OracleError, "_certified"), (MarginalError, "_d_bounds")])
+def test_a_refused_construction_falls_back_to_the_lp(monkeypatch, refusal, target):
+    b, entries = markov_chain_data(np.random.default_rng(77), 7)
+    data = CorrelatorSet(7, entries)
+    original, refused = getattr(feasibility, target), []
+
+    def refusing(*args):
+        if not refused:  # the first call belongs to the construction
+            refused.append(args)
+            raise refusal("knife edge")
+        return original(*args)
+
+    monkeypatch.setattr(feasibility, target, refusing)
+    calls = _spies(monkeypatch)
+    verdict = lp_feasible(b, data)
+    assert refused and calls["fine_build"] == [] and len(calls["solve_phase1"]) == 1
+    assert verdict.feasible and verdict.phase1_objective is not None
+    _assert_certified(verdict, b, data)
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_chain_data_past_the_lp_range_are_decided_by_the_construction(monkeypatch, n):
+    rng = np.random.default_rng(2000 + n)
+    calls = _spies(monkeypatch)
+    conditions = _conditions.cache_info().currsize
+    for b, data in _chain_cases(n, rng, 1):
+        _same_verdict(lp_feasible(b, data), fine_build(b, data))
+    # the spy sees the oracle's calls only: no screen and no LP ran
+    assert calls["solve_phase1"] == [] and _conditions.cache_info().currsize == conditions
+    assert [v.feasible for v in calls["fine_build"]] == [True, True, False]
+
+
+def _old_d_bounds(b, c):
+    """``d_interval``'s arithmetic as it read on ``MomentSpec`` values."""
+    lower, upper = -1.0, 1.0
+    for mask in range(8):
+        s = [1 if not (mask >> k) & 1 else -1 for k in range(3)]
+        a_val = 1.0 + math.fsum([b[0] * s[0], b[1] * s[1], b[2] * s[2]]
+                                + [c[(i, j)] * s[i - 1] * s[j - 1] for (i, j) in c])
+        if s[0] * s[1] * s[2] == 1:
+            lower = max(lower, -a_val)
+        else:
+            upper = min(upper, a_val)
+    return lower, upper
+
+
+def test_fan_blocks_match_the_moment_spec_route_bit_for_bit():
+    rng = np.random.default_rng(2406)
+    rows, dists = [], []
+    for trial in range(400):
+        b, c = sample_nonneg_pair_moments(rng, 3, complete_pairs(3))
+        if trial % 4 == 0:  # signed zeros and exact +-1 values
+            b = np.where(rng.random(3) < 0.5, -0.0, np.sign(b))
+            c = {pair: float(np.sign(value)) for pair, value in c.items()}
+        b = [float(v) for v in b]
+        spec = MomentSpec(3, {**{(i,): b[i - 1] for i in (1, 2, 3)}, **c})
+        if not all(pair_table_nonneg(b[i - 1], b[j - 1], c[(i, j)]) for i, j in c):
+            with pytest.raises(MarginalError):
+                _d_bounds(*b, c[(1, 2)], c[(1, 3)], c[(2, 3)])
+            continue
+        bounds = _d_bounds(*b, c[(1, 2)], c[(1, 3)], c[(2, 3)])
+        interval = d_interval(spec)
+        assert repr(bounds) == repr((interval.lo, interval.hi)) == repr(_old_d_bounds(b, c))
+        d = interval.midpoint()
+        rows.append([1.0, b[0], b[1], c[(1, 2)], b[2], c[(1, 3)], c[(2, 3)], d])
+        dists.append(distribution_from_moments(MomentSpec(3, {**spec.moments, (1, 2, 3): d})))
+    assert len(rows) > 200
+    for block, dist in zip(_block_expansions(rows), dists):
+        assert block.tobytes() == dist.p.tobytes()
 
 
 # ---------------------------------------------------------------------------

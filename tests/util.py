@@ -91,3 +91,25 @@ def reference_dense(spec: MomentSpec) -> np.ndarray:
     for subset, value in spec.moments.items():
         dense[subset_to_mask(subset)] = value
     return dense
+
+
+def markov_chain_data(rng, n, averages=True):
+    """Averages and chain correlators of a random two-state Markov chain over
+    the times 1..n: moments of an actual distribution, so feasible.  With
+    ``averages`` the start and each step's transition matrix are random;
+    without, the chain starts uniform and flips each state with the same
+    probability, so every average is zero and ``b`` is None."""
+    parity = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    up = rng.uniform(0.2, 0.8) if averages else 0.5
+    joint = np.diag([up, 1.0 - up])  # the (s_1, s_k) joint, +1 first
+    b = [2.0 * up - 1.0]
+    entries = {}
+    for k in range(1, n):
+        stay = rng.uniform(0.1, 0.9, 2) if averages else np.full(2, rng.uniform(0.1, 0.9))
+        step = np.array([[stay[0], 1 - stay[0]], [1 - stay[1], stay[1]]])
+        entries[(k, k + 1)] = float((np.diag(joint.sum(axis=0)) @ step * parity).sum())
+        joint = joint @ step
+        marginal = joint.sum(axis=0)
+        b.append(float(marginal[0] - marginal[1]))
+    entries[(1, n)] = float((joint * parity).sum())
+    return (b if averages else None), entries

@@ -4,15 +4,16 @@ One dense-tableau kernel.  The entering column has the most negative
 reduced cost (Dantzig's rule); the leaving row is the lexicographically
 smallest of the min-ratio ties over the columns of the starting basis
 (Dantzig, Orden & Wolfe, *The generalized simplex method*, 1955), which
-cannot cycle.  float64 input pivots with tolerances and a dense update.
-Object input pivots exactly in ``Fraction``s, starting from the basis on
-which a float solve of the same system ends; an exact pivot updates only
-the entries in the non-zero columns of the pivot row and the non-zero rows
-of the pivot column, since x - f*0 = x leaves every other entry as it is,
-so the tableau is that of a dense elimination bit for bit.  Only phase 1
-is needed: the minimum of the artificial-variable sum is zero exactly
-when the system is feasible, and the final basic solution is the
-certificate.
+cannot cycle.  The reduced costs are the tableau's last row, so one
+elimination updates them with the constraint rows.  float64 input pivots
+with tolerances and a dense update.  Object input pivots exactly in
+``Fraction``s, starting from the basis on which a float solve of the same
+system ends; an exact pivot updates only the entries in the non-zero
+columns of the pivot row and the non-zero rows of the pivot column, since
+x - f*0 = x leaves every other entry as it is, so the tableau is that of a
+dense elimination bit for bit.  Only phase 1 is needed: the minimum of
+the artificial-variable sum is zero exactly when the system is feasible,
+and the final basic solution is the certificate.
 """
 
 from __future__ import annotations
@@ -67,36 +68,39 @@ def solve_phase1(a: np.ndarray, b: np.ndarray) -> Phase1Result:
     return _phase1(_fractions(a), _fractions(b), warm)[0]
 
 
-def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tableau, reduced costs and basis of the artificial start.  The
-    tableau is exact for object ``a`` and float64 otherwise."""
+def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tableau and basis of the artificial start: rows :m hold the system,
+    row m the reduced costs.  The tableau is exact for object ``a`` and
+    float64 otherwise."""
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"rhs shape {b.shape} does not match {m} rows")
     exact = a.dtype == object
 
     flip = b < 0
-    tableau = np.empty((m, n + m + 1), dtype=object if exact else np.float64)
-    body = tableau[:, :n]
+    tableau = np.full((m + 1, n + m + 1), Fraction(0) if exact else 0.0,
+                      dtype=object if exact else np.float64)
+    body = tableau[:m, :n]
     body[...] = a
     np.negative(body, out=body, where=flip[:, None])
-    tableau[:, n : n + m] = _fractions(np.eye(m, dtype=int)) if exact else np.eye(m)
-    tableau[:, -1] = np.where(flip, -b, b)
+    tableau[:m, n : n + m] = _fractions(np.eye(m, dtype=int)) if exact else np.eye(m)
+    # a row with b < 0 enters negated; abs also stores a zero rhs as +0.0, so
+    # the sign of a zero objective does not depend on the sign of a zero in b
+    tableau[:m, -1] = np.abs(b)
     basis = np.arange(n, n + m)
 
     # reduced costs for min sum(artificials) with the artificial basis
-    obj = np.zeros(n + m + 1, dtype=tableau.dtype)
-    obj[:n] = -body.sum(axis=0)
-    obj[-1] = -tableau[:, -1].sum()
-    return tableau, obj, basis
+    tableau[m, :n] = -body.sum(axis=0)
+    tableau[m, -1] = -tableau[:m, -1].sum()
+    return tableau, basis
 
 
-def _result(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, iterations: int) -> Phase1Result:
-    m, width = tableau.shape
-    n = width - m - 1
-    objective = -obj[-1]
+def _result(tableau: np.ndarray, basis: np.ndarray, iterations: int) -> Phase1Result:
+    m = len(basis)
+    n = tableau.shape[1] - m - 1
+    objective = -tableau[m, -1]
     x = np.zeros(n + m, dtype=tableau.dtype)
-    x[basis] = tableau[:, -1]
+    x[basis] = tableau[:m, -1]
     feasible = bool(objective <= (0 if tableau.dtype == object else FEASIBILITY_TOL))
     return Phase1Result(feasible, x[:n].astype(np.float64), float(objective), iterations)
 
@@ -105,10 +109,10 @@ def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
     """The pivot loop in the arithmetic of ``a``, from the artificial basis
     or from ``warm``; returns the result and the final basis."""
     m, n = a.shape
-    tableau, obj, basis = _start(a, b)
+    tableau, basis = _start(a, b)
     exact = a.dtype == object
     tol, pivot_tol, tie_tol = (0, 0, 0) if exact else (FEASIBILITY_TOL, _PIVOT_TOL, _TIE_TOL)
-    if warm is not None and not _enter_basis(tableau, obj, basis, warm):
+    if warm is not None and not _enter_basis(tableau, basis, warm):
         return _phase1(a, b)
     # the ratio column, then the columns of the starting basis in row order
     keys = [-1] + basis.tolist()
@@ -116,10 +120,10 @@ def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
     cap = 200 * (m + n + 10)
     iterations = 0
     while True:
-        col = int(obj[: n + m].argmin())
-        if not obj[col] < -tol:
+        col = int(tableau[m, : n + m].argmin())
+        if not tableau[m, col] < -tol:
             break
-        column = tableau[:, col]
+        column = tableau[:m, col]
         ties = (column > pivot_tol).nonzero()[0]
         if ties.size == 0:
             raise OracleError("phase-1 objective unbounded below; numerical breakdown")
@@ -131,18 +135,16 @@ def _phase1(a: np.ndarray, b: np.ndarray, warm: np.ndarray | None = None):
                 ties, pivots = ties[kept], pivots[kept]
                 if ties.size == 1:
                     break
-        _pivot(tableau, obj, basis, int(ties[0]), col)
+        _pivot(tableau, basis, int(ties[0]), col)
 
         iterations += 1
         if iterations > cap:
             raise OracleError(f"phase-1 simplex exceeded {cap} iterations")
 
-    return _result(tableau, obj, basis, iterations), basis
+    return _result(tableau, basis, iterations), basis
 
 
-def _enter_basis(
-    tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, target: np.ndarray
-) -> bool:
+def _enter_basis(tableau: np.ndarray, basis: np.ndarray, target: np.ndarray) -> bool:
     """Pivot each real column of ``target`` into a row held by an artificial
     that ``target`` does not keep; False if some column finds no such row or
     the basis reached has a negative basic value."""
@@ -153,27 +155,22 @@ def _enter_basis(
                 if var >= n and var not in keep and tableau[i, col] != 0]
         if not rows:
             return False
-        _pivot(tableau, obj, basis, rows[0], col)
-    return not (tableau[:, -1] < 0).any()
+        _pivot(tableau, basis, rows[0], col)
+    return not (tableau[: len(basis), -1] < 0).any()
 
 
-def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    if tableau.dtype == object:
-        # rational arithmetic dominates the cost and x - f*0 = x exactly, so only
-        # the columns where the pivot row is non-zero, and of those only the rows
-        # non-zero in col, change; every other entry stays as it is
-        cols = np.flatnonzero(tableau[row])
-        tableau[row, cols] /= tableau[row, col]
-        factors = tableau[:, col].copy()
-        factors[row] = 0
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    # exact: rational arithmetic dominates the cost and x - f*0 = x exactly, so
+    # only the columns where the pivot row is non-zero, and of those only the
+    # rows non-zero in col (the cost row among them), are updated
+    exact = tableau.dtype == object
+    cols = np.flatnonzero(tableau[row]) if exact else slice(None)
+    tableau[row, cols] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0
+    if exact:
         rows = np.flatnonzero(factors)
         tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], tableau[row, cols])
-        obj[cols] -= obj[col] * tableau[row, cols]
     else:
-        tableau[row] /= tableau[row, col]
-        factors = tableau[:, col].copy()
-        factors[row] = 0
-        prow = tableau[row]
-        tableau -= factors[:, None] * prow
-        obj -= obj[col] * prow
+        tableau -= factors[:, None] * tableau[row]
     basis[row] = col

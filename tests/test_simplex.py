@@ -7,6 +7,7 @@ import lgfeas.simplex as simplex
 from lgfeas.core import CorrelatorSet, complete_pairs
 from lgfeas.feasibility import _constraint_rows, _draw_block, _suspended, lp_feasible
 from lgfeas.simplex import solve_phase1
+from util import gauss_jordan
 
 
 def _fractions(values):
@@ -107,6 +108,35 @@ def test_exact_confirms_float_basis_on_the_triangle_facet(routes):
     assert routes == [True]
 
 
+def _interior_distributions(n):
+    """Random distributions with every outcome at least 2^-(n+1), then the
+    uniform one, whose averages and correlators are all zero."""
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        k = rng.integers(1, 16, 1 << n)
+        yield [Fraction(1, 2 << n) + Fraction(int(v), 2 * int(k.sum())) for v in k]
+    yield [Fraction(1, 1 << n)] * (1 << n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_exact_stops_on_the_float_basis_of_interior_complete_data(routes, n):
+    a = _constraint_rows(n, _suspended(n, complete_pairs(n))).astype(object)
+    for p in _interior_distributions(n):
+        rhs = a.dot(np.array(p, dtype=object))
+        basis = simplex._phase1(a.astype(float), rhs.astype(float))[1]
+        # the vertex of that basis, the artificial of a row with negative rhs negated
+        system = np.hstack([a, np.diag(np.where(rhs < 0, -1, 1))])
+        vertex = np.zeros(system.shape[1], dtype=object)
+        vertex[basis] = gauss_jordan(system[:, basis], rhs)
+        assert min(vertex) >= 0 and not vertex[a.shape[1]:].any()
+        routes.clear()
+        result = solve_phase1(a, rhs)
+        assert routes == [True]
+        assert result.iterations == 0
+        assert result.feasible and result.objective == 0.0
+        assert np.array_equal(result.x, vertex[: a.shape[1]].astype(float))
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_exact_keeps_the_artificials_of_an_infeasible_float_basis(routes, n):
     # the float basis keeps artificials at positive level; evicting one while
@@ -149,13 +179,13 @@ def test_exact_restarts_cold_when_float_basis_is_infeasible(routes):
     assert routes == [False, False]
 
 
-def _dense_pivot(tableau, obj, basis, row, col):
-    # reference: eliminate over every row and column, whatever is zero
+def _dense_pivot(tableau, basis, row, col):
+    # reference: eliminate over every row, the reduced-cost row m included, and
+    # every column, whatever is zero
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0
     tableau -= np.outer(factors, tableau[row])
-    obj -= obj[col] * tableau[row]
     basis[row] = col
 
 
@@ -181,17 +211,18 @@ def checked_pivots(monkeypatch):
     pivot = simplex._pivot
     counts = {"exact": 0, "float": 0}
 
-    def checked(tableau, obj, basis, row, col):
-        expected = (tableau.copy(), obj.copy(), basis.copy())
-        pivot(tableau, obj, basis, row, col)
+    def checked(tableau, basis, row, col):
+        assert tableau.shape[0] == len(basis) + 1
+        expected = (tableau.copy(), basis.copy())
+        pivot(tableau, basis, row, col)
         _dense_pivot(*expected, row, col)
         if tableau.dtype == object:
             assert all(type(v) is Fraction for v in tableau.flat)
-            for got, want in zip((tableau, obj, basis), expected):
+            for got, want in zip((tableau, basis), expected):
                 assert (got == want).all()
             counts["exact"] += 1
         else:
-            for got, want in zip((tableau, obj, basis), expected):
+            for got, want in zip((tableau, basis), expected):
                 assert got.tobytes() == want.tobytes()
             counts["float"] += 1
 

@@ -6,6 +6,7 @@ run sees the same stream.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -113,3 +114,22 @@ def markov_chain_data(rng, n, averages=True):
         b.append(float(marginal[0] - marginal[1]))
     entries[(1, n)] = float((joint * parity).sum())
     return (b if averages else None), entries
+
+
+def gauss_jordan(a, b) -> list[Fraction]:
+    """The solution x of the square system a x = b in ``Fraction``s, by
+    Gauss-Jordan elimination: the reference vertex of a simplex basis."""
+    m = len(b)
+    rows = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for k in range(m):
+        p = next((i for i in range(k, m) if rows[i][k] != 0), None)
+        if p is None:
+            raise ValueError("singular system")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        rows[k] = [v / pivot for v in rows[k]]
+        for i in range(m):
+            f = rows[i][k]
+            if i != k and f != 0:
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[k])]
+    return [row[m] for row in rows]

@@ -31,8 +31,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import CorrelatorSet, LgError, MomentSpec
-from .feasibility import FeasibilityVerdict, conjecture_check, fine_build, lp_feasible_from_spec
+from .core import LgError, MomentSpec
+from .feasibility import (FeasibilityVerdict, _oracle_input, conjecture_check, fine_build,
+                          lp_feasible_from_spec)
 from .inequalities import (
     distinct_under_equal_spacing,
     family_to_json_list,
@@ -172,10 +173,7 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_fine_build(args: argparse.Namespace) -> Outcome:
-    spec = _load_moments(args.moments)
-    if spec.max_order() > 2:
-        raise LgError("fine-build input must fix only one- and two-time moments")
-    return _verdict_outcome(fine_build(spec.singles(), CorrelatorSet(spec.n, spec.pair_values())))
+    return _verdict_outcome(fine_build(*_oracle_input(_load_moments(args.moments))))
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> Outcome:

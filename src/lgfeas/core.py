@@ -482,23 +482,25 @@ class JointDistribution:
 # exact conversions
 # ---------------------------------------------------------------------------
 
-def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalized transform: out[t] = sum_m in[m] * (-1)^popcount(m & t).
+def _butterfly(table: np.ndarray) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform along the first axis of a
+    C-contiguous array, in place and in its own dtype, returned; each stage
+    adds and subtracts whole runs of the trailing axes in a few passes."""
+    run = math.prod(table.shape[1:])
+    while run < table.size:
+        halves = table.reshape(-1, 2, run)
+        top = halves[:, 0].copy()
+        halves[:, 0] += halves[:, 1]
+        np.subtract(top, halves[:, 1], out=halves[:, 1])
+        run *= 2
+    return table
 
-    Self-inverse up to the factor 2^n.  Works on the last axis.
-    """
-    arr = np.array(values, dtype=np.float64)
-    size = arr.shape[-1]
-    flat = arr.reshape(-1, size)
-    h = 1
-    while h < size:
-        flat = flat.reshape(flat.shape[0] * (size // (2 * h)), 2, h)
-        top = flat[:, 0, :].copy()
-        flat[:, 0, :] = top + flat[:, 1, :]
-        flat[:, 1, :] = top - flat[:, 1, :]
-        flat = flat.reshape(-1, size)
-        h *= 2
-    return flat.reshape(arr.shape)
+
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalized transform: out[t] = sum_m in[m] * (-1)^popcount(m & t),
+    self-inverse up to the factor 2^n, along the last axis of a float64 copy
+    of ``values``, whose axes ``_butterfly`` sees reversed."""
+    return _butterfly(np.array(np.asarray(values, dtype=np.float64).T, order="C")).T
 
 
 # Vectors shorter than this are summed by ``math.fsum`` over a list, the

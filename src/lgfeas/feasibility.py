@@ -15,6 +15,11 @@ Two independent routes answer the same question:
   even-coefficient search for complete correlator sets
   (``symmetric_e_feasible``).
 
+Every +-1 expansion (the rows' validity check, each certificate's moment
+check) is one in-place ``core._butterfly``.  A negative verdict names the
+refuting rows of the cached condition table (``_row_labels``) or the
+members on ``fine_build``'s failing block (``_block_labels``).
+
 ``conjecture_check`` samples random data, evaluates the candidate
 sufficient-condition set for n = 5 (two-time, three-time and n-gon
 families) against the oracle, and reports disagreements.
@@ -40,6 +45,7 @@ from .core import (
     NONNEGATIVITY_TOL,
     OracleError,
     ValidationError,
+    _butterfly,
     _check_integer,
     _drift_corrected,
     _masks,
@@ -240,22 +246,13 @@ def _condition_families(n: int, pattern: str) -> tuple[InequalityFamily, ...]:
 def _outcome_maxima(n: int, masks: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """The largest value over the 2^n +-1 outcomes s of each row h of
     ``terms``, sum_p h_p prod_{i in p} s_i over the pairs p with bit masks
-    ``masks``: one in-place Walsh-Hadamard transform of the rows' (outcomes
-    x rows) coefficient table.  Each butterfly adds or subtracts whole
-    (rows)-long runs, so every pass is a few long array operations.  Every
-    partial sum is a signed sum of some of a row's coefficients, at most
-    210 in magnitude for coefficients in {-1, 0, 1} over the pairs of
-    times 0..20, so int16 holds them exactly."""
+    ``masks``: one in-place ``_butterfly`` of the rows' (outcomes x rows)
+    coefficient table.  Every partial sum is a signed sum of some of a
+    row's coefficients, at most 210 in magnitude for coefficients in
+    {-1, 0, 1} over the pairs of times 0..20, so int16 holds them exactly."""
     table = np.zeros((1 << n, len(terms)), dtype=np.int16)
     table[masks] = terms.T
-    run = len(terms)
-    while run < table.size:
-        halves = table.reshape(-1, 2, run)
-        top = halves[:, 0].copy()
-        halves[:, 0] += halves[:, 1]
-        np.subtract(top, halves[:, 1], out=halves[:, 1])
-        run *= 2
-    return table.max(axis=0)
+    return _butterfly(table).max(axis=0)
 
 
 @lru_cache(maxsize=32)
@@ -392,12 +389,16 @@ def lp_feasible(
     return FeasibilityVerdict(True, _certified(n, pairs, rhs, result.x), phase1_objective=result.objective)
 
 
-def lp_feasible_from_spec(spec: MomentSpec, *, exact: bool = False) -> FeasibilityVerdict:
-    """Oracle entry point for moment data holding singletons and pairs only."""
+def _oracle_input(spec: MomentSpec) -> tuple[tuple[float, ...], CorrelatorSet]:
+    """The averages and correlators of moment data that fix singletons and pairs only."""
     if spec.max_order() > 2:
         raise ValidationError("oracle input must fix only one- and two-time moments")
-    correlators = CorrelatorSet(spec.n, spec.pair_values())
-    return lp_feasible(spec.singles(), correlators, exact=exact)
+    return spec.singles(), CorrelatorSet(spec.n, spec.pair_values())
+
+
+def lp_feasible_from_spec(spec: MomentSpec, *, exact: bool = False) -> FeasibilityVerdict:
+    """Oracle entry point for moment data holding singletons and pairs only."""
+    return lp_feasible(*_oracle_input(spec), exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +419,6 @@ def _negative_pair(b_i: float, b_j: float, c_ij: float) -> tuple[int, int] | Non
     return None
 
 
-def _check_pair_nonneg(b_i: float, b_j: float, c_ij: float, pair: tuple[int, int]) -> None:
-    if signs := _negative_pair(b_i, b_j, c_ij):
-        raise MarginalError(f"pair probability for {pair} at signs ({signs[0]},{signs[1]}) is negative")
-
-
 # the signs of the terms (B_1, B_2, B_3, C_12, C_13, C_23) of A(s) at each
 # outcome s, by mask, and whether the outcome's sign product is even
 _D_OUTCOMES = tuple(
@@ -437,7 +433,8 @@ def _d_bounds(b1: float, b2: float, b3: float,
     1 + the ``math.fsum`` of its six signed terms."""
     b = (b1, b2, b3)
     for (i, j), value in (((1, 2), c12), ((1, 3), c13), ((2, 3), c23)):
-        _check_pair_nonneg(b[i - 1], b[j - 1], value, (i, j))
+        if signs := _negative_pair(b[i - 1], b[j - 1], value):
+            raise MarginalError(f"pair probability for {(i, j)} at signs ({signs[0]},{signs[1]}) is negative")
     terms = (b1, b2, b3, c12, c13, c23)
     lower, upper = -1.0, 1.0
     for signs, even in _D_OUTCOMES:
@@ -511,25 +508,17 @@ def c1n_interval(
 # constructive solver over chain data
 # ---------------------------------------------------------------------------
 
-def _violated_labels(family: InequalityFamily, data: CorrelatorSet | MomentSpec) -> tuple:
-    """Labels of the members whose slack on the data exceeds 1e-12."""
-    return tuple(family.labels(np.flatnonzero(family.slacks(data) > 1e-12)))
-
-
-def _named_violations(family: InequalityFamily, data: CorrelatorSet | MomentSpec) -> tuple:
-    """The violated members' labels, or when none is violated the label of
-    the first member with the largest slack, as ``max_violation`` picks it."""
-    slacks = family.slacks(data)
+def _block_labels(family: InequalityFamily, block: dict[tuple[int, int], float]) -> tuple[str, ...]:
+    """Labels of the members of ``family`` that read only the pairs of the
+    failing ``block`` (C_{0i} = B_i) and whose slack on its values exceeds
+    1e-12; when none does, the label of the first of them with the largest
+    slack, as ``max_violation`` picks it."""
+    outside = family.coefficients[:, [pair not in block for pair in family.pairs]].any(axis=1)
+    values = np.array([block.get(pair, 0.0) for pair in family.pairs])
+    slacks = _gather_slacks(_term_groups(family.coefficients), family.bounds, values)
+    slacks[outside] = -np.inf
     rows = np.flatnonzero(slacks > 1e-12)
     return tuple(family.labels(rows if rows.size else [int(np.argmax(slacks))]))
-
-
-def _block_violations(family: InequalityFamily, pairs: Sequence[tuple[int, int]],
-                      data: CorrelatorSet | MomentSpec) -> tuple:
-    """``_named_violations`` among the members of ``family`` that read every
-    one of ``pairs``."""
-    in_block = family.coefficients[:, [family.pairs.index(p) for p in pairs]].all(axis=1)
-    return _named_violations(family.take(in_block), data)
 
 
 def _block_expansions(rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
@@ -562,9 +551,8 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     for (i, j), value in chain.sorted_items():
         if _negative_pair(bs[i - 1], bs[j - 1], value):
             # a pair probability is a three-time block on the times (0, i, j)
-            block = MomentSpec(n, {(i,): bs[i - 1], (j,): bs[j - 1], (i, j): value})
-            return FeasibilityVerdict(False, violated=_block_violations(
-                two_time_complete(n), [(0, i), (0, j), (i, j)], block))
+            block = {(0, i): bs[i - 1], (0, j): bs[j - 1], (i, j): value}
+            return FeasibilityVerdict(False, violated=_block_labels(two_time_complete(n), block))
 
     c_in = dict(chain.entries)
     # closures[k] is C_1k for k = 2..n: the fixed C_12 and C_1n, and between
@@ -576,8 +564,8 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         interval = c1n_interval(chain_part, c_in[(k, k + 1)], closures[k + 1], bs[0], bs[k - 1])
         if interval.is_empty:
             values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [closures[k + 1]]
-            block = CorrelatorSet(k + 1, dict(zip(chain_pairs(k + 1), values)))
-            return FeasibilityVerdict(False, violated=_named_violations(lg_family(k + 1), block))
+            block = dict(zip(chain_pairs(k + 1), values))
+            return FeasibilityVerdict(False, violated=_block_labels(lg_family(k + 1), block))
         closures[k] = interval.midpoint()
 
     rows = []
@@ -585,9 +573,8 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         c_k, c_next, c_step = closures[k], closures[k + 1], c_in[(k, k + 1)]
         interval = Interval(*_d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step))
         if interval.is_empty:
-            pairs = [(1, k), (1, k + 1), (k, k + 1)]
-            block = MomentSpec(n, dict(zip(pairs, [c_k, c_next, c_step])))
-            return FeasibilityVerdict(False, violated=_block_violations(three_time_complete(n), pairs, block))
+            block = {(1, k): c_k, (1, k + 1): c_next, (k, k + 1): c_step}
+            return FeasibilityVerdict(False, violated=_block_labels(three_time_complete(n), block))
         rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, interval.midpoint()])
     blocks = _block_expansions(rows)  # on the times (1, k, k + 1), k = 2..n-1
 
@@ -645,8 +632,9 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
         feasible, objective = result.feasible, result.objective
         e_values = result.x[:len(quads)] - result.x[len(quads):2 * len(quads)]
     if not feasible:
-        families = (three_time_complete(n), ngon_family(n))
-        violated = [label for f in families for label in _violated_labels(f, correlators)]
+        conditions = _conditions(n, "complete")
+        slacks = _gather_slacks(conditions.groups, conditions.bounds, np.concatenate((np.zeros(n), cvec)))
+        violated = _row_labels(conditions.families, np.flatnonzero(slacks > 1e-12))
         return FeasibilityVerdict(False, violated=violated, phase1_objective=objective)
 
     # the moment expansion p(s) = 2^-n (f(s) + sum_q e_q prod_{i in q} s_i)

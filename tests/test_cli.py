@@ -41,6 +41,13 @@ def test_gen_raw_count_and_misuse(capsys):
     assert code == 2
 
 
+def test_gen_distinct_refuses_the_triple_family(capsys):
+    assert main(["gen", "--family", "three", "--n", "4", "--distinct"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lgfeas: error: --distinct applies to the lg and ngon families\n"
+
+
 def test_gen_out_of_range_n(capsys):
     code, _ = _run(capsys, "gen", "--family", "lg", "--n", "25")
     assert code == 2
@@ -105,6 +112,15 @@ def test_check_rejects_higher_order_moments(tmp_path, capsys):
     spec.write_text(json.dumps({"n": 3, "moments": {"1,2,3": 0.5}}))
     code, _ = _run(capsys, "check", "--moments", str(spec))
     assert code == 2
+
+
+def test_fine_build_rejects_higher_order_moments_as_check_does(tmp_path, capsys):
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"n": 3, "moments": {"1,2": 0.5, "2,3": 0.5, "1,3": 0.5, "1,2,3": 0.5}}))
+    for sub in ("check", "fine-build"):
+        assert main([sub, "--moments", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "lgfeas: error: oracle input must fix only one- and two-time moments\n")
 
 
 def test_fine_build_writes_certificate_and_manifest(tmp_path, capsys):

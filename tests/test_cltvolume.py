@@ -168,6 +168,15 @@ def test_family_estimates_reject_a_non_integer_n(estimator):
             estimator(n)
 
 
+def test_clt_and_family_estimates_reject_out_of_range_arguments():
+    for j, b in ((0, 1.0), (3, -1.0)):
+        with pytest.raises(ValidationError):
+            clt_violation_fraction(b, j)
+    for estimator in (v_lg, v_ngon):
+        with pytest.raises(ValidationError, match="n must be >= 3"):
+            estimator(2)
+
+
 def test_clt_close_to_exact_for_small_sums():
     for j in range(3, 9):
         for b in range(0, j + 1):

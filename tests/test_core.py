@@ -23,8 +23,13 @@ from lgfeas import (
     pairwise_probability,
 )
 from lgfeas import core
-from lgfeas.core import _walsh_hadamard
-from util import random_nonneg_distribution, reference_dense, reference_moments
+from lgfeas.core import _walsh_hadamard, parse_subset_key
+from util import (
+    random_nonneg_distribution,
+    reference_dense,
+    reference_moments,
+    reference_walsh_hadamard,
+)
 
 
 def test_sign_vector_index_convention():
@@ -363,6 +368,33 @@ def test_drift_correction_keeps_the_fsum_shift():
         assert core._drift_corrected(p).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_walsh_hadamard_equals_the_copying_reference_byte_for_byte(n):
+    values = np.random.default_rng(n).standard_normal(1 << n)
+    before = values.tobytes()
+    got = _walsh_hadamard(values)
+    assert got.dtype == np.float64 and got.shape == values.shape
+    assert got.tobytes() == reference_walsh_hadamard(values).tobytes()
+    assert values.tobytes() == before  # the input is not transformed in place
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 18, 64])
+def test_walsh_hadamard_of_block_rows_equals_the_reference_byte_for_byte(k):
+    # fine_build's three-time blocks: (k x 8) rows, passed as a list or an array
+    rows = np.random.default_rng(k).uniform(-1.0, 1.0, (k, 8))
+    want = reference_walsh_hadamard(rows)
+    for values in (rows, rows.tolist(), rows.T.copy().T):
+        got = _walsh_hadamard(values)
+        assert got.shape == (k, 8)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("key", ["1,x", "2,1"])
+def test_parse_subset_key_refuses_a_malformed_key(key):
+    with pytest.raises(ValidationError):
+        parse_subset_key(key)
+
+
 def test_moment_spec_json_round_trip():
     spec = MomentSpec(5, {(1,): 0.25, (1, 2): -0.5, (1, 2, 3): 0.125})
     payload = spec.to_json_dict()
@@ -409,6 +441,20 @@ def test_correlator_values_are_stored_as_floats():
     assert all(type(v) is float for v in data.entries.values())
 
 
+def test_correlator_set_from_json_rejects_a_key_of_three_times():
+    with pytest.raises(ValidationError, match="is not a pair"):
+        CorrelatorSet.from_json_dict({"n": 3, "correlators": {"1,2": 0.5, "1,2,3": 0.5}})
+
+
+@pytest.mark.parametrize("pairs", [chain_pairs, complete_pairs])
+def test_correlator_set_json_round_trip(pairs):
+    data = CorrelatorSet(5, {pair: 0.125 * (k - 4) for k, pair in enumerate(pairs(5))})
+    payload = data.to_json_dict()
+    assert payload["n"] == 5
+    assert list(payload["correlators"]) == [f"{i},{j}" for i, j in sorted(pairs(5))]
+    assert CorrelatorSet.from_json_dict(payload).entries == data.entries
+
+
 def test_correlator_set_from_json_rejects_non_mapping_correlators():
     with pytest.raises(ValidationError):
         CorrelatorSet.from_json_dict({"n": 3, "correlators": [1]})
@@ -445,6 +491,8 @@ def test_joint_distribution_validation():
         JointDistribution(2, np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(DimensionError):
         JointDistribution(2, np.array([1.0]))
+    with pytest.raises(ValidationError, match="finite"):
+        JointDistribution(2, np.array([0.5, math.nan, 0.25, 0.25]))
     quasi = JointDistribution(2, np.array([1.25, 0.25, -0.25, -0.25]))
     assert not quasi.is_nonnegative()
     assert quasi.min_value() == -0.25

@@ -258,6 +258,13 @@ def test_averages_outside_the_correlator_range_are_refused(bad):
         fine_build([bad, 0.0, 0.0], CorrelatorSet(3, {pair: 0.0 for pair in chain_pairs(3)}))
 
 
+def test_averages_of_the_wrong_length_are_refused():
+    zero = CorrelatorSet(3, {pair: 0.0 for pair in complete_pairs(3)})
+    for b in ([0.0, 0.0], [0.0] * 4):
+        with pytest.raises(DimensionError, match="expected 3 one-time averages"):
+            lp_feasible(b, zero)
+
+
 def test_lp_from_spec_rejects_higher_moments():
     with pytest.raises(ValidationError):
         lp_feasible_from_spec(MomentSpec(3, {(1, 2, 3): 0.5}))
@@ -688,6 +695,11 @@ def test_fine_build_requires_chain_pattern():
     full = CorrelatorSet(4, {p: 0.0 for p in complete_pairs(4)})
     with pytest.raises(ValidationError):
         fine_build(None, full)
+
+
+def test_fine_build_refuses_two_times():
+    with pytest.raises(DimensionError, match="fine_build needs n >= 3"):
+        fine_build(None, CorrelatorSet(2, {(1, 2): 0.0}))
 
 
 def test_fine_build_certificate_matches_marginals():
@@ -1201,6 +1213,8 @@ def test_conjecture_validates_arguments():
     for samples, seed in ((10, 1.5), (2.5, 1), (True, 1), (10, False), (10, "1")):
         with pytest.raises(ValidationError):
             conjecture_check(samples, seed)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        conjecture_check(10, -1)
     with pytest.raises(ValidationError):
         conjecture_check(10, 1, "typo")
     with pytest.raises(DimensionError):

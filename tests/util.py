@@ -67,6 +67,24 @@ def dense_conditions(families):
     return np.concatenate(blocks), np.concatenate([family.bounds for family in families])
 
 
+def reference_walsh_hadamard(values) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform along the last axis of a
+    float64 copy, one stage at a time, each stage writing freshly computed
+    sums and differences: the reference for ``core._walsh_hadamard``."""
+    arr = np.array(values, dtype=np.float64)
+    size = arr.shape[-1]
+    flat = arr.reshape(-1, size)
+    h = 1
+    while h < size:
+        flat = flat.reshape(flat.shape[0] * (size // (2 * h)), 2, h)
+        top = flat[:, 0, :].copy()
+        flat[:, 0, :] = top + flat[:, 1, :]
+        flat[:, 1, :] = top - flat[:, 1, :]
+        flat = flat.reshape(-1, size)
+        h *= 2
+    return flat.reshape(arr.shape)
+
+
 def subset_to_mask(subset) -> int:
     """The outcome bit mask of a subset of the times 1..n."""
     return sum(1 << (i - 1) for i in subset)

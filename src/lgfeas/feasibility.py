@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,14 +56,13 @@ from .core import (
 )
 from .inequalities import (
     InequalityFamily,
-    _gather_slacks,
-    _term_groups,
+    _slacks,
     lg_family,
     ngon_family,
     three_time_complete,
     two_time_complete,
 )
-from .simplex import FEASIBILITY_TOL, solve_phase1
+from .simplex import FEASIBILITY_TOL, _fractions, solve_phase1
 
 ORACLE_MAX_TIMES = 12
 EXACT_MAX_TIMES = 6
@@ -225,7 +223,6 @@ class _Conditions(NamedTuple):
     """Condition rows over the pairs of the times 0..n of one data pattern,
     columns in the order of ``_suspended(n, sorted pairs)``."""
 
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # ``_term_groups`` of the rows
     bounds: np.ndarray
     scales: np.ndarray
     terms: np.ndarray  # int8 (rows x pairs)
@@ -287,29 +284,21 @@ def _conditions(n: int, pattern: str) -> _Conditions:
         _outcome_maxima(n, masks, terms[start:start + step]) <= bounds[start:start + step]
         for start in range(0, len(terms), step)])
     scales = np.where(valid, np.maximum(np.abs(bounds), 1.0), np.inf)
-    groups = _term_groups(terms)
-    for array in (bounds, scales, terms, *(array for group in groups for array in group)):
+    for array in (bounds, scales, terms):
         array.setflags(write=False)
-    return _Conditions(groups, bounds, scales, terms, families)
+    return _Conditions(bounds, scales, terms, families)
 
 
 def _refuting_rows(conditions: _Conditions, values: np.ndarray, exact: bool) -> np.ndarray:
     """The rows of ``conditions`` whose slack on ``values``, from
-    ``_gather_slacks``, exceeds twice ``BOUNDARY_TOL`` times the row's
-    scale, as ``_screen`` decides; with ``exact``, those of them whose
-    slack is also positive in ``Fraction``s."""
-    slacks = _gather_slacks(conditions.groups, conditions.bounds, values)
-    rows = np.flatnonzero(slacks / conditions.scales > 2 * BOUNDARY_TOL)
+    ``_slacks``, exceeds twice ``BOUNDARY_TOL`` times the row's scale, as
+    ``_screen`` decides; with ``exact``, those of them whose slack is also
+    positive in ``Fraction``s (the bounds too: ``Fraction`` - float is a
+    float)."""
+    terms, bounds = conditions.terms, conditions.bounds
+    rows = np.flatnonzero(_slacks(terms, bounds, values) / conditions.scales > 2 * BOUNDARY_TOL)
     if exact and rows.size:
-        fractions = [Fraction(value) for value in values.tolist()]
-
-        def exact_slack(row: int) -> Fraction:
-            terms = conditions.terms[row]
-            total = sum((fractions[c] * int(terms[c]) for c in np.flatnonzero(terms).tolist()),
-                        Fraction(0))
-            return total - Fraction(conditions.bounds[row])
-
-        rows = rows[[exact_slack(row) > 0 for row in rows.tolist()]]
+        rows = rows[_slacks(terms[rows], _fractions(bounds[rows]), _fractions(values)) > 0]
     return rows
 
 
@@ -347,13 +336,13 @@ def lp_feasible(
 
     Float data on the chain pair set (n >= 3; at n = 3 that is also the
     complete set) that the rows leave is then certified by Fine's
-    construction first: a feasible ``fine_build`` verdict is returned as
-    it is, with its certificate and no ``phase1_objective``.  When the
+    construction first (``_fine_product``): its certificate is returned as
+    ``fine_build`` returns it, with no ``phase1_objective``.  When the
     construction cannot certify the data (an infeasible block inside the
-    band, or a knife-edge product it refuses with ``OracleError`` or
-    ``MarginalError``), the LP decides.  Chain data with 13 <= n <= 20,
-    past the LP's range, are decided by ``fine_build`` alone, with no
-    screen.  Complete data go to the LP up to n = ``ORACLE_MAX_TIMES``.
+    band, which goes unnamed, or a knife-edge product it refuses with
+    ``OracleError`` or ``MarginalError``), the LP decides.  Chain data
+    with 13 <= n <= 20, past the LP's range, are decided by ``fine_build``
+    alone, with no screen.  Complete data go to the LP up to n = ``ORACLE_MAX_TIMES``.
     """
     n = correlators.n
     if exact and n > EXACT_MAX_TIMES:
@@ -372,9 +361,9 @@ def lp_feasible(
         return FeasibilityVerdict(False, violated=_row_labels(conditions.families, refuting))
     if chain:
         try:
-            verdict = fine_build(bvec, correlators)
-            if verdict.feasible:
-                return verdict
+            built = _fine_product(bvec, correlators)
+            if isinstance(built, JointDistribution):
+                return FeasibilityVerdict(True, built)
         except (OracleError, MarginalError):
             pass  # a knife-edge product: the LP decides
 
@@ -515,7 +504,7 @@ def _block_labels(family: InequalityFamily, block: dict[tuple[int, int], float])
     slack, as ``max_violation`` picks it."""
     outside = family.coefficients[:, [pair not in block for pair in family.pairs]].any(axis=1)
     values = np.array([block.get(pair, 0.0) for pair in family.pairs])
-    slacks = _gather_slacks(_term_groups(family.coefficients), family.bounds, values)
+    slacks = _slacks(family.coefficients, family.bounds, values)
     slacks[outside] = -np.inf
     rows = np.flatnonzero(slacks > 1e-12)
     return tuple(family.labels(rows if rows.size else [int(np.argmax(slacks))]))
@@ -546,13 +535,24 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         raise DimensionError(f"fine_build needs n >= 3, got {n}")
     if frozenset(chain.entries) != frozenset(chain_pairs(n)):
         raise ValidationError("fine_build requires the chain correlator pattern")
-    bvec = _validate_b(b, n)
-    bs = bvec.tolist()
+    built = _fine_product(_validate_b(b, n), chain)
+    if isinstance(built, JointDistribution):
+        return FeasibilityVerdict(True, built)
+    family, size, block = built
+    return FeasibilityVerdict(False, violated=_block_labels(family(size), block))
+
+
+def _fine_product(
+    bvec: np.ndarray, chain: CorrelatorSet
+) -> JointDistribution | tuple[Callable[[int], InequalityFamily], int, dict]:
+    """The certificate of ``fine_build`` on checked averages and chain data,
+    or its first failing block: the family builder, the number of times it
+    is built for and the block's values, which ``_block_labels`` names."""
+    n, bs = chain.n, bvec.tolist()
     for (i, j), value in chain.sorted_items():
         if _negative_pair(bs[i - 1], bs[j - 1], value):
             # a pair probability is a three-time block on the times (0, i, j)
-            block = {(0, i): bs[i - 1], (0, j): bs[j - 1], (i, j): value}
-            return FeasibilityVerdict(False, violated=_block_labels(two_time_complete(n), block))
+            return two_time_complete, n, {(0, i): bs[i - 1], (0, j): bs[j - 1], (i, j): value}
 
     c_in = dict(chain.entries)
     # closures[k] is C_1k for k = 2..n: the fixed C_12 and C_1n, and between
@@ -564,8 +564,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         interval = c1n_interval(chain_part, c_in[(k, k + 1)], closures[k + 1], bs[0], bs[k - 1])
         if interval.is_empty:
             values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [closures[k + 1]]
-            block = dict(zip(chain_pairs(k + 1), values))
-            return FeasibilityVerdict(False, violated=_block_labels(lg_family(k + 1), block))
+            return lg_family, k + 1, dict(zip(chain_pairs(k + 1), values))
         closures[k] = interval.midpoint()
 
     rows = []
@@ -573,8 +572,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         c_k, c_next, c_step = closures[k], closures[k + 1], c_in[(k, k + 1)]
         interval = Interval(*_d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step))
         if interval.is_empty:
-            block = {(1, k): c_k, (1, k + 1): c_next, (k, k + 1): c_step}
-            return FeasibilityVerdict(False, violated=_block_labels(three_time_complete(n), block))
+            return three_time_complete, n, {(1, k): c_k, (1, k + 1): c_next, (k, k + 1): c_step}
         rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, interval.midpoint()])
     blocks = _block_expansions(rows)  # on the times (1, k, k + 1), k = 2..n-1
 
@@ -593,7 +591,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
 
     pairs = sorted(c_in)
     rhs = np.concatenate(([1.0], bvec, [c_in[pair] for pair in pairs]))
-    return FeasibilityVerdict(True, _certified(n, pairs, rhs, p))
+    return _certified(n, pairs, rhs, p)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +631,7 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
         e_values = result.x[:len(quads)] - result.x[len(quads):2 * len(quads)]
     if not feasible:
         conditions = _conditions(n, "complete")
-        slacks = _gather_slacks(conditions.groups, conditions.bounds, np.concatenate((np.zeros(n), cvec)))
+        slacks = _slacks(conditions.terms, conditions.bounds, np.concatenate((np.zeros(n), cvec)))
         violated = _row_labels(conditions.families, np.flatnonzero(slacks > 1e-12))
         return FeasibilityVerdict(False, violated=violated, phase1_objective=objective)
 
@@ -815,9 +813,9 @@ def _draw_block(n: int, mode: str, seed: int, first: int, stop: int) -> np.ndarr
 # is within 10 * 2^-53 * 12 < 1.4e-14 of the exact one (Higham, Accuracy and
 # Stability of Numerical Algorithms, 2nd ed., sec. 4.2), and so is each
 # screen statistic, a max or min over rows of slacks divided by scales >= 1.
-# A BLAS slack and a ``_gather_slacks`` slack thus differ by < 2.8e-14, and a
+# A BLAS slack and a ``_slacks`` slack thus differ by < 2.8e-14, and a
 # statistic farther than this margin from its threshold decides the same way
-# under both; the samples within it are re-decided from ``_gather_slacks``.
+# under both; the samples within it are re-decided from ``_slacks``.
 _SCREEN_MARGIN = 1e-12
 _SCREEN_THRESHOLDS = np.array([[0.0], [BOUNDARY_TOL], [2 * BOUNDARY_TOL]])
 _SCREEN_THRESHOLDS.setflags(write=False)
@@ -840,14 +838,14 @@ def _screen(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     The slacks of a block are one BLAS product, and a sample with a
     statistic within ``_SCREEN_MARGIN`` of its threshold is re-decided
-    from the slacks of ``_gather_slacks``, whose bits depend on that sample
-    alone; so every decision equals the one from ``_gather_slacks`` on
+    from the slacks of ``_slacks``, whose bits depend on that sample
+    alone; so every decision equals the one from ``_slacks`` on
     every sample, whatever the BLAS build and however samples are blocked."""
-    groups, bounds, scales, terms, _ = _conditions(n, "complete")
+    bounds, scales, terms, _ = _conditions(n, "complete")
     stats = _screen_statistics(terms.astype(np.float64) @ bc.T - bounds[:, None], scales)
     near = (np.abs(stats - _SCREEN_THRESHOLDS) <= _SCREEN_MARGIN).any(axis=0)
     if near.any():
-        stats[:, near] = _screen_statistics(_gather_slacks(groups, bounds, bc[near].T), scales)
+        stats[:, near] = _screen_statistics(_slacks(terms, bounds, bc[near].T), scales)
     return stats[0] <= 0.0, stats[1] < BOUNDARY_TOL, stats[2] > 2 * BOUNDARY_TOL
 
 

@@ -161,18 +161,11 @@ class InequalityFamily:
         arrays = ("coefficients", "bounds", "codes")
         return replace(self, **{name: getattr(self, name)[rows] for name in arrays})
 
-    @cached_property
-    def _slack_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``_term_groups`` of the rows, built on the first ``slacks`` call and
-        kept with the family: one int16 entry per term and one row number
-        per member, about 25 MB for ``lg_family(20)``."""
-        return _term_groups(self.coefficients)
-
     def slacks(self, data: CorrelatorSet | MomentSpec) -> np.ndarray:
         """Signed slack of every member on the data; positive means violated.
         Terms add in column order, so members tie when their slacks are
         bit-equal; slacks equal in exact arithmetic can differ by an ulp."""
-        return _gather_slacks(self._slack_tables, self.bounds, _pair_values(self.pairs, data))
+        return _slacks(self.coefficients, self.bounds, _pair_values(self.pairs, data))
 
 
 def _pair_values(pairs: Sequence[tuple[int, int]], data: CorrelatorSet | MomentSpec) -> np.ndarray:
@@ -184,46 +177,20 @@ def _pair_values(pairs: Sequence[tuple[int, int]], data: CorrelatorSet | MomentS
     raise TypeError(f"cannot evaluate against {type(data).__name__}")
 
 
-def _term_groups(coefficients: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The rows of an integer matrix grouped by term count, as pairs of row
-    numbers and a C-contiguous (terms x rows) int16 table of columns in
-    ascending order: j for c > 0, width + j for c < 0, listed |c| times."""
-    width = coefficients.shape[1]
-    weights = np.abs(coefficients)
-    counts, unit = weights.sum(axis=1), weights.max(initial=1) == 1
-    groups = []
-    # a set, not np.unique, whose first call imports numpy.ma (about 1 MB)
-    for count in sorted(set(counts.tolist())):
-        rows = np.flatnonzero(counts == count)
-        block = coefficients if rows.size == counts.size else coefficients[rows]
-        if unit and count == width:
-            # every entry is one term: no index arrays over the whole block
-            columns, negative = np.arange(width, dtype=np.int16), block < 0
-        else:
-            at, columns = np.nonzero(block)
-            copies = np.abs(block[at, columns])
-            columns, negative = np.repeat(columns, copies), np.repeat(block[at, columns] < 0, copies)
-        signed = np.where(negative, columns + width, columns).astype(np.int16, copy=False)
-        groups.append((rows, np.ascontiguousarray(signed.reshape(rows.size, count).T)))
-    return tuple(groups)
-
-
-def _gather_slacks(groups: tuple, bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Slacks, rows first, of the rows of ``_term_groups`` on ``values``,
-    1-D over the columns or (columns x samples).  Each row adds its terms
-    one at a time in table order, gathered from the values stacked on their
-    negatives (-x is x * -1.0 exactly), then subtracts its bound, so each
-    sample's bits depend on that sample alone.  For coefficients in
-    {-1, 0, 1} they equal a dense sum in column order: a zero term can only
-    flip the sign of a zero partial sum, which a non-zero bound erases."""
-    signed = np.concatenate((values, -values))
-    slacks = np.empty(bounds.shape + values.shape[1:])
-    for rows, table in groups:
-        total = signed[table[0]]
-        for column in table[1:]:
-            total += signed[column]
-        slacks[rows] = (total.T - bounds[rows]).T
-    return slacks
+def _slacks(coefficients: np.ndarray, bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Slacks, rows first, of the rows of an integer matrix with the given
+    bounds on ``values``, 1-D over the columns or (columns x samples), in
+    floats or ``Fraction``s.  Each row adds c * x column by column to a zero
+    of the values' dtype, -0.0 for floats and the int 0 for objects, then
+    subtracts its bound, so each sample's bits depend on that sample alone.
+    For coefficients in {-1, 0, 1} the float bits are those of the row's
+    non-zero terms added in column order: a product by +-1 is exact,
+    -0.0 + x is x, and a zero term can only flip the sign of a zero partial
+    sum, which a non-zero bound erases."""
+    total = -np.zeros(bounds.shape + values.shape[1:], dtype=values.dtype)
+    for column, x in zip(coefficients.T, values):
+        total += np.multiply.outer(column, x)
+    return (total.T - bounds).T
 
 
 def _family(name, n, pairs, coefficients, bound, codes) -> InequalityFamily:
@@ -290,13 +257,13 @@ def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
 
     A CorrelatorSet must fix every referenced pair and carries no B data
     (linear terms evaluate against 0).  A MomentSpec reads pairs and
-    singletons with the usual absent-means-zero convention.  Terms add in
-    the member's order, B terms first, so the value is bit-identical to the
-    member's row of ``InequalityFamily.slacks``.
+    singletons with the usual absent-means-zero convention.  Each term
+    c * x adds once, in the member's order, B terms first, so the value is
+    bit-identical to the member's row of ``InequalityFamily.slacks``.
     """
     pairs = [(0, i) for i in ineq.linear] + list(ineq.terms)
-    groups = _term_groups(np.array([[*ineq.linear.values(), *ineq.terms.values()]]))
-    return float(_gather_slacks(groups, np.array([ineq.bound]), _pair_values(pairs, data))[0])
+    coefficients = np.array([[*ineq.linear.values(), *ineq.terms.values()]])
+    return float(_slacks(coefficients, np.array([ineq.bound]), _pair_values(pairs, data))[0])
 
 
 def gap_weights(family: InequalityFamily) -> np.ndarray:

@@ -42,6 +42,7 @@ from lgfeas import feasibility
 from lgfeas.feasibility import (
     BOUNDARY_TOL,
     CONJECTURE_BLOCK,
+    ORACLE_MAX_TIMES,
     ConjectureReport,
     _block_expansions,
     _certified,
@@ -55,9 +56,10 @@ from lgfeas.feasibility import (
     _suspended,
 )
 from lgfeas.core import OracleError, _masks
-from lgfeas.inequalities import _gather_slacks
+from lgfeas.inequalities import _slacks
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
-from util import dense_conditions, markov_chain_data, pair_table_nonneg, sample_nonneg_pair_moments
+from util import (dense_conditions, markov_chain_data, pair_table_nonneg, reference_slacks,
+                  sample_nonneg_pair_moments, slack_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +400,12 @@ def test_exact_refutation_confirms_the_named_slacks(monkeypatch):
     # float slacks pushed up by 1 name rows that hold on this feasible
     # data; exact mode recomputes them in Fractions and goes to the LP
     data = _band_data("complete", 4, -1e-3)
-    monkeypatch.setattr(feasibility, "_gather_slacks",
-                        lambda groups, bounds, values: _gather_slacks(groups, bounds, values) + 1.0)
+
+    def pushed(coefficients, bounds, values):
+        slacks = _slacks(coefficients, bounds, values)
+        return slacks + 1.0 if values.dtype == np.float64 else slacks
+
+    monkeypatch.setattr(feasibility, "_slacks", pushed)
     assert lp_feasible(None, data).violated
     verdict = lp_feasible(None, data, exact=True)
     assert verdict.feasible and verdict.violated is None
@@ -548,7 +554,7 @@ def test_chain_verdicts_are_certified_by_the_construction(n):
 
 
 def _spies(monkeypatch):
-    calls = {"fine_build": [], "solve_phase1": []}
+    calls = {"fine_build": [], "_fine_product": [], "solve_phase1": []}
 
     def spy(name):
         original = getattr(feasibility, name)
@@ -560,6 +566,7 @@ def _spies(monkeypatch):
         monkeypatch.setattr(feasibility, name, recording)
 
     spy("fine_build")
+    spy("_fine_product")
     spy("solve_phase1")
     return calls
 
@@ -569,9 +576,28 @@ def test_an_infeasible_chain_inside_the_band_reaches_the_lp(monkeypatch, n):
     calls = _spies(monkeypatch)
     verdict = lp_feasible(None, _band_data("chain", n, 1e-7))
     assert not verdict.feasible and verdict.violated is None
-    assert [v.feasible for v in calls["fine_build"]] == [False]
+    # the construction ran and failed on a block, which nothing named
+    assert calls["fine_build"] == [] and [type(r) for r in calls["_fine_product"]] == [tuple]
     assert len(calls["solve_phase1"]) == 1
     assert verdict.phase1_objective == calls["solve_phase1"][0].objective
+
+
+@pytest.mark.parametrize("n, objective, label", [
+    (3, "0x1.ad7f29c000000p-24", "three3:1.2.3:+-+"),
+    (6, "0x1.ad7f29a000000p-22", "lg6:+++++-"),
+    (12, "0x1.0c6f7a1000000p-20", "lg12:+++++++++++-"),
+])
+def test_the_oracle_does_not_name_the_failing_block_it_discards(monkeypatch, n, objective, label):
+    named = []
+    original = feasibility._block_labels
+    monkeypatch.setattr(feasibility, "_block_labels",
+                        lambda *args: named.append(args) or original(*args))
+    data = _band_data("chain", n, 1e-7)
+    verdict = lp_feasible(None, data)
+    assert named == []
+    assert not verdict.feasible and verdict.violated is None
+    assert verdict.phase1_objective.hex() == objective
+    assert fine_build(None, data).violated == (label,) and len(named) == 1
 
 
 @pytest.mark.parametrize("refusal, target", [(OracleError, "_certified"), (MarginalError, "_d_bounds")])
@@ -901,8 +927,8 @@ def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
 
 def _screen_slacks(bc):
     # (samples x rows) slacks of the screen on the (samples x columns) draws
-    groups, bounds = _conditions(5, "complete")[:2]
-    return _gather_slacks(groups, bounds, bc.T).T
+    conditions = _conditions(5, "complete")
+    return _slacks(conditions.terms, conditions.bounds, bc.T).T
 
 
 def test_condition_slacks_depend_on_each_row_alone():
@@ -922,7 +948,7 @@ def _condition_families():
 def lowered_ngon_bound(monkeypatch):
     # lowering an n-gon bound from 2 to 1 (row 80) makes the row cut off
     # feasible data; yields the scales of the unchanged rows
-    valid = _conditions(5, "complete")[2]
+    valid = _conditions(5, "complete").scales
     ngon = ngon_family(5)
     lowered = ngon.bounds.copy()
     lowered[0] = 1.0
@@ -943,21 +969,6 @@ def _dense_slacks(bc):
     return total - bounds
 
 
-def test_condition_terms_cover_every_row_once_in_column_order():
-    a, _ = dense_conditions(_condition_families())
-    groups = _conditions(5, "complete")[0]
-    seen = []
-    for rows, table in groups:
-        assert table.shape == (table.shape[0], rows.size)
-        for row, signed in zip(rows.tolist(), table.T):
-            columns, negative = signed % 15, signed >= 15
-            assert columns.tolist() == np.flatnonzero(a[row]).tolist()
-            assert a[row, columns].tolist() == np.where(negative, -1.0, 1.0).tolist()
-            seen.append(row)
-    assert sorted(seen) == list(range(a.shape[0]))
-    assert sorted(table.shape[0] for _, table in groups) == [3, 10]
-
-
 def test_condition_rows_match_evaluate_on_each_family_member():
     # general-mode data, so the two-time rows read the averages
     bc = _draw_block(5, "general", 3, 0, 20)
@@ -971,6 +982,17 @@ def test_condition_rows_match_evaluate_on_each_family_member():
         assert by_family.tobytes() == row.tobytes()
         for member, fast in zip(members, row):
             assert np.float64(evaluate(member, spec)).tobytes() == fast.tobytes()
+
+
+@pytest.mark.parametrize("pattern", ["chain", "complete"])
+def test_condition_slacks_match_the_per_row_reference_bit_for_bit(pattern):
+    for n in range(3, ORACLE_MAX_TIMES + 1):
+        conditions = _conditions(n, pattern)
+        rng = np.random.default_rng(n)
+        for values in slack_inputs(conditions.terms.shape[1], rng):
+            got = _slacks(conditions.terms, conditions.bounds, values)
+            want = reference_slacks(conditions.terms, conditions.bounds, values)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_conditions_refuse_a_coefficient_outside_unit_range(monkeypatch):
@@ -1084,7 +1106,7 @@ def test_symmetric_blocks_match_a_per_sample_reference():
 
 def test_screen_scales_pin_every_n5_condition_row_as_valid():
     # 40 two-time and 40 three-time rows with bound 1, then 16 n-gon rows with bound 2
-    assert _conditions(5, "complete")[2].tolist() == [1.0] * 80 + [2.0] * 16
+    assert _conditions(5, "complete").scales.tolist() == [1.0] * 80 + [2.0] * 16
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "general"])
@@ -1092,7 +1114,7 @@ def test_screened_samples_have_a_phase1_optimum_above_their_scaled_slack(mode):
     a, bounds = dense_conditions(_condition_families())
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     bc = _draw_block(5, mode, 3, 0, 3000)
-    scaled = ((bc @ a.T - bounds) / _conditions(5, "complete")[2]).max(axis=1)
+    scaled = ((bc @ a.T - bounds) / _conditions(5, "complete").scales).max(axis=1)
     screened = np.flatnonzero(scaled > 2 * BOUNDARY_TOL)
     assert screened.size > 2900
     objectives = np.array([solve_phase1(rows, np.concatenate(([1.0], bc[k]))).objective
@@ -1118,23 +1140,23 @@ def test_only_samples_past_the_band_skip_the_lp(monkeypatch, past, solved):
 
 
 def _gathered_decisions(bc):
-    # (holds, boundary, refuted) from the slacks of ``_gather_slacks``
+    # (holds, boundary, refuted) from the slacks of ``_slacks``
     slacks = _screen_slacks(bc)
     return (slacks.max(axis=1) <= 0.0, np.abs(slacks).min(axis=1) < BOUNDARY_TOL,
-            (slacks / _conditions(5, "complete")[2]).max(axis=1) > 2 * BOUNDARY_TOL)
+            (slacks / _conditions(5, "complete").scales).max(axis=1) > 2 * BOUNDARY_TOL)
 
 
 @pytest.fixture
 def fallback(monkeypatch):
     """Records the (columns x samples) values the screen re-decides from
-    ``_gather_slacks``."""
+    ``_slacks``."""
     seen = []
 
-    def recording(groups, bounds, values):
+    def recording(coefficients, bounds, values):
         seen.append(values.copy())
-        return _gather_slacks(groups, bounds, values)
+        return _slacks(coefficients, bounds, values)
 
-    monkeypatch.setattr(feasibility, "_gather_slacks", recording)
+    monkeypatch.setattr(feasibility, "_slacks", recording)
     return seen
 
 
@@ -1169,7 +1191,7 @@ def test_a_slack_pinned_on_zero_is_re_decided_from_the_gathered_sums(fallback):
 
 def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(lowered_ngon_bound):
     samples = 2 * CONJECTURE_BLOCK + 3
-    scales = _conditions(5, "complete")[2]
+    scales = _conditions(5, "complete").scales
     report = conjecture_check(samples, 8, "symmetric")
     reference = _reference_report(samples, 8, "symmetric")
     valid = lowered_ngon_bound

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lgfeas import CorrelatorSet, chain_pairs, complete_pairs, lp_feasible, moments_from_distribution
+from lgfeas.feasibility import ORACLE_MAX_TIMES
 from util import random_nonneg_distribution
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -56,7 +57,7 @@ def _inputs(n, pairs, rng):
 def test_lp_verdicts_match_highs(pattern):
     rng = np.random.default_rng(31)
     decided = {True: 0, False: 0}
-    for n in range(3, 9):
+    for n in range(3, ORACLE_MAX_TIMES + 1):
         pairs = pattern(n)
         a = _moment_system(n, pairs)
         for b, c in _inputs(n, pairs, rng):

@@ -22,8 +22,9 @@ from lgfeas import (
     three_time_complete,
     two_time_complete,
 )
-from lgfeas.inequalities import family_to_json_list, gap_weights
-from util import random_nonneg_distribution
+from lgfeas.inequalities import _slacks, family_to_json_list, gap_weights
+from lgfeas.simplex import _fractions
+from util import SLACK_VALUES, random_nonneg_distribution, reference_slacks, slack_inputs
 
 
 def _as_set(family):
@@ -278,22 +279,18 @@ def test_evaluate_matches_family_slacks_bit_for_bit(build, n):
                 assert np.float64(evaluate(family[k], data)).tobytes() == slacks[k].tobytes()
 
 
-def test_slack_tables_are_built_once_per_family():
+def test_a_sub_family_slacks_its_own_rows():
     family = lg_family(6)
     data = CorrelatorSet(6, {pair: 0.3 for pair in chain_pairs(6)})
     first = family.slacks(data)
-    tables = family._slack_tables
-    assert family.slacks(data).tobytes() == first.tobytes()
-    assert family._slack_tables is tables
-    # a sub-family builds its own tables from its own rows
     rows = np.arange(len(family) - 1, -1, -3)
     assert family.take(rows).slacks(data).tobytes() == first[rows].tobytes()
 
 
-def test_evaluate_adds_a_double_coefficient_twice():
+def test_evaluate_adds_a_double_coefficient_as_one_term():
     # 2 B_1 - B_3 + 2 C_12 - 2 C_13 + C_23 <= 1, against the exact rational
-    # slack: 8 roundings of partial sums below 9 in magnitude leave it within
-    # 2^-44, far below the gap of one missing copy
+    # slack: each term c * x is exact, and 5 roundings of partial sums below
+    # 9 in magnitude leave it within 2^-44, far below the gap of a term
     member = LinearInequality({(1, 2): 2, (1, 3): -2, (2, 3): 1}, 1.0, linear={1: 2, 3: -1})
     rng = np.random.default_rng(2)
     for trial in range(100):
@@ -307,3 +304,35 @@ def test_evaluate_adds_a_double_coefficient_twice():
                  + Fraction(c23) - 1)
         gap = abs(Fraction(evaluate(member, spec)) - exact)
         assert gap == 0 if trial % 2 == 0 else gap <= Fraction(2) ** -44
+
+
+@pytest.mark.parametrize("build", [lg_family, ngon_family, three_time_complete, two_time_complete])
+def test_slacks_match_the_per_row_reference_bit_for_bit(build):
+    for n in range(3, 9):
+        family = build(n)
+        rng = np.random.default_rng(n)
+        for values in slack_inputs(len(family.pairs), rng):
+            got = _slacks(family.coefficients, family.bounds, values)
+            want = reference_slacks(family.coefficients, family.bounds, values)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_slacks_start_from_negative_zero():
+    # with a zero bound the sign of a zero sum shows: -0.0 + -0.0 + -0.0
+    # stays -0.0, where a start from +0.0 would give +0.0
+    coefficients = np.array([[1, -1], [1, 1]], dtype=np.int8)
+    slacks = _slacks(coefficients, np.zeros(2), np.array([-0.0, 0.0]))
+    assert slacks.tolist() == [0.0, 0.0] and np.signbit(slacks).tolist() == [True, False]
+
+
+def test_fraction_values_give_exact_fraction_slacks():
+    family = two_time_complete(4)
+    rng = np.random.default_rng(5)
+    bounds = _fractions(family.bounds)
+    for values in (rng.uniform(-1.0, 1.0, 10), rng.choice(SLACK_VALUES, (10, 3))):
+        got = _slacks(family.coefficients, bounds, _fractions(values))
+        exact = [[sum((Fraction(float(x)) * c for c, x in zip(row.tolist(), column)), Fraction(0))
+                  - int(bound) for column in np.atleast_2d(values.T)]
+                 for row, bound in zip(family.coefficients, family.bounds)]
+        assert all(type(slack) is Fraction for slack in got.flat)
+        assert got.reshape(len(family), -1).tolist() == exact

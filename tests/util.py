@@ -67,6 +67,34 @@ def dense_conditions(families):
     return np.concatenate(blocks), np.concatenate([family.bounds for family in families])
 
 
+def reference_slacks(coefficients, bounds, values) -> np.ndarray:
+    """Slacks, rows first, of the rows of an integer matrix on float values,
+    1-D over the columns or (columns x samples), one row at a time: its
+    non-zero terms c * x added in column order to -0.0, then minus its
+    bound.  The reference for ``inequalities._slacks``."""
+    slacks = np.empty(bounds.shape + values.shape[1:])
+    for row, (terms, bound) in enumerate(zip(coefficients.tolist(), bounds.tolist())):
+        total = np.full(values.shape[1:], -0.0)
+        for column in np.flatnonzero(terms).tolist():
+            total = total + terms[column] * values[column]
+        slacks[row] = total - bound
+    return slacks
+
+
+# signed zeros, +-1, and values off every coarse grid, so that the order of
+# the terms shows in the bits
+SLACK_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 2.0**-53, 1.0 - 2.0**-53, 0.1, -0.7])
+
+
+def slack_inputs(width, rng):
+    """1-D and (columns x 7) values for ``_slacks`` over ``width`` columns."""
+    yield np.full(width, -0.0)
+    yield rng.choice(SLACK_VALUES, width)
+    yield rng.uniform(-1.0, 1.0, width)
+    yield rng.choice(SLACK_VALUES, (width, 7))
+    yield rng.uniform(-1.0, 1.0, (width, 7))
+
+
 def reference_walsh_hadamard(values) -> np.ndarray:
     """The unnormalized Walsh-Hadamard transform along the last axis of a
     float64 copy, one stage at a time, each stage writing freshly computed

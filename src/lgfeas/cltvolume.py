@@ -127,8 +127,8 @@ def exact_uniform_sum_tail(bound: Fraction | float, j: int) -> Fraction:
     F(x) = (1/j!) * sum_{k<=floor(x)} (-1)^k C(j,k) (x-k)^j; everything is
     kept rational so the result out-ranks floating error.
     """
-    if not 1 <= _check_integer("j", j) <= 8:
-        raise ValidationError("exact convolution supports 1 <= j <= 8")
+    if _check_integer("j", j) < 1:
+        raise ValidationError("j must be >= 1")
     x = (Fraction(_check_real("bound", bound)) + j) / 2
     if x <= 0:
         return Fraction(1)

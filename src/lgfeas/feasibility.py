@@ -5,9 +5,8 @@ Two independent routes answer the same question:
 * an LP feasibility oracle (``lp_feasible``) over the 2^n outcome
   probabilities, built on the in-package phase-1 simplex, which first
   tries the condition rows of ``_conditions`` that hold at every +-1
-  outcome: a row violated past the band refutes the data with no LP;
-  float chain data that the rows leave are then certified by
-  ``fine_build`` before any tableau; and
+  outcome: a row violated past the band refutes the data with no LP, and
+  float chain data that the rows leave go to ``fine_build``; and
 * constructive solvers that assemble an explicit distribution: the
   three-time coefficient interval (``d_interval``), the free-correlator
   interval of the chain recursion (``c1n_interval``), the product
@@ -15,10 +14,9 @@ Two independent routes answer the same question:
   even-coefficient search for complete correlator sets
   (``symmetric_e_feasible``).
 
-Every +-1 expansion (the rows' validity check, each certificate's moment
-check) is one in-place ``core._butterfly``.  A negative verdict names the
-refuting rows of the cached condition table (``_row_labels``) or the
-members on ``fine_build``'s failing block (``_block_labels``).
+Every +-1 expansion is one in-place ``core._butterfly``.  A negative
+verdict names the refuting rows (``_row_labels``) or the members on
+``fine_build``'s failing block (``_block_labels``).
 
 ``conjecture_check`` samples random data, evaluates the candidate
 sufficient-condition set for n = 5 (two-time, three-time and n-gon
@@ -31,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,13 +202,12 @@ def _certified(n: int, pairs: Sequence[tuple[int, int]], rhs: np.ndarray,
 def _validate_b(b: Sequence[float] | None, n: int) -> np.ndarray:
     if b is None:
         return np.zeros(n)
-    arr = np.asarray(b, dtype=np.float64)
-    if arr.shape != (n,):
-        raise DimensionError(f"expected {n} one-time averages, got shape {arr.shape}")
-    # B_i = C_0i, so an average takes a correlator's tolerance
-    for i, value in enumerate(arr.tolist(), 1):
-        _validate_coefficient(value, f"one-time average B_{i}")
-    return arr
+    entries = np.asarray(b, dtype=object)
+    if entries.shape != (n,):
+        raise DimensionError(f"expected {n} one-time averages, got shape {entries.shape}")
+    # B_i = C_0i, so an average takes a correlator's checks
+    return np.array([_validate_coefficient(value, f"one-time average B_{i}")
+                     for i, value in enumerate(entries.tolist(), 1)])
 
 
 # Rows checked for validity at a time: (2^n x rows) int16 blocks of at most
@@ -329,20 +326,15 @@ def lp_feasible(
     Before any tableau is built, the data goes through the condition rows
     of its pattern (``_conditions``) by ``_screen``'s rule: a valid row
     whose slack exceeds twice ``BOUNDARY_TOL`` times its scale proves a
-    phase-1 optimum above 2e-7, far above the LP's tolerance, so the
-    verdict is infeasible with no LP and ``violated`` names those rows
-    (``phase1_objective`` stays None).  With ``exact=True`` a named row's
+    phase-1 optimum above 2e-7, so the verdict is infeasible with no LP
+    and ``violated`` names those rows.  With ``exact=True`` a named row's
     slack is also confirmed positive in ``Fraction``s.
 
-    Float data on the chain pair set (n >= 3; at n = 3 that is also the
-    complete set) that the rows leave is then certified by Fine's
-    construction first (``_fine_product``): its certificate is returned as
-    ``fine_build`` returns it, with no ``phase1_objective``.  When the
-    construction cannot certify the data (an infeasible block inside the
-    band, which goes unnamed, or a knife-edge product it refuses with
-    ``OracleError`` or ``MarginalError``), the LP decides.  Chain data
-    with 13 <= n <= 20, past the LP's range, are decided by ``fine_build``
-    alone, with no screen.  Complete data go to the LP up to n = ``ORACLE_MAX_TIMES``.
+    Float chain data (n >= 3) that the rows leave get ``fine_build``'s
+    verdict, with no screen past n = ``ORACLE_MAX_TIMES`` and up to n = 20;
+    the LP decides them only when the construction refuses a knife-edge
+    product (``OracleError`` or ``MarginalError``).  Complete data go to
+    the LP up to n = ``ORACLE_MAX_TIMES``.
     """
     n = correlators.n
     if exact and n > EXACT_MAX_TIMES:
@@ -361,9 +353,7 @@ def lp_feasible(
         return FeasibilityVerdict(False, violated=_row_labels(conditions.families, refuting))
     if chain:
         try:
-            built = _fine_product(bvec, correlators)
-            if isinstance(built, JointDistribution):
-                return FeasibilityVerdict(True, built)
+            return fine_build(bvec, correlators)
         except (OracleError, MarginalError):
             pass  # a knife-edge product: the LP decides
 
@@ -526,33 +516,21 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     then gets its triple coefficient from the midpoint of ``d_interval``,
     and the blocks multiply into the joint with the 0/0 -> 0 convention.
     The verdict is feasible exactly when every interval on the way is
-    non-empty, and the certificate reproduces all fixed marginals.  A
-    negative pair probability gives an infeasible verdict that names the
-    violated ``two_time_complete`` members on that pair.
+    non-empty; otherwise it names the members of the first failing block
+    (``_block_labels``), a negative pair probability naming the
+    ``two_time_complete`` members on that pair.
     """
     n = chain.n
     if n < 3:
         raise DimensionError(f"fine_build needs n >= 3, got {n}")
     if frozenset(chain.entries) != frozenset(chain_pairs(n)):
         raise ValidationError("fine_build requires the chain correlator pattern")
-    built = _fine_product(_validate_b(b, n), chain)
-    if isinstance(built, JointDistribution):
-        return FeasibilityVerdict(True, built)
-    family, size, block = built
-    return FeasibilityVerdict(False, violated=_block_labels(family(size), block))
-
-
-def _fine_product(
-    bvec: np.ndarray, chain: CorrelatorSet
-) -> JointDistribution | tuple[Callable[[int], InequalityFamily], int, dict]:
-    """The certificate of ``fine_build`` on checked averages and chain data,
-    or its first failing block: the family builder, the number of times it
-    is built for and the block's values, which ``_block_labels`` names."""
-    n, bs = chain.n, bvec.tolist()
+    bs = _validate_b(b, n).tolist()
     for (i, j), value in chain.sorted_items():
         if _negative_pair(bs[i - 1], bs[j - 1], value):
             # a pair probability is a three-time block on the times (0, i, j)
-            return two_time_complete, n, {(0, i): bs[i - 1], (0, j): bs[j - 1], (i, j): value}
+            block = {(0, i): bs[i - 1], (0, j): bs[j - 1], (i, j): value}
+            return FeasibilityVerdict(False, violated=_block_labels(two_time_complete(n), block))
 
     c_in = dict(chain.entries)
     # closures[k] is C_1k for k = 2..n: the fixed C_12 and C_1n, and between
@@ -564,7 +542,8 @@ def _fine_product(
         interval = c1n_interval(chain_part, c_in[(k, k + 1)], closures[k + 1], bs[0], bs[k - 1])
         if interval.is_empty:
             values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [closures[k + 1]]
-            return lg_family, k + 1, dict(zip(chain_pairs(k + 1), values))
+            block = dict(zip(chain_pairs(k + 1), values))
+            return FeasibilityVerdict(False, violated=_block_labels(lg_family(k + 1), block))
         closures[k] = interval.midpoint()
 
     rows = []
@@ -572,7 +551,8 @@ def _fine_product(
         c_k, c_next, c_step = closures[k], closures[k + 1], c_in[(k, k + 1)]
         interval = Interval(*_d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step))
         if interval.is_empty:
-            return three_time_complete, n, {(1, k): c_k, (1, k + 1): c_next, (k, k + 1): c_step}
+            block = {(1, k): c_k, (1, k + 1): c_next, (k, k + 1): c_step}
+            return FeasibilityVerdict(False, violated=_block_labels(three_time_complete(n), block))
         rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, interval.midpoint()])
     blocks = _block_expansions(rows)  # on the times (1, k, k + 1), k = 2..n-1
 
@@ -590,8 +570,8 @@ def _fine_product(
         p *= ratio
 
     pairs = sorted(c_in)
-    rhs = np.concatenate(([1.0], bvec, [c_in[pair] for pair in pairs]))
-    return _certified(n, pairs, rhs, p)
+    rhs = np.concatenate(([1.0], bs, [c_in[pair] for pair in pairs]))
+    return FeasibilityVerdict(True, _certified(n, pairs, rhs, p))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,12 @@ def test_mc_json_with_exact_reference(capsys):
     assert abs(payload["value"] - 1 / 6) < 0.02
 
 
+def test_mc_exact_reference_past_eight_terms(capsys):
+    code, out = _run(capsys, "mc", "--n", "9", "--member", "0", "--samples", "1000", "--exact")
+    assert code == 0
+    assert json.loads(out)["exact"] == pytest.approx(1 / math.factorial(9), rel=1e-11)
+
+
 def test_mc_member_index_out_of_range(capsys):
     code, _ = _run(capsys, "mc", "--n", "3", "--member", "99", "--samples", "10")
     assert code == 2

@@ -119,9 +119,13 @@ def test_exact_tail_matches_symmetry():
             assert total == 1
 
 
-def test_exact_tail_rejects_large_j():
-    with pytest.raises(ValidationError):
-        exact_uniform_sum_tail(1, 9)
+def test_exact_tail_has_no_cap_on_j():
+    # the all-plus lg member's violating fraction: U_1 + ... + U_n > n - 2
+    # only near the corner, a simplex of volume 2^n / n! in [-1, 1]^n
+    for n in range(3, 21):
+        assert exact_uniform_sum_tail(n - 2, n) == Fraction(1, math.factorial(n))
+    with pytest.raises(ValidationError, match="j must be >= 1"):
+        exact_uniform_sum_tail(1, 0)
 
 
 def test_exact_tail_rejects_non_integer_j():

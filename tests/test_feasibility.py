@@ -260,6 +260,15 @@ def test_averages_outside_the_correlator_range_are_refused(bad):
         fine_build([bad, 0.0, 0.0], CorrelatorSet(3, {pair: 0.0 for pair in chain_pairs(3)}))
 
 
+def test_averages_that_are_not_real_numbers_are_refused():
+    # the same entries that CorrelatorSet and MomentSpec refuse
+    for bad, shown in ((True, "True"), ("0.5", "'0.5'"), (None, "None")):
+        with pytest.raises(ValidationError, match=f"B_1 must be a finite real number, got {shown}"):
+            lp_feasible([bad, 0, 0], CorrelatorSet(3, {pair: 0.0 for pair in complete_pairs(3)}))
+        with pytest.raises(ValidationError, match=f"B_1 must be a finite real number, got {shown}"):
+            fine_build([bad, 0, 0], CorrelatorSet(3, {pair: 0.0 for pair in chain_pairs(3)}))
+
+
 def test_averages_of_the_wrong_length_are_refused():
     zero = CorrelatorSet(3, {pair: 0.0 for pair in complete_pairs(3)})
     for b in ([0.0, 0.0], [0.0] * 4):
@@ -378,8 +387,24 @@ def test_oracle_verdicts_equal_a_direct_phase1_solve(pattern, n):
     assert refuted and solved
 
 
+def _refuse_construction(monkeypatch):
+    """Make ``fine_build``, as the oracle calls it, refuse a knife-edge
+    product; the returned list records the refused calls."""
+    refused = []
+
+    def refusing(*args):
+        refused.append(args)
+        raise OracleError("knife edge")
+
+    monkeypatch.setattr(feasibility, "fine_build", refusing)
+    return refused
+
+
 @pytest.mark.parametrize("pattern", ["chain", "complete"])
 def test_only_data_past_the_band_skips_the_lp(monkeypatch, pattern):
+    if pattern == "chain":
+        # in-band chain data reach the LP only past a refused construction
+        _refuse_construction(monkeypatch)
     calls = []
 
     def recording(rows, rhs):
@@ -554,7 +579,7 @@ def test_chain_verdicts_are_certified_by_the_construction(n):
 
 
 def _spies(monkeypatch):
-    calls = {"fine_build": [], "_fine_product": [], "solve_phase1": []}
+    calls = {"fine_build": [], "solve_phase1": []}
 
     def spy(name):
         original = getattr(feasibility, name)
@@ -566,18 +591,67 @@ def _spies(monkeypatch):
         monkeypatch.setattr(feasibility, name, recording)
 
     spy("fine_build")
-    spy("_fine_product")
     spy("solve_phase1")
     return calls
 
 
 @pytest.mark.parametrize("n", [3, 6, 12])
+def test_chain_data_inside_the_band_get_the_construction_verdict(monkeypatch, n):
+    # the screen leaves these; the construction names the failing block, with no LP
+    label = {3: "three3:1.2.3:+-+", 6: "lg6:+++++-", 12: "lg12:+++++++++++-"}[n]
+    calls = _spies(monkeypatch)
+    for past in (1e-7, 1e-8):
+        data = _band_data("chain", n, past)
+        verdict = lp_feasible(None, data)
+        assert calls["solve_phase1"] == [] and calls["fine_build"][-1] is verdict
+        _same_verdict(verdict, fine_build(None, data))
+        assert verdict.violated == (label,) and verdict.phase1_objective is None
+
+
+def test_chain_data_past_an_lg_member_by_1e_9_are_named():
+    # lg4:+++- is broken by 1e-9, inside the LP's tolerance: the LP's own
+    # certificate for it fails the 1e-9 residual check
+    data = CorrelatorSet(4, {(1, 2): 0.2728497376881426, (2, 3): 0.5006847746056972,
+                             (3, 4): 0.7430094637473558, (1, 4): -0.4834560249588047})
+    verdict = lp_feasible(None, data)
+    assert not verdict.feasible and verdict.violated == ("lg4:+++-",)
+
+
+def _pushed_markov(rng, n, slack, averages):
+    """Markov-chain data moved straight toward the +-1 correlators of its
+    largest-slack lg member, whose slack there is 2, until that slack is
+    ``slack``; the pair conditions hold along the way."""
+    b, entries = markov_chain_data(rng, n, averages)
+    lg = lg_family(n)
+    slacks = _slacks(lg.coefficients, lg.bounds, np.array([entries[pair] for pair in lg.pairs]))
+    top = int(np.argmax(slacks))
+    t = (slack - slacks[top]) / (2.0 - slacks[top])
+    target = dict(zip(lg.pairs, lg.coefficients[top].tolist()))
+    entries = {pair: float((1 - t) * value + t * target[pair]) for pair, value in entries.items()}
+    return (None if b is None else [float((1 - t) * value) for value in b]), CorrelatorSet(n, entries)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_chain_data_near_an_lg_face_get_the_construction_verdict(monkeypatch, n):
+    # slacks up to 1e-9 lie inside the LP's tolerance; at n = 3 the
+    # construction's interval is already empty from about 5e-10
+    rng = np.random.default_rng(2029 + n)
+    calls = _spies(monkeypatch)
+    for slack in (-2e-9, 0.0, 6e-10, 9e-10, 9.9e-10, 1e-9, 4e-9):
+        for averages in (True, False):
+            b, data = _pushed_markov(rng, n, slack, averages)
+            _same_verdict(lp_feasible(b, data), fine_build(b, data))
+    assert calls["solve_phase1"] == [] and len(calls["fine_build"]) == 14
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
 def test_an_infeasible_chain_inside_the_band_reaches_the_lp(monkeypatch, n):
+    # when the construction refuses, the LP decides infeasible data too
+    refused = _refuse_construction(monkeypatch)
     calls = _spies(monkeypatch)
     verdict = lp_feasible(None, _band_data("chain", n, 1e-7))
     assert not verdict.feasible and verdict.violated is None
-    # the construction ran and failed on a block, which nothing named
-    assert calls["fine_build"] == [] and [type(r) for r in calls["_fine_product"]] == [tuple]
+    assert len(refused) == 1 and calls["fine_build"] == []
     assert len(calls["solve_phase1"]) == 1
     assert verdict.phase1_objective == calls["solve_phase1"][0].objective
 
@@ -588,10 +662,13 @@ def test_an_infeasible_chain_inside_the_band_reaches_the_lp(monkeypatch, n):
     (12, "0x1.0c6f7a1000000p-20", "lg12:+++++++++++-"),
 ])
 def test_the_oracle_does_not_name_the_failing_block_it_discards(monkeypatch, n, objective, label):
+    # a refused construction leaves the LP's unnamed verdict; the
+    # construction on its own names the block
     named = []
     original = feasibility._block_labels
     monkeypatch.setattr(feasibility, "_block_labels",
                         lambda *args: named.append(args) or original(*args))
+    _refuse_construction(monkeypatch)
     data = _band_data("chain", n, 1e-7)
     verdict = lp_feasible(None, data)
     assert named == []
@@ -615,6 +692,7 @@ def test_a_refused_construction_falls_back_to_the_lp(monkeypatch, refusal, targe
     monkeypatch.setattr(feasibility, target, refusing)
     calls = _spies(monkeypatch)
     verdict = lp_feasible(b, data)
+    # the spy records only what returns, so fine_build's refusal leaves no entry
     assert refused and calls["fine_build"] == [] and len(calls["solve_phase1"]) == 1
     assert verdict.feasible and verdict.phase1_objective is not None
     _assert_certified(verdict, b, data)

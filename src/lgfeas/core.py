@@ -11,8 +11,8 @@ coefficients are the one-time averages B_i, pair coefficients are the
 two-time correlators C_ij, and higher coefficients carry the remaining
 degrees of freedom.  This module holds both representations and the exact
 conversions between them.  A conversion is one Walsh-Hadamard transform
-plus array passes over the subset keys: from 16 keys up, no check or
-conversion step runs once per subset in Python.
+plus array passes over the subset keys: no check or conversion step runs
+once per subset in Python, whatever the size of the map.
 
 Outcome indexing convention (fixes file formats and iteration order):
 sign vectors map to integers little-endian in the time index, with bit
@@ -113,6 +113,8 @@ def parse_subset_key(key: str) -> tuple[int, ...]:
         raise ValidationError(f"bad subset key {key!r}") from exc
     if not subset or any(b <= a for a, b in zip(subset, subset[1:])):
         raise ValidationError(f"subset key {key!r} is not strictly increasing")
+    if format_subset_key(subset) != key:  # " 1", "+1", "01" would merge with "1"
+        raise ValidationError(f"subset key {key!r} must be written {format_subset_key(subset)!r}")
     return subset
 
 
@@ -190,12 +192,6 @@ def _flatten(keys: Collection[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]
     return sizes, np.frombuffer(bytearray(chain.from_iterable(keys)), np.int8)
 
 
-# Moment maps with fewer entries are checked and densified one entry at a
-# time: the array passes cost about 20 us to check and 10 us to densify
-# whatever the size, the loops about 2 us and 0.5 us an entry.
-_ARRAY_PASS_MIN = 16
-
-
 def _masks(keys: Collection[tuple[int, ...]]) -> np.ndarray:
     """The bit mask of each key of times 0..n: one or-``reduceat`` of
     (1 << t) >> 1 over its flattened times, so that time 0 (s_0 = +1) and
@@ -232,7 +228,7 @@ def _well_formed(n: int, keys: Collection, values: Collection, value_types: set)
         floats = np.fromiter(values, np.float64, count=sizes.size)
     except (TypeError, ValueError, OverflowError):
         return False
-    if sizes.min() < 1 or times.min() < 1 or times.max() > n:
+    if sizes.min(initial=1) < 1 or times.min(initial=1) < 1 or times.max(initial=n) > n:
         return False
     # every step inside a key must be positive; the step from one key's last
     # time to the next key's first belongs to neither
@@ -242,19 +238,22 @@ def _well_formed(n: int, keys: Collection, values: Collection, value_types: set)
     # maximum is nan if any value is, and nan fails the comparison
     return bool(steps.min(initial=1) >= 1
                 and bool not in set(map(type, map(itemgetter(0), keys)))
-                and np.abs(floats).max() <= 1.0 + NORMALIZATION_TOL)
+                and np.abs(floats).max(initial=0.0) <= 1.0 + NORMALIZATION_TOL)
 
 
-def _checked_moments(n: int, moments: Mapping) -> dict | None:
-    """``moments`` as a dict of floats if it has ``_ARRAY_PASS_MIN`` entries
-    or more and is ``_well_formed``, else None.  Float values are shared,
-    not copied, and the arrays of the checks are freed before the copy."""
-    if len(moments) < _ARRAY_PASS_MIN:
-        return None
+def _checked_moments(n: int, moments: Mapping, what: str) -> dict:
+    """``moments`` as a dict of floats once ``_well_formed`` accepts it; a map
+    it refuses is walked entry by entry, naming the first malformed one as
+    ``what`` and its subset.  Float values are shared, not copied, and the
+    arrays of the checks are freed before the copy."""
     keys, values = moments.keys(), moments.values()
     value_types = set(map(type, values))
     if not _well_formed(n, keys, values, value_types):
-        return None
+        cleaned = {}
+        for subset, value in moments.items():
+            _check_subset(subset, n)
+            cleaned[subset] = _validate_coefficient(value, f"{what} {subset}")
+        return cleaned
     if value_types == {float}:
         return dict(moments)
     return dict(zip(keys, map(float, values)))
@@ -275,10 +274,9 @@ class MomentSpec:
     expresses the symmetric case (all odd coefficients zero) by simply
     omitting the odd keys.
 
-    From ``_ARRAY_PASS_MIN`` entries up, the checks and ``to_dense`` are
-    array passes over the keys' flattened times and the values, not a
-    Python step per subset; the checks then walk the entries only to name
-    a malformed one.
+    The checks and ``to_dense`` are array passes over the keys' flattened
+    times and the values, not a Python step per subset, at every size; the
+    checks walk the entries only to name a malformed one.
     """
 
     n: int
@@ -286,13 +284,7 @@ class MomentSpec:
 
     def __post_init__(self) -> None:
         _check_n(self.n, minimum=2)
-        cleaned = _checked_moments(self.n, self.moments)
-        if cleaned is None:  # one entry at a time, naming the first malformed one
-            cleaned = {}
-            for subset, value in self.moments.items():
-                _check_subset(subset, self.n)
-                cleaned[subset] = _validate_coefficient(value, f"moment {subset}")
-        object.__setattr__(self, "moments", cleaned)
+        object.__setattr__(self, "moments", _checked_moments(self.n, self.moments, "moment"))
 
     def get(self, subset: Sequence[int]) -> float:
         return self.moments.get(tuple(subset), 0.0)
@@ -314,14 +306,9 @@ class MomentSpec:
 
     def to_dense(self) -> np.ndarray:
         """Coefficient vector indexed by subset bit mask; entry 0 is the unit."""
-        if len(self.moments) < _ARRAY_PASS_MIN:
-            dense = np.zeros(1 << self.n)
-            for subset, value in self.moments.items():
-                dense[sum(1 << (t - 1) for t in subset)] = value
-        else:
-            masks = _masks(self.moments.keys())
-            dense = np.zeros(1 << self.n)
-            dense[masks] = np.fromiter(self.moments.values(), np.float64, count=masks.size)
+        masks = _masks(self.moments.keys())
+        dense = np.zeros(1 << self.n)
+        dense[masks] = np.fromiter(self.moments.values(), np.float64, count=masks.size)
         dense[0] = 1.0
         return dense
 
@@ -345,8 +332,8 @@ class CorrelatorSet:
 
     The chain pattern is the standard test layout (1,2), ..., (n-1,n), (1,n);
     the complete pattern fixes all n(n-1)/2 pairs.  Keys are tuples (i, j)
-    of integer times with 1 <= i < j <= n; values follow the rule of
-    ``MomentSpec`` values and are stored as floats.
+    of integer times with 1 <= i < j <= n; keys and values are checked as
+    ``MomentSpec`` checks its own, and values are stored as floats.
     """
 
     n: int
@@ -354,16 +341,9 @@ class CorrelatorSet:
 
     def __post_init__(self) -> None:
         _check_n(self.n, minimum=2)
-        cleaned: dict[tuple[int, int], float] = {}
-        for pair, value in self.entries.items():
-            if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_time, pair))):
-                raise ValidationError(f"pair {pair!r} is not a pair of integer times")
-            i, j = pair
-            if not (1 <= i < j <= self.n):
-                raise ValidationError(f"pair {pair} out of range for n={self.n}")
-            cleaned[(i, j)] = _validate_coefficient(value, f"correlator {pair}")
+        cleaned = _checked_moments(self.n, self.entries, "correlator")
         keys = frozenset(cleaned)
-        if keys != frozenset(complete_pairs(self.n)) and keys != frozenset(chain_pairs(self.n)):
+        if keys != frozenset(chain_pairs(self.n)) and keys != frozenset(complete_pairs(self.n)):
             raise ValidationError(
                 "correlator key set must follow the chain pattern or be complete; "
                 f"got {sorted(keys)} for n={self.n}"
@@ -472,7 +452,10 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> JointDistribution:
         try:
-            n, p = _check_integer("n", payload["n"]), np.asarray(payload["p"], dtype=np.float64)
+            n, p = _check_integer("n", payload["n"]), np.asarray(payload["p"])
+            if p.ndim and p.dtype.kind in "bOSU":  # a scalar fails the shape check
+                raise ValueError(f"distribution entries must be numbers, got {p.dtype} entries")
+            p = p.astype(np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed distribution payload: {exc}") from exc
         return cls(n, p)

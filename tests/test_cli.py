@@ -318,6 +318,16 @@ def test_non_integer_n_exits_2(tmp_path, capsys, sub, n):
     _assert_input_error(capsys, main([sub, "--moments", str(spec)]))
 
 
+@pytest.mark.parametrize("sub", ["check", "fine-build"])
+def test_a_second_spelling_of_a_moment_key_exits_2(tmp_path, capsys, sub):
+    # "1, 4" once overwrote "1,4" and made the CHSH data feasible
+    s = 1 / math.sqrt(2)
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"n": 4, "moments": {"1,2": s, "2,3": s, "3,4": s, "1,4": -s,
+                                                    "1, 4": 0.5}}))
+    _assert_input_error(capsys, main([sub, "--moments", str(spec)]))
+
+
 def test_non_mapping_moments_exits_2(tmp_path, capsys):
     spec = tmp_path / "m.json"
     spec.write_text(json.dumps({"n": 3, "moments": [1]}))

@@ -307,6 +307,18 @@ def test_valid_large_maps_are_not_walked(monkeypatch, mixed):
     assert spec.moments == {key: float(value) for key, value in moments.items()}
 
 
+def test_valid_small_maps_and_correlator_sets_are_not_walked(monkeypatch):
+    # one check at every size: a 3-entry map and both correlator patterns
+    # take the array passes alone, as the large maps do
+    monkeypatch.setattr(core, "_check_subset", None)
+    monkeypatch.setattr(core, "_validate_coefficient", None)
+    moments = {(1,): Fraction(1, 3), (np.int64(2), np.int64(5)): np.float32(0.25), (1, 2, 3): 1}
+    assert MomentSpec(7, moments).moments == {(1,): 1 / 3, (2, 5): 0.25, (1, 2, 3): 1.0}
+    for n, pairs in ((3, chain_pairs), (7, complete_pairs)):
+        entries = {pair: 0.125 * (k % 9 - 4) for k, pair in enumerate(pairs(n))}
+        assert CorrelatorSet(n, entries).entries == entries
+
+
 def test_conversions_at_n_18_match_the_reference_on_a_sample():
     dist = _quasi_distribution(np.random.default_rng(18), 18)
     spec = moments_from_distribution(dist)
@@ -389,7 +401,9 @@ def test_walsh_hadamard_of_block_rows_equals_the_reference_byte_for_byte(k):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("key", ["1,x", "2,1"])
+# " 1", "+1", "01", the Arabic-Indic one and a trailing newline all parse
+# as 1, so a second spelling of a key would overwrite the first
+@pytest.mark.parametrize("key", ["1,x", "2,1", "1, 4", "+1,4", "01,4", "\u0661,4", "1,4\n"])
 def test_parse_subset_key_refuses_a_malformed_key(key):
     with pytest.raises(ValidationError):
         parse_subset_key(key)
@@ -429,10 +443,26 @@ def test_correlator_values_follow_the_moment_rule(value):
         CorrelatorSet.from_json_dict(payload)
 
 
-@pytest.mark.parametrize("key", [1, (1,), (1, 2, 3), (1.5, 2), (True, 2)])
+# a key that is no subset gets the moment key message; a subset of one or
+# three times gets the pattern message
+_BAD_PAIR_KEYS = {
+    1: "subset 1 is not a tuple of integer times",
+    (1,): "correlator key set must follow the chain pattern or be complete",
+    (1, 2, 3): "correlator key set must follow the chain pattern or be complete",
+    (1.5, 2): "subset (1.5, 2) is not a tuple of integer times",
+    (True, 2): "subset (True, 2) is not a tuple of integer times",
+}
+
+
+@pytest.mark.parametrize("key", list(_BAD_PAIR_KEYS))
 def test_correlator_keys_must_be_pairs_of_integer_times(key):
-    with pytest.raises(ValidationError, match="is not a pair of integer times"):
+    with pytest.raises(ValidationError, match=re.escape(_BAD_PAIR_KEYS[key])):
         CorrelatorSet(3, {key: 0.0, (2, 3): 0.0, (1, 3): 0.0})
+
+
+def test_an_empty_correlator_set_gets_the_pattern_message():
+    with pytest.raises(ValidationError, match="must follow the chain pattern or be complete"):
+        CorrelatorSet(4, {})
 
 
 def test_correlator_values_are_stored_as_floats():
@@ -477,6 +507,14 @@ def test_json_n_must_be_a_json_integer(read, n):
 def test_joint_distribution_from_json_rejects_non_numeric_p():
     with pytest.raises(ValidationError):
         JointDistribution.from_json_dict({"n": 2, "p": ["x", 0.5, 0.25, 0.25]})
+
+
+@pytest.mark.parametrize("p", [["0.5", "0.5"], [True, False]])
+def test_joint_distribution_from_json_follows_the_moment_value_rule(p):
+    # both once read as numbers: [0.5, 0.5] and [1.0, 0.0] sum to 1
+    with pytest.raises(ValidationError, match="must be numbers"):
+        JointDistribution.from_json_dict({"n": 1, "p": p})
+    assert JointDistribution.from_json_dict({"n": 1, "p": [1, 0]}).p.tolist() == [1.0, 0.0]
 
 
 def test_correlator_set_lookup():

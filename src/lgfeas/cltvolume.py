@@ -12,9 +12,6 @@ estimators of that fraction live here:
 * ``exact_violation_fraction``: the exact piecewise-polynomial uniform-sum
   tail (Irwin-Hall after rescaling), evaluated in rational arithmetic so
   it can arbitrate the other two.
-
-``erf`` is the standard library's ``math.erf``, re-exported under the
-package name.
 """
 
 from __future__ import annotations

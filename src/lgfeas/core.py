@@ -118,40 +118,6 @@ def parse_subset_key(key: str) -> tuple[int, ...]:
     return subset
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """An outcome assignment (s_1, ..., s_n), each entry -1 or +1."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.signs) < 1 or len(self.signs) > MAX_TIMES:
-            raise DimensionError(f"sign vector length must be in [1, {MAX_TIMES}]")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValidationError(f"sign vector entries must be -1 or +1, got {self.signs}")
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> SignVector:
-        _check_n(n)
-        if not 0 <= index < (1 << n):
-            raise ValidationError(f"index {index} out of range for n={n}")
-        return cls(tuple(1 if not (index >> k) & 1 else -1 for k in range(n)))
-
-    @property
-    def index(self) -> int:
-        return sum(1 << k for k, s in enumerate(self.signs) if s < 0)
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    def __iter__(self):
-        return iter(self.signs)
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-
 def _validate_coefficient(value, what: str) -> float:
     """``value`` as a float if it passes ``_check_real`` and lies in [-1, 1]
     within NORMALIZATION_TOL; anything else raises ValidationError."""
@@ -334,31 +300,31 @@ class CorrelatorSet:
     the complete pattern fixes all n(n-1)/2 pairs.  Keys are tuples (i, j)
     of integer times with 1 <= i < j <= n; keys and values are checked as
     ``MomentSpec`` checks its own, and values are stored as floats.
+
+    ``pattern`` is decided once, at construction: "complete" when every
+    pair is fixed, else "chain".  At n <= 3 the chain fixes every pair, so
+    the set reads "complete".
     """
 
     n: int
     entries: Mapping[tuple[int, int], float]
+    pattern: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_n(self.n, minimum=2)
         cleaned = _checked_moments(self.n, self.entries, "correlator")
-        keys = frozenset(cleaned)
-        if keys != frozenset(chain_pairs(self.n)) and keys != frozenset(complete_pairs(self.n)):
+        keys = cleaned.keys()
+        if len(keys) == self.n * (self.n - 1) // 2 and keys == set(complete_pairs(self.n)):
+            pattern = "complete"
+        elif keys == set(chain_pairs(self.n)):
+            pattern = "chain"
+        else:
             raise ValidationError(
                 "correlator key set must follow the chain pattern or be complete; "
                 f"got {sorted(keys)} for n={self.n}"
             )
         object.__setattr__(self, "entries", cleaned)
-
-    @property
-    def pattern(self) -> str:
-        if frozenset(self.entries) == frozenset(complete_pairs(self.n)):
-            return "complete"
-        return "chain"
-
-    @property
-    def is_complete(self) -> bool:
-        return self.pattern == "complete"
+        object.__setattr__(self, "pattern", pattern)
 
     def value(self, i: int, j: int) -> float:
         try:
@@ -366,32 +332,8 @@ class CorrelatorSet:
         except KeyError:
             raise MissingCorrelatorError(f"correlator ({i},{j}) is not fixed") from None
 
-    def get(self, pair: tuple[int, int], default: float | None = None) -> float | None:
-        return self.entries.get(pair, default)
-
     def sorted_items(self) -> list[tuple[tuple[int, int], float]]:
         return sorted(self.entries.items())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "correlators": {format_subset_key(k): v for k, v in self.sorted_items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> CorrelatorSet:
-        try:
-            n = _check_integer("n", payload["n"])
-            items = payload.get("correlators", {}).items()
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed correlator payload: {exc}") from exc
-        entries = {}
-        for key, value in items:
-            subset = parse_subset_key(key)
-            if len(subset) != 2:
-                raise ValidationError(f"correlator key {key!r} is not a pair")
-            entries[subset] = value
-        return cls(n, entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,8 +341,7 @@ class JointDistribution:
     """A real vector over the 2^n outcomes, normalized to total 1.
 
     Values may be negative (a quasi-distribution produced by the moment
-    expansion); ``is_nonnegative`` reports whether the vector is an actual
-    probability distribution at the decision tolerance.
+    expansion).
     """
 
     n: int
@@ -419,33 +360,6 @@ class JointDistribution:
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
-    @classmethod
-    def uniform(cls, n: int) -> JointDistribution:
-        _check_n(n)
-        return cls(n, np.full(1 << n, 1.0 / (1 << n)))
-
-    @classmethod
-    def point_mass(cls, signs: Sequence[int]) -> JointDistribution:
-        sv = SignVector(tuple(signs))
-        p = np.zeros(1 << sv.n)
-        p[sv.index] = 1.0
-        return cls(sv.n, p)
-
-    def total(self) -> float:
-        return _exact_sum(self.p)
-
-    def min_value(self) -> float:
-        return float(self.p.min())
-
-    def is_nonnegative(self, tol: float = NONNEGATIVITY_TOL) -> bool:
-        return bool(self.p.min() >= -tol)
-
-    def p_of(self, signs: SignVector | Sequence[int]) -> float:
-        sv = signs if isinstance(signs, SignVector) else SignVector(tuple(signs))
-        if sv.n != self.n:
-            raise DimensionError(f"sign vector length {sv.n} != n={self.n}")
-        return float(self.p[sv.index])
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "p": [float(v) for v in self.p]}
 
@@ -453,7 +367,9 @@ class JointDistribution:
     def from_json_dict(cls, payload: Mapping) -> JointDistribution:
         try:
             n, p = _check_integer("n", payload["n"]), np.asarray(payload["p"])
-            if p.ndim and p.dtype.kind in "bOSU":  # a scalar fails the shape check
+            if p.ndim == 0:
+                raise ValueError(f"p must be a list of numbers, got {payload['p']!r}")
+            if p.dtype.kind in "bOSU":
                 raise ValueError(f"distribution entries must be numbers, got {p.dtype} entries")
             p = p.astype(np.float64)
         except (KeyError, TypeError, ValueError) as exc:

@@ -339,7 +339,8 @@ def lp_feasible(
     n = correlators.n
     if exact and n > EXACT_MAX_TIMES:
         raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
-    chain = not exact and n >= 3 and frozenset(correlators.entries) == frozenset(chain_pairs(n))
+    # at n = 3 the chain pattern fixes every pair and reads "complete"
+    chain = not exact and (n == 3 or correlators.pattern == "chain")
     if n > ORACLE_MAX_TIMES:
         if not chain:
             raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES} for complete data, got {n}")
@@ -523,7 +524,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     n = chain.n
     if n < 3:
         raise DimensionError(f"fine_build needs n >= 3, got {n}")
-    if frozenset(chain.entries) != frozenset(chain_pairs(n)):
+    if n > 3 and chain.pattern != "chain":
         raise ValidationError("fine_build requires the chain correlator pattern")
     bs = _validate_b(b, n).tolist()
     for (i, j), value in chain.sorted_items():
@@ -590,7 +591,7 @@ def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
     n = correlators.n
     if n not in (4, 5):
         raise DimensionError(f"symmetric coefficient search covers n=4 or 5, got {n}")
-    if not correlators.is_complete:
+    if correlators.pattern != "complete":
         raise ValidationError("symmetric coefficient search needs the complete pattern")
 
     pairs = complete_pairs(n)

@@ -90,13 +90,6 @@ class LinearInequality:
         object.__setattr__(self, "terms", dict(self.terms))
         object.__setattr__(self, "linear", dict(self.linear))
 
-    def canonical_key(self) -> tuple:
-        return (
-            frozenset(self.terms.items()),
-            frozenset(self.linear.items()),
-            float(self.bound),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class InequalityFamily:

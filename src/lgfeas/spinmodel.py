@@ -19,7 +19,7 @@ family member is violated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -172,11 +172,3 @@ def nu_versus_n(
         )
         out.append((n, sweep(config).nu))
     return out
-
-
-def nu_convergence(config: SpinSweepConfig) -> tuple[float, float, float]:
-    """nu at the configured resolution and at double resolution, with the
-    absolute change; the default 2048-point grid moves by well under 1e-3."""
-    coarse = sweep(config).nu
-    fine = sweep(replace(config, steps=2 * config.steps)).nu
-    return coarse, fine, abs(fine - coarse)

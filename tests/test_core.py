@@ -13,7 +13,6 @@ from lgfeas import (
     JointDistribution,
     MissingCorrelatorError,
     MomentSpec,
-    SignVector,
     ValidationError,
     chain_pairs,
     complete_pairs,
@@ -25,6 +24,7 @@ from lgfeas import (
 from lgfeas import core
 from lgfeas.core import _walsh_hadamard, parse_subset_key
 from util import (
+    outcome_index,
     random_nonneg_distribution,
     reference_dense,
     reference_moments,
@@ -33,21 +33,16 @@ from util import (
 
 
 def test_sign_vector_index_convention():
-    # bit k = 0 means s_{k+1} = +1, little-endian in the time index
-    assert SignVector.from_index(0, 3).signs == (1, 1, 1)
-    assert SignVector.from_index(1, 3).signs == (-1, 1, 1)
-    assert SignVector.from_index(4, 3).signs == (1, 1, -1)
+    # bit k = 0 means s_{k+1} = +1, little-endian in the time index: the
+    # point mass at an index has B_{k+1} = -1 exactly when bit k is set
+    assert outcome_index((1, 1, 1)) == 0
+    assert outcome_index((-1, 1, 1)) == 1
+    assert outcome_index((1, 1, -1)) == 4
     for idx in range(8):
-        assert SignVector.from_index(idx, 3).index == idx
-
-
-def test_sign_vector_validation():
-    with pytest.raises(ValidationError):
-        SignVector((1, 0, -1))
-    with pytest.raises(DimensionError):
-        SignVector(())
-    with pytest.raises(DimensionError):
-        SignVector((1,) * 21)
+        p = np.zeros(8)
+        p[idx] = 1.0
+        spec = moments_from_distribution(JointDistribution(3, p))
+        assert spec.singles() == tuple(-1.0 if idx >> k & 1 else 1.0 for k in range(3))
 
 
 def test_chain_pairs_layout():
@@ -57,14 +52,16 @@ def test_chain_pairs_layout():
 
 
 def test_moments_of_uniform_are_zero():
-    spec = moments_from_distribution(JointDistribution.uniform(3))
+    spec = moments_from_distribution(JointDistribution(3, np.full(8, 1 / 8)))
     assert spec.n == 3
     assert all(abs(v) < 1e-15 for v in spec.moments.values())
     assert len(spec.moments) == 7
 
 
 def test_moments_of_point_mass():
-    spec = moments_from_distribution(JointDistribution.point_mass((1, 1, 1)))
+    p = np.zeros(8)
+    p[outcome_index((1, 1, 1))] = 1.0
+    spec = moments_from_distribution(JointDistribution(3, p))
     assert all(v == 1.0 for v in spec.moments.values())
 
 
@@ -72,8 +69,8 @@ def test_moments_of_equal_mixture():
     # direct sum over the two supported outcomes: odd subsets cancel,
     # even subsets add to 1
     p = np.zeros(8)
-    p[SignVector((1, 1, 1)).index] = 0.5
-    p[SignVector((-1, -1, -1)).index] = 0.5
+    p[outcome_index((1, 1, 1))] = 0.5
+    p[outcome_index((-1, -1, -1))] = 0.5
     spec = moments_from_distribution(JointDistribution(3, p))
     for i in (1, 2, 3):
         assert spec.b(i) == 0.0
@@ -89,10 +86,10 @@ def test_distribution_from_zero_moments_is_uniform():
 
 def test_distribution_perfect_correlation():
     dist = distribution_from_moments(MomentSpec(2, {(1, 2): 1.0}))
-    assert dist.p_of((1, 1)) == pytest.approx(0.5, abs=1e-15)
-    assert dist.p_of((-1, -1)) == pytest.approx(0.5, abs=1e-15)
-    assert dist.p_of((1, -1)) == pytest.approx(0.0, abs=1e-15)
-    assert dist.p_of((-1, 1)) == pytest.approx(0.0, abs=1e-15)
+    assert dist.p[outcome_index((1, 1))] == pytest.approx(0.5, abs=1e-15)
+    assert dist.p[outcome_index((-1, -1))] == pytest.approx(0.5, abs=1e-15)
+    assert dist.p[outcome_index((1, -1))] == pytest.approx(0.0, abs=1e-15)
+    assert dist.p[outcome_index((-1, 1))] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_distribution_can_go_negative():
@@ -100,9 +97,9 @@ def test_distribution_can_go_negative():
     # aligned outcomes, a quasi-distribution
     spec = MomentSpec(3, {(1, 2): -0.5, (2, 3): -0.5, (1, 3): -0.5})
     dist = distribution_from_moments(spec)
-    assert dist.p_of((1, 1, 1)) == pytest.approx(-1.0 / 16.0, abs=1e-15)
-    assert not dist.is_nonnegative()
-    assert dist.total() == pytest.approx(1.0, abs=1e-12)
+    assert dist.p[outcome_index((1, 1, 1))] == pytest.approx(-1.0 / 16.0, abs=1e-15)
+    assert dist.p.min() < -1e-9
+    assert math.fsum(dist.p.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pairwise_probability_values():
@@ -112,27 +109,29 @@ def test_pairwise_probability_values():
 
 
 def test_marginalize_examples():
-    uniform2 = marginalize(JointDistribution.uniform(3), {1, 2})
+    uniform2 = marginalize(JointDistribution(3, np.full(8, 1 / 8)), {1, 2})
     assert np.allclose(uniform2.p, 0.25)
 
-    single = marginalize(JointDistribution.point_mass((1, 1, 1)), {2})
+    point = np.zeros(8)
+    point[outcome_index((1, 1, 1))] = 1.0
+    single = marginalize(JointDistribution(3, point), {2})
     assert single.n == 1
-    assert single.p_of((1,)) == 1.0
+    assert single.p[outcome_index((1,))] == 1.0
 
     p = np.zeros(8)
-    p[SignVector((1, 1, 1)).index] = 0.5
-    p[SignVector((-1, -1, -1)).index] = 0.5
+    p[outcome_index((1, 1, 1))] = 0.5
+    p[outcome_index((-1, -1, -1))] = 0.5
     pair = marginalize(JointDistribution(3, p), {1, 3})
-    assert pair.p_of((1, 1)) == 0.5
-    assert pair.p_of((-1, -1)) == 0.5
-    assert pair.p_of((1, -1)) == 0.0
+    assert pair.p[outcome_index((1, 1))] == 0.5
+    assert pair.p[outcome_index((-1, -1))] == 0.5
+    assert pair.p[outcome_index((1, -1))] == 0.0
 
 
 def test_marginalize_rejects_bad_subsets():
     with pytest.raises(ValidationError):
-        marginalize(JointDistribution.uniform(3), set())
+        marginalize(JointDistribution(3, np.full(8, 1 / 8)), set())
     with pytest.raises(DimensionError):
-        marginalize(JointDistribution.uniform(3), {4})
+        marginalize(JointDistribution(3, np.full(8, 1 / 8)), {4})
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
@@ -150,7 +149,7 @@ def test_normalization_holds_for_any_moments(n, data):
         for subset in combinations(range(1, n + 1), size):
             moments[subset] = data.draw(coeff)
     dist = distribution_from_moments(MomentSpec(n, moments))
-    assert abs(dist.total() - 1.0) <= 1e-12
+    assert abs(math.fsum(dist.p.tolist()) - 1.0) <= 1e-12
 
 
 @given(st.integers(2, 5), st.data())
@@ -168,7 +167,7 @@ def test_pair_marginal_matches_pairwise_probability(n, data):
                 expected = pairwise_probability(
                     moments[(i,)], moments[(j,)], moments[(i, j)], s_i, s_j
                 )
-                assert pair_dist.p_of((s_i, s_j)) == pytest.approx(expected, abs=1e-12)
+                assert pair_dist.p[outcome_index((s_i, s_j))] == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
@@ -209,7 +208,7 @@ def test_conversions_match_the_per_subset_reference(n, kind):
     rng = np.random.default_rng([n, kind == "quasi"])
     dist = random_nonneg_distribution(rng, n) if kind == "random" else _quasi_distribution(rng, n)
     if kind == "quasi":
-        assert dist.min_value() < 0.0
+        assert dist.p.min() < 0.0
     spec = moments_from_distribution(dist)
     expected = reference_moments(dist)
     assert spec.moments == expected
@@ -227,7 +226,7 @@ def test_conversions_match_the_per_subset_reference(n, kind):
 
 
 def _full_moments(n: int) -> dict:
-    return reference_moments(JointDistribution.uniform(n))
+    return reference_moments(JointDistribution(n, np.full(1 << n, 1.0 / (1 << n))))
 
 
 _BAD_KEYS = [
@@ -423,24 +422,33 @@ def test_correlator_set_patterns():
     full = CorrelatorSet(4, {pair: 0.1 for pair in complete_pairs(4)})
     assert full.pattern == "complete"
     # n=3 chain and complete coincide
-    assert CorrelatorSet(3, {pair: 0.0 for pair in chain_pairs(3)}).is_complete
+    assert CorrelatorSet(3, {pair: 0.0 for pair in chain_pairs(3)}).pattern == "complete"
     with pytest.raises(ValidationError):
         CorrelatorSet(4, {(1, 2): 0.1, (3, 4): 0.2})
 
 
-def test_correlator_set_from_json_rejects_non_numeric_value():
-    with pytest.raises(ValidationError):
-        CorrelatorSet.from_json_dict({"n": 3, "correlators": {"1,2": "x"}})
+def test_correlator_set_pattern_is_decided_at_construction(monkeypatch):
+    built = {(n, pairs.__name__): CorrelatorSet(n, {pair: 0.0 for pair in pairs(n)})
+             for n in (2, 3, 4, 20) for pairs in (chain_pairs, complete_pairs)}
+
+    def refuse(n):
+        raise AssertionError("the pattern was decided again")
+
+    monkeypatch.setattr(core, "chain_pairs", refuse)
+    monkeypatch.setattr(core, "complete_pairs", refuse)
+    for (n, pairs), data in built.items():
+        assert data.pattern == ("chain" if n > 3 and pairs == "chain_pairs" else "complete")
 
 
-@pytest.mark.parametrize("value", ["0.5", True, None, math.nan, 1.5])
+@pytest.mark.parametrize("value", ["0.5", True, None, math.nan, 1.5, "x"])
 def test_correlator_values_follow_the_moment_rule(value):
     entries = {(1, 2): value, (2, 3): 0.0, (1, 3): 0.0}
     with pytest.raises(ValidationError, match=re.escape("correlator (1, 2) must")):
         CorrelatorSet(3, entries)
-    payload = {"n": 3, "correlators": {"1,2": value, "2,3": 0.0, "1,3": 0.0}}
-    with pytest.raises(ValidationError):
-        CorrelatorSet.from_json_dict(payload)
+    # a moment file, the one way correlators come in from JSON
+    payload = {"n": 3, "moments": {"1,2": value, "2,3": 0.0, "1,3": 0.0}}
+    with pytest.raises(ValidationError, match=re.escape("moment (1, 2) must")):
+        MomentSpec.from_json_dict(payload)
 
 
 # a key that is no subset gets the moment key message; a subset of one or
@@ -471,28 +479,13 @@ def test_correlator_values_are_stored_as_floats():
     assert all(type(v) is float for v in data.entries.values())
 
 
-def test_correlator_set_from_json_rejects_a_key_of_three_times():
-    with pytest.raises(ValidationError, match="is not a pair"):
-        CorrelatorSet.from_json_dict({"n": 3, "correlators": {"1,2": 0.5, "1,2,3": 0.5}})
-
-
-@pytest.mark.parametrize("pairs", [chain_pairs, complete_pairs])
-def test_correlator_set_json_round_trip(pairs):
-    data = CorrelatorSet(5, {pair: 0.125 * (k - 4) for k, pair in enumerate(pairs(5))})
-    payload = data.to_json_dict()
-    assert payload["n"] == 5
-    assert list(payload["correlators"]) == [f"{i},{j}" for i, j in sorted(pairs(5))]
-    assert CorrelatorSet.from_json_dict(payload).entries == data.entries
-
-
-def test_correlator_set_from_json_rejects_non_mapping_correlators():
-    with pytest.raises(ValidationError):
-        CorrelatorSet.from_json_dict({"n": 3, "correlators": [1]})
+def test_moment_spec_from_json_rejects_non_mapping_moments():
+    with pytest.raises(ValidationError, match="malformed moment payload"):
+        MomentSpec.from_json_dict({"n": 3, "moments": [1]})
 
 
 _JSON_READERS = [
     lambda n: MomentSpec.from_json_dict({"n": n, "moments": {"1,2": 0.5}}),
-    lambda n: CorrelatorSet.from_json_dict({"n": n, "correlators": {"1,2": 0.5}}),
     lambda n: JointDistribution.from_json_dict({"n": n, "p": [0.25] * 4}),
 ]
 
@@ -517,6 +510,12 @@ def test_joint_distribution_from_json_follows_the_moment_value_rule(p):
     assert JointDistribution.from_json_dict({"n": 1, "p": [1, 0]}).p.tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("p", [None, True, "0.5", 0.5], ids=["null", "true", "string", "number"])
+def test_joint_distribution_from_json_refuses_a_scalar_p(p):
+    with pytest.raises(ValidationError, match="malformed distribution payload"):
+        JointDistribution.from_json_dict({"n": 1, "p": p})
+
+
 def test_correlator_set_lookup():
     chain = CorrelatorSet(4, {pair: 0.1 for pair in chain_pairs(4)})
     assert chain.value(1, 4) == 0.1
@@ -532,11 +531,10 @@ def test_joint_distribution_validation():
     with pytest.raises(ValidationError, match="finite"):
         JointDistribution(2, np.array([0.5, math.nan, 0.25, 0.25]))
     quasi = JointDistribution(2, np.array([1.25, 0.25, -0.25, -0.25]))
-    assert not quasi.is_nonnegative()
-    assert quasi.min_value() == -0.25
+    assert quasi.p.min() == -0.25
 
 
 def test_joint_distribution_json_round_trip():
-    dist = JointDistribution.uniform(3)
+    dist = JointDistribution(3, np.full(8, 1 / 8))
     again = JointDistribution.from_json_dict(dist.to_json_dict())
     assert np.array_equal(again.p, dist.p)

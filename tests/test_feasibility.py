@@ -18,7 +18,6 @@ from lgfeas import (
     JointDistribution,
     MarginalError,
     MomentSpec,
-    SignVector,
     ValidationError,
     c1n_interval,
     c1n_intervals,
@@ -58,8 +57,8 @@ from lgfeas.feasibility import (
 from lgfeas.core import OracleError, _masks
 from lgfeas.inequalities import _slacks
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
-from util import (dense_conditions, markov_chain_data, pair_table_nonneg, reference_slacks,
-                  sample_nonneg_pair_moments, slack_inputs)
+from util import (dense_conditions, markov_chain_data, outcome_signs, pair_table_nonneg,
+                  reference_slacks, sample_nonneg_pair_moments, slack_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,7 @@ def test_lp_zero_moments_feasible():
     verdict = lp_feasible(None, CorrelatorSet(3, {p: 0.0 for p in complete_pairs(3)}))
     assert verdict.feasible
     cert = verdict.certificate
-    assert cert.is_nonnegative()
+    assert cert.p.min() >= -1e-9
     spec = moments_from_distribution(cert)
     assert all(abs(spec.b(i)) < 1e-9 for i in (1, 2, 3))
     assert all(abs(spec.c(i, j)) < 1e-9 for i, j in complete_pairs(3))
@@ -284,7 +283,7 @@ def test_lp_from_spec_rejects_higher_moments():
 def _assert_certified(verdict, b, correlators):
     assert verdict.feasible
     cert = verdict.certificate
-    assert cert.is_nonnegative()
+    assert cert.p.min() >= -1e-9
     spec = moments_from_distribution(cert)
     residuals = [abs(spec.b(i) - b_i) for i, b_i in enumerate(b, start=1)]
     residuals += [abs(spec.c(i, j) - value) for (i, j), value in correlators.sorted_items()]
@@ -398,6 +397,22 @@ def _refuse_construction(monkeypatch):
 
     monkeypatch.setattr(feasibility, "fine_build", refusing)
     return refused
+
+
+@pytest.mark.parametrize("n, pairs, routed", [(3, chain_pairs, 1), (4, chain_pairs, 1),
+                                               (4, complete_pairs, 0)])
+def test_n3_data_reach_fine_build_through_the_oracle(monkeypatch, n, pairs, routed):
+    # at n = 3 the chain fixes every pair, so the set reads "complete";
+    # Fine's construction still decides it, as it does chain data at n >= 4
+    calls = []
+    real = feasibility.fine_build
+    monkeypatch.setattr(feasibility, "fine_build", lambda *args: calls.append(args) or real(*args))
+    data = CorrelatorSet(n, {pair: 0.25 for pair in pairs(n)})
+    assert lp_feasible(None, data).feasible
+    assert len(calls) == routed
+    calls.clear()
+    assert lp_feasible(None, data, exact=True).feasible
+    assert not calls
 
 
 @pytest.mark.parametrize("pattern", ["chain", "complete"])
@@ -797,7 +812,7 @@ def test_fine_build_rejects_negative_pair_inputs():
 
 def test_fine_build_requires_chain_pattern():
     full = CorrelatorSet(4, {p: 0.0 for p in complete_pairs(4)})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="fine_build requires the chain correlator pattern"):
         fine_build(None, full)
 
 
@@ -821,7 +836,7 @@ def test_fine_build_certificate_matches_marginals():
             assert abs(spec.b(i) - b[i - 1]) < 1e-9
         for pair, value in c.items():
             assert abs(spec.get(pair) - value) < 1e-9
-        assert verdict.certificate.is_nonnegative()
+        assert verdict.certificate.p.min() >= -1e-9
     assert built > 50
 
 
@@ -873,7 +888,7 @@ def test_constraint_rows_are_sign_products(pattern, n):
     pairs = _suspended(n, pattern(n))
     columns = []
     for index in range(1 << n):
-        s = (1,) + SignVector.from_index(index, n).signs  # s_0 = +1
+        s = (1,) + outcome_signs(index, n)  # s_0 = +1
         columns.append([1] + [s[i] * s[j] for i, j in pairs])
     assert np.array_equal(_constraint_rows(n, pairs), np.array(columns, dtype=float).T)
 
@@ -893,7 +908,7 @@ def test_symmetric_zero_correlators_feasible():
     for n in (4, 5):
         verdict = symmetric_e_feasible(CorrelatorSet(n, {p: 0.0 for p in complete_pairs(n)}))
         assert verdict.feasible
-        assert verdict.certificate.is_nonnegative()
+        assert verdict.certificate.p.min() >= -1e-9
 
 
 def test_symmetric_n5_pentagon_violation_infeasible():

@@ -28,7 +28,8 @@ from util import SLACK_VALUES, random_nonneg_distribution, reference_slacks, sla
 
 
 def _as_set(family):
-    return {member.canonical_key() for member in family.members}
+    """The members up to their labels."""
+    return {(frozenset(m.terms.items()), frozenset(m.linear.items()), m.bound) for m in family.members}
 
 
 @pytest.mark.parametrize("n", range(3, 13))

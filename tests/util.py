@@ -49,6 +49,16 @@ def sample_nonneg_pair_moments(rng, n, pairs, block=256):
             return x[k, :n].copy(), {pair: float(v) for pair, v in zip(pairs, x[k, n:])}
 
 
+def outcome_index(signs) -> int:
+    """The index of the outcome (s_1, ..., s_n): bit k set means s_{k+1} = -1."""
+    return sum(1 << k for k, s in enumerate(signs) if s < 0)
+
+
+def outcome_signs(index: int, n: int) -> tuple[int, ...]:
+    """The outcome (s_1, ..., s_n) at ``index``, the inverse of ``outcome_index``."""
+    return tuple(-1 if index >> k & 1 else 1 for k in range(n))
+
+
 def random_nonneg_distribution(rng, n) -> JointDistribution:
     weights = rng.exponential(1.0, 1 << n)
     return JointDistribution(n, weights / weights.sum())

@@ -486,6 +486,8 @@ def test_moment_spec_from_json_rejects_non_mapping_moments():
 
 _JSON_READERS = [
     lambda n: MomentSpec.from_json_dict({"n": n, "moments": {"1,2": 0.5}}),
+    # no moments to range-check: n alone must still be refused
+    lambda n: MomentSpec.from_json_dict({"n": n}),
     lambda n: JointDistribution.from_json_dict({"n": n, "p": [0.25] * 4}),
 ]
 

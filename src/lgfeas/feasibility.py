@@ -7,12 +7,11 @@ Two independent routes answer the same question:
   tries the condition rows of ``_conditions`` that hold at every +-1
   outcome: a row violated past the band refutes the data with no LP, and
   float chain data that the rows leave go to ``fine_build``; and
-* constructive solvers that assemble an explicit distribution: the
-  three-time coefficient interval (``d_interval``), the free-correlator
-  interval of the chain recursion (``c1n_interval``), the product
-  construction over chain data (``fine_build``), and the symmetric
-  even-coefficient search for complete correlator sets
-  (``symmetric_e_feasible``).
+* the product construction over chain data (``fine_build``), which fixes
+  each free closing correlator inside its closure windows
+  (``_closure_windows``) and each three-time block's triple coefficient
+  inside ``_d_bounds``, and multiplies the blocks into an explicit
+  distribution.
 
 Every +-1 expansion is one in-place ``core._butterfly``.  A negative
 verdict names the refuting rows (``_row_labels``) or the members on
@@ -27,8 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,29 +64,12 @@ from .simplex import FEASIBILITY_TOL, _fractions, solve_phase1
 ORACLE_MAX_TIMES = 12
 EXACT_MAX_TIMES = 6
 BOUNDARY_TOL = 1e-7
+# the largest slack of a block's failing member at which ``fine_build``
+# still counts the block's interval as non-empty
+EMPTY_TOL = 1e-9
 # samples drawn and screened together in the sampling experiment; the
 # bound caps the memory of the draws and of the screen in long runs
 CONJECTURE_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed interval [lo, hi]; empty when lo exceeds hi beyond tolerance."""
-
-    lo: float
-    hi: float
-
-    EMPTY_TOL = 1e-9
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi + self.EMPTY_TOL
-
-    def intersect(self, other: Interval) -> Interval:
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 @dataclass(frozen=True)
@@ -165,12 +147,6 @@ class ConjectureReport:
 # the LP feasibility oracle
 # ---------------------------------------------------------------------------
 
-def _characters(n: int, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """One int8 row prod_{i in T} s_i over the 2^n outcomes per subset T
-    of the times 0..n."""
-    return 1 - 2 * (np.bitwise_count(_masks(subsets)[:, None] & np.arange(1 << n)) & 1).astype(np.int8)
-
-
 def _suspended(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The pairs (0, i), whose correlators are the averages B_i, then ``pairs``."""
     return tuple((0, i) for i in range(1, n + 1)) + tuple(pairs)
@@ -178,9 +154,11 @@ def _suspended(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int
 
 @lru_cache(maxsize=128)
 def _constraint_rows(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Rows of the moment-matching system over the 2^n outcome columns:
-    normalization, then one character row per pair; a pair (0, i) fixes B_i."""
-    a = _characters(n, ((),) + pairs)
+    """Rows of the moment-matching system over the 2^n outcome columns, in
+    int8: normalization, then one character row prod_{i in p} s_i per pair
+    p (s_0 = +1); a pair (0, i) fixes B_i."""
+    masks = _masks(((),) + pairs)
+    a = 1 - 2 * (np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1).astype(np.int8)
     a.setflags(write=False)
     return a
 
@@ -382,13 +360,8 @@ def lp_feasible_from_spec(spec: MomentSpec, *, exact: bool = False) -> Feasibili
 
 
 # ---------------------------------------------------------------------------
-# interval solvers
+# interval bounds of the chain construction
 # ---------------------------------------------------------------------------
-
-def _triangle_interval(x: float, y: float) -> Interval:
-    """Range of C_jk on a triangle (i, j, k) with C_ij = x and C_ik = y."""
-    return Interval(-1.0 + abs(x + y), 1.0 - abs(x - y))
-
 
 def _negative_pair(b_i: float, b_j: float, c_ij: float) -> tuple[int, int] | None:
     """The first signs (s_i, s_j) whose pair probability is negative, if any."""
@@ -408,9 +381,13 @@ _D_OUTCOMES = tuple(
 
 def _d_bounds(b1: float, b2: float, b3: float,
               c12: float, c13: float, c23: float) -> tuple[float, float]:
-    """The bounds of ``d_interval`` on plain floats: the three pair
-    probabilities are checked (MarginalError), then each outcome's A(s) is
-    1 + the ``math.fsum`` of its six signed terms."""
+    """The admissible range (lo, hi) of the triple coefficient of a
+    three-time block.
+
+    The three pair probabilities are checked first (MarginalError).  With
+    A(s) = 1 + sum B_i s_i + sum C_ij s_i s_j, each the ``math.fsum`` of
+    its six signed terms, outcomes with even sign product give lower bounds
+    -A(s) and odd ones give upper bounds A(s), within [-1, 1]."""
     b = (b1, b2, b3)
     for (i, j), value in (((1, 2), c12), ((1, 3), c13), ((2, 3), c23)):
         if signs := _negative_pair(b[i - 1], b[j - 1], value):
@@ -426,19 +403,6 @@ def _d_bounds(b1: float, b2: float, b3: float,
     return lower, upper
 
 
-def d_interval(spec: MomentSpec) -> Interval:
-    """Admissible range of the triple coefficient for a three-time block.
-
-    With A(s) = 1 + sum B_i s_i + sum C_ij s_i s_j, outcomes with even sign
-    product give lower bounds -A(s) and odd ones give upper bounds A(s);
-    the result is additionally intersected with [-1, 1].  Requires the
-    three pair probabilities to be non-negative.
-    """
-    if spec.n != 3:
-        raise DimensionError(f"d_interval needs n=3, got n={spec.n}")
-    return Interval(*_d_bounds(spec.b(1), spec.b(2), spec.b(3), spec.c(1, 2), spec.c(1, 3), spec.c(2, 3)))
-
-
 def _parity_max(values: Sequence[float], parity: int) -> float:
     """Max of sum a_k v_k over a_k = +-1 with the minus-sign count of the
     given parity; flipping the smallest-magnitude entry pays for a parity
@@ -450,38 +414,23 @@ def _parity_max(values: Sequence[float], parity: int) -> float:
     return total - 2.0 * min(abs(v) for v in values)
 
 
-def c1n_intervals(
-    chain: Sequence[float],
-    c_next: float,
-    c_closure: float,
-    b_first: float,
-    b_last: float,
-) -> tuple[Interval, Interval, Interval]:
-    """The three bounds on the free closing correlator of a chain block.
+def _closure_windows(chain: Sequence[float], c_next: float, c_closure: float,
+                     b_first: float, b_last: float) -> tuple[tuple[float, float], ...]:
+    """The three (lo, hi) windows of the free closing correlator C_1k of a
+    chain block.
 
-    ``chain`` holds the fixed consecutive correlators C_12 .. C_{k-1,k} of
-    the block whose closure C_1k is free; ``c_next`` and ``c_closure`` are
-    the correlators C_{k,k+1} and C_{1,k+1} of the adjoining three-time
-    block.  Returned in order: the chain-family bound, the three-time
-    bound, and the pair-probability bound, which is the three-time bound
-    on the times (0, 1, k) with C_{01} = B_1 and C_{0k} = B_k.
+    ``chain`` holds the fixed consecutive correlators C_12 .. C_{k-1,k},
+    at least two; ``c_next`` and ``c_closure`` are the correlators
+    C_{k,k+1} and C_{1,k+1} of the adjoining three-time block.  Returned in
+    order: the chain-family window, the three-time window, and the
+    pair-probability window, which is the three-time window on the times
+    (0, 1, k) with C_{01} = B_1 and C_{0k} = B_k.  A triangle (i, j, k)
+    with C_ij = x and C_ik = y admits C_jk in [-1 + |x + y|, 1 - |x - y|].
     """
-    if len(chain) < 2:
-        raise DimensionError("chain must fix at least two consecutive correlators")
     bound = float(len(chain) - 1)
-    chain_iv = Interval(-bound + _parity_max(chain, 0), bound - _parity_max(chain, 1))
-    return chain_iv, _triangle_interval(c_next, c_closure), _triangle_interval(b_first, b_last)
-
-
-def c1n_interval(
-    chain: Sequence[float],
-    c_next: float,
-    c_closure: float,
-    b_first: float,
-    b_last: float,
-) -> Interval:
-    """Intersection of the three bounds from ``c1n_intervals``."""
-    return reduce(Interval.intersect, c1n_intervals(chain, c_next, c_closure, b_first, b_last))
+    triangles = ((c_next, c_closure), (b_first, b_last))
+    return ((-bound + _parity_max(chain, 0), bound - _parity_max(chain, 1)),
+            *[(-1.0 + abs(x + y), 1.0 - abs(x - y)) for x, y in triangles])
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +462,14 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     construction, or report the violated family members.
 
     Working down from the closing block, each free correlator C_{1k} is
-    fixed at the midpoint of its admissible interval; each three-time block
-    then gets its triple coefficient from the midpoint of ``d_interval``,
-    and the blocks multiply into the joint with the 0/0 -> 0 convention.
-    The verdict is feasible exactly when every interval on the way is
-    non-empty; otherwise it names the members of the first failing block
-    (``_block_labels``), a negative pair probability naming the
-    ``two_time_complete`` members on that pair.
+    fixed at the midpoint of the intersection of its ``_closure_windows``;
+    each three-time block then gets its triple coefficient from the
+    midpoint of ``_d_bounds``, and the blocks multiply into the joint with
+    the 0/0 -> 0 convention.  The verdict is feasible exactly when no
+    interval on the way is empty by more than ``EMPTY_TOL`` in the slack of
+    the block's failing member; otherwise it names the members of the
+    first failing block (``_block_labels``), a negative pair probability
+    naming the ``two_time_complete`` members on that pair.
     """
     n = chain.n
     if n < 3:
@@ -540,21 +490,26 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     closures[2], closures[n] = c_in[(1, 2)], c_in[(1, n)]
     for k in range(n - 1, 2, -1):
         chain_part = [c_in[(i, i + 1)] for i in range(1, k)]
-        interval = c1n_interval(chain_part, c_in[(k, k + 1)], closures[k + 1], bs[0], bs[k - 1])
-        if interval.is_empty:
+        los, his = zip(*_closure_windows(chain_part, c_in[(k, k + 1)], closures[k + 1],
+                                         bs[0], bs[k - 1]))
+        lo, hi = max(los), min(his)
+        if lo > hi + EMPTY_TOL:
             values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [closures[k + 1]]
             block = dict(zip(chain_pairs(k + 1), values))
             return FeasibilityVerdict(False, violated=_block_labels(lg_family(k + 1), block))
-        closures[k] = interval.midpoint()
+        closures[k] = 0.5 * (lo + hi)
 
     rows = []
     for k in range(2, n):
         c_k, c_next, c_step = closures[k], closures[k + 1], c_in[(k, k + 1)]
-        interval = Interval(*_d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step))
-        if interval.is_empty:
+        lo, hi = _d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step)
+        # lo - hi here is twice the slack of the block's failing three-time
+        # or two-time member, and a closure window's is the lg member's
+        # slack: twice the tolerance gives one cutoff in slack at every n
+        if lo > hi + 2 * EMPTY_TOL:
             block = {(1, k): c_k, (1, k + 1): c_next, (k, k + 1): c_step}
             return FeasibilityVerdict(False, violated=_block_labels(three_time_complete(n), block))
-        rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, interval.midpoint()])
+        rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, 0.5 * (lo + hi)])
     blocks = _block_expansions(rows)  # on the times (1, k, k + 1), k = 2..n-1
 
     idx = np.arange(1 << n)
@@ -572,53 +527,6 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
 
     pairs = sorted(c_in)
     rhs = np.concatenate(([1.0], bs, [c_in[pair] for pair in pairs]))
-    return FeasibilityVerdict(True, _certified(n, pairs, rhs, p))
-
-
-# ---------------------------------------------------------------------------
-# symmetric even-coefficient search over complete correlator sets
-# ---------------------------------------------------------------------------
-
-def symmetric_e_feasible(correlators: CorrelatorSet) -> FeasibilityVerdict:
-    """Search the even four-subset coefficients making the moment expansion
-    non-negative, for a complete correlator set with vanishing odd moments.
-
-    For n = 4 the single coefficient is boxed by sixteen explicit bounds
-    and the midpoint is taken; for n = 5 the five coefficients are found by
-    the same phase-1 kernel used by the oracle.  The feasibility question
-    is solved directly in the coefficients, not by the condition families.
-    """
-    n = correlators.n
-    if n not in (4, 5):
-        raise DimensionError(f"symmetric coefficient search covers n=4 or 5, got {n}")
-    if correlators.pattern != "complete":
-        raise ValidationError("symmetric coefficient search needs the complete pattern")
-
-    pairs = complete_pairs(n)
-    cvec = np.array([correlators.entries[p] for p in pairs])
-    f = 1.0 + _characters(n, pairs).T @ cvec  # f(s) = 1 + sum s_i s_j C_ij over all outcomes
-
-    quads = tuple(combinations(range(1, n + 1), 4))
-    quad_chars = _characters(n, quads).T
-
-    if n == 4:
-        parity = quad_chars[:, 0]
-        interval = Interval(float(np.max(-f[parity > 0])), float(np.min(f[parity < 0])))
-        feasible, objective, e_values = not interval.is_empty, None, [interval.midpoint()]
-    else:
-        a = np.hstack([quad_chars, -quad_chars, -np.eye(1 << n)])
-        result = solve_phase1(a, -f)
-        feasible, objective = result.feasible, result.objective
-        e_values = result.x[:len(quads)] - result.x[len(quads):2 * len(quads)]
-    if not feasible:
-        conditions = _conditions(n, "complete")
-        slacks = _slacks(conditions.terms, conditions.bounds, np.concatenate((np.zeros(n), cvec)))
-        violated = _row_labels(conditions.families, np.flatnonzero(slacks > 1e-12))
-        return FeasibilityVerdict(False, violated=violated, phase1_objective=objective)
-
-    # the moment expansion p(s) = 2^-n (f(s) + sum_q e_q prod_{i in q} s_i)
-    p = (f + quad_chars @ e_values) / (1 << n)
-    rhs = np.concatenate(([1.0], np.zeros(n), cvec))
     return FeasibilityVerdict(True, _certified(n, pairs, rhs, p))
 
 

@@ -162,7 +162,9 @@ class InequalityFamily:
 
 
 def _pair_values(pairs: Sequence[tuple[int, int]], data: CorrelatorSet | MomentSpec) -> np.ndarray:
-    """C at each pair under the data conventions of ``evaluate``; C_{0j} is B_j."""
+    """C at each pair, C_{0j} being B_j.  A CorrelatorSet must fix every
+    pair with i >= 1 and carries no B data (B_j reads 0); a MomentSpec
+    reads absent moments as zero."""
     if isinstance(data, CorrelatorSet):
         return np.array([data.value(i, j) if i else 0.0 for i, j in pairs])
     if isinstance(data, MomentSpec):
@@ -243,20 +245,6 @@ def two_time_complete(n: int) -> InequalityFamily:
     codes = np.arange(4 * math.comb(n, 2))
     coefficients = _sign_products(_signs(n + 1, 3, codes << 1))
     return _family("two_time", n, tuple(combinations(range(n + 1), 2)), coefficients, 1.0, codes)
-
-
-def evaluate(ineq: LinearInequality, data: CorrelatorSet | MomentSpec) -> float:
-    """Signed slack of one member on the data; positive means violated.
-
-    A CorrelatorSet must fix every referenced pair and carries no B data
-    (linear terms evaluate against 0).  A MomentSpec reads pairs and
-    singletons with the usual absent-means-zero convention.  Each term
-    c * x adds once, in the member's order, B terms first, so the value is
-    bit-identical to the member's row of ``InequalityFamily.slacks``.
-    """
-    pairs = [(0, i) for i in ineq.linear] + list(ineq.terms)
-    coefficients = np.array([[*ineq.linear.values(), *ineq.terms.values()]])
-    return float(_slacks(coefficients, np.array([ineq.bound]), _pair_values(pairs, data))[0])
 
 
 def gap_weights(family: InequalityFamily) -> np.ndarray:

@@ -14,12 +14,10 @@ import pytest
 
 from lgfeas import (
     CorrelatorSet,
-    MomentSpec,
     chain_pairs,
     complete_pairs,
     conjecture_check,
     cosine_correlators,
-    d_interval,
     distinct_under_equal_spacing,
     fine_build,
     lg_family,
@@ -38,7 +36,7 @@ from lgfeas import (
 )
 from lgfeas.cltvolume import exact_uniform_sum_tail
 from lgfeas.core import _walsh_hadamard
-from lgfeas.feasibility import _constraint_rows, _suspended
+from lgfeas.feasibility import _constraint_rows, _d_bounds, _suspended
 from lgfeas.simplex import FEASIBILITY_TOL, solve_phase1
 from util import dense_conditions, sample_nonneg_pair_moments, subset_to_mask
 
@@ -84,25 +82,24 @@ def test_criterion_3_three_time_equivalence():
     checked = 0
     for _ in range(10_000):
         b, c = sample_nonneg_pair_moments(rng, 3, complete_pairs(3))
-        spec = MomentSpec(3, {**{(i,): float(b[i - 1]) for i in (1, 2, 3)}, **c})
         slacks = [
             sum(coeff * c[pair] for pair, coeff in m.terms.items()) - m.bound
             for m in family.members
         ]
         family_ok = max(slacks) <= 0.0
-        interval = d_interval(spec)
+        lo, hi = _d_bounds(*b.tolist(), c[(1, 2)], c[(1, 3)], c[(2, 3)])
         verdict = lp_feasible(b, CorrelatorSet(3, c))
         lp = _phase1(3, complete_pairs(3), b, c)
         near_edge = (
             min(abs(s) for s in slacks) < BOUNDARY
-            or abs(interval.lo - interval.hi) < BOUNDARY
+            or abs(lo - hi) < BOUNDARY
             or FEASIBILITY_TOL < lp.objective < BOUNDARY
         )
         if near_edge:
             boundary += 1
             continue
         checked += 1
-        assert family_ok == (not interval.is_empty) == verdict.feasible == lp.feasible
+        assert family_ok == (lo <= hi) == verdict.feasible == lp.feasible
     assert time.perf_counter() - started < 120.0
     _report(3, f"three-way agreement on {checked} samples ({boundary} boundary)", started)
 

@@ -2,9 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from lgfeas import (
     LinearInequality,
@@ -32,44 +30,6 @@ def _erf_series_oracle(x: float, terms: int = 60) -> float:
             term *= -xm * xm / (k + 1)
         value = 2 / mpmath.sqrt(mpmath.pi) * total
         return float(value)
-
-
-def test_erf_at_zero_and_one():
-    assert math.erf(0.0) == 0.0
-    assert abs(math.erf(1.0) - _erf_series_oracle(1.0)) < 1e-15
-    assert math.erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-15)
-
-
-def test_erf_against_series_oracle_inside_unit_scale():
-    for x in np.linspace(-2.0, 2.0, 81):
-        assert abs(math.erf(float(x)) - _erf_series_oracle(float(x))) < 1e-13
-
-
-def test_erf_against_stdlib_across_working_range():
-    # the standard library's erf against mpmath's 50-digit erf
-    with mpmath.workdps(50):
-        for x in np.linspace(-6.0, 6.0, 241):
-            assert abs(math.erf(float(x)) - float(mpmath.erf(float(x)))) < 1e-12
-
-
-def test_erf_continued_fraction_branch_is_continuous():
-    assert abs(math.erf(2.0 + 1e-9) - math.erf(2.0)) < 1e-9
-
-
-@given(st.floats(-8.0, 8.0))
-def test_erf_is_odd(x):
-    assert math.erf(-x) == -math.erf(x)
-
-
-@given(st.floats(0.0, 3.5), st.floats(0.01, 0.1))
-def test_erf_is_increasing(x, dx):
-    assert math.erf(x + dx) > math.erf(x)
-
-
-def test_erf_saturates():
-    assert math.erf(6.5) == pytest.approx(1.0, abs=1e-12)
-    assert math.erf(30.0) == 1.0
-    assert math.erf(-30.0) == -1.0
 
 
 def test_clt_fraction_values():

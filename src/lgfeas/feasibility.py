@@ -5,17 +5,19 @@ Two independent routes answer the same question:
 * an LP feasibility oracle (``lp_feasible``) over the 2^n outcome
   probabilities, built on the in-package phase-1 simplex, which first
   tries the condition rows of ``_conditions`` that hold at every +-1
-  outcome: a row violated past the band refutes the data with no LP, and
-  float chain data that the rows leave go to ``fine_build``; and
-* the product construction over chain data (``fine_build``), which fixes
+  outcome: a row violated past the band refutes the data with no LP.
+  Float chain data go to ``fine_build`` instead; and
+* Fine's theorem over chain data (``fine_build``): the data are feasible
+  exactly when the two-time rows on the chain triangles and the lg family
+  hold (``_chain_conditions``), and then the product construction fixes
   each free closing correlator inside its closure windows
   (``_closure_windows``) and each three-time block's triple coefficient
   inside ``_d_bounds``, and multiplies the blocks into an explicit
   distribution.
 
 Every +-1 expansion is one in-place ``core._butterfly``.  A negative
-verdict names the refuting rows (``_row_labels``) or the members on
-``fine_build``'s failing block (``_block_labels``).
+verdict names the violated rows by the labels that ``_Conditions``
+carries.
 
 ``conjecture_check`` samples random data, evaluates the candidate
 sufficient-condition set for n = 5 (two-time, three-time and n-gon
@@ -51,21 +53,14 @@ from .core import (
     complete_pairs,
     pairwise_probability,
 )
-from .inequalities import (
-    InequalityFamily,
-    _slacks,
-    lg_family,
-    ngon_family,
-    three_time_complete,
-    two_time_complete,
-)
+from .inequalities import _slacks, ngon_family, three_time_complete, two_time_complete
 from .simplex import FEASIBILITY_TOL, _fractions, solve_phase1
 
 ORACLE_MAX_TIMES = 12
 EXACT_MAX_TIMES = 6
 BOUNDARY_TOL = 1e-7
-# the largest slack of a block's failing member at which ``fine_build``
-# still counts the block's interval as non-empty
+# the largest slack of a Fine condition at which ``fine_build`` still
+# builds the product
 EMPTY_TOL = 1e-9
 # samples drawn and screened together in the sampling experiment; the
 # bound caps the memory of the draws and of the screen in long runs
@@ -78,7 +73,7 @@ class FeasibilityVerdict:
 
     ``violated`` names family members (by label) that explain a negative
     verdict: the condition rows that refute the data before the oracle
-    builds a tableau, or the members a constructive solver points at.  An
+    builds a tableau, or every Fine condition that chain data violate.  An
     infeasible verdict of the LP itself leaves it as None.
     ``phase1_objective`` is the LP's residual infeasibility measure when an
     LP ran (0 means feasible outright), and None otherwise.
@@ -189,30 +184,19 @@ def _validate_b(b: Sequence[float] | None, n: int) -> np.ndarray:
 
 
 # Rows checked for validity at a time: (2^n x rows) int16 blocks of at most
-# 2^18 entries, 512 KB.  One int64 product over all rows of chain n = 12
-# data, 2,096 x 4,096, would take 69 MB.
+# 2^18 entries, 512 KB.  One int64 product over all rows of complete n = 12
+# data, 3,192 x 4,096, would take 105 MB.
 _VALIDITY_BLOCK = 1 << 18
 
 
 class _Conditions(NamedTuple):
-    """Condition rows over the pairs of the times 0..n of one data pattern,
-    columns in the order of ``_suspended(n, sorted pairs)``."""
+    """Labelled condition rows over the pairs of the times 0..n that data
+    fix, columns in the order of ``_suspended(n, sorted pairs)``."""
 
     bounds: np.ndarray
     scales: np.ndarray
     terms: np.ndarray  # int8 (rows x pairs)
-    families: tuple[InequalityFamily, ...]  # whose rows are stacked, in order
-
-
-def _condition_families(n: int, pattern: str) -> tuple[InequalityFamily, ...]:
-    """Complete data: the two-time, three-time and n-gon families.  Chain
-    data: the two-time rows on the chain triangles (0, i, j), then the lg
-    family."""
-    two = two_time_complete(n)
-    if pattern == "chain":
-        on_chain = two.coefficients[:, [two.pairs.index(pair) for pair in chain_pairs(n)]]
-        return two.take(on_chain.any(axis=1)), lg_family(n)
-    return (two, three_time_complete(n), ngon_family(n)) if n >= 3 else (two,)
+    labels: tuple[str, ...]
 
 
 def _outcome_maxima(n: int, masks: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -228,27 +212,24 @@ def _outcome_maxima(n: int, masks: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _conditions(n: int, pattern: str) -> _Conditions:
-    """The condition rows of ``_condition_families`` for data of the given
-    pattern, ``"complete"`` or ``"chain"``, over the pairs that data fixes
-    and the averages (0, i).
+def _conditions(n: int) -> _Conditions:
+    """The condition rows of complete data at n times, over the pairs of
+    the times 0..n: the two-time, three-time and n-gon families (the
+    two-time family alone at n = 2).
 
     A row's scale is max(|bound|, 1) when the row holds at every +-1
     outcome, checked exactly, and +inf otherwise, so that only a valid row
     can refute data: for a valid row, h . (b, c) - bound <= scale * (the
     phase-1 objective) on the n-time system; pair the row (-bound, h) with
     A x = rhs - r.  The check runs ``_outcome_maxima`` on blocks of rows."""
-    fixed = complete_pairs(n) if pattern == "complete" else tuple(sorted(chain_pairs(n)))
-    pairs = _suspended(n, fixed)
+    two = two_time_complete(n)
+    families = (two, three_time_complete(n), ngon_family(n)) if n >= 3 else (two,)
+    pairs = _suspended(n, complete_pairs(n))
     column = {pair: k for k, pair in enumerate(pairs)}
-    families = _condition_families(n, pattern)
     blocks = []
     for family in families:
-        read = np.array([pair in column for pair in family.pairs])
-        if family.coefficients[:, ~read].any():
-            raise ValidationError(f"{family.name} rows read a pair that {pattern} data leaves free")
         block = np.zeros((len(family), len(pairs)), dtype=np.int8)
-        block[:, [column[pair] for pair in family.pairs if pair in column]] = family.coefficients[:, read]
+        block[:, [column[pair] for pair in family.pairs]] = family.coefficients
         blocks.append(block)
     terms = np.concatenate(blocks)
     bounds = np.concatenate([family.bounds for family in families])
@@ -261,7 +242,45 @@ def _conditions(n: int, pattern: str) -> _Conditions:
     scales = np.where(valid, np.maximum(np.abs(bounds), 1.0), np.inf)
     for array in (bounds, scales, terms):
         array.setflags(write=False)
-    return _Conditions(bounds, scales, terms, families)
+    return _Conditions(bounds, scales, terms, tuple(label for f in families for label in f.labels()))
+
+
+@lru_cache(maxsize=32)
+def _chain_triangles(n: int) -> _Conditions:
+    """The two-time rows on the chain triangles (0, i, j), (i, j) a chain
+    pair, over the columns of ``_suspended(n, sorted chain pairs)``."""
+    two = two_time_complete(n)
+    columns = [two.pairs.index(pair) for pair in _suspended(n, sorted(chain_pairs(n)))]
+    rows = np.flatnonzero(two.coefficients[:, columns[n:]].any(axis=1))
+    terms, bounds = two.coefficients[np.ix_(rows, columns)], two.bounds[rows]
+    for array in (bounds, terms):
+        array.setflags(write=False)
+    return _Conditions(bounds, np.ones(rows.size), terms, tuple(two.labels(rows)))
+
+
+def _chain_conditions(n: int, values: np.ndarray) -> _Conditions:
+    """Fine's conditions on chain data ``values``, the averages and then the
+    correlators in the order of ``_suspended(n, sorted chain pairs)``: the
+    rows of ``_chain_triangles``, then the lg member with the largest slack
+    (Barahona & Mahjoub, Math. Programming 36 (1986): the wheel's triangles
+    and its rim).  Two lg members differ in at least two signs, so their
+    slacks sum to at most 0 and no other member can be violated.  That
+    member takes sign(C) on each pair, with the smallest |C| flipped when
+    the minus signs are even in number; at n = 3 it is labelled as the
+    three-time member it equals."""
+    triangles, rim = _chain_triangles(n), values[n:]
+    signs = np.where(rim < 0, -1, 1).astype(np.int8)
+    if np.count_nonzero(signs < 0) % 2 == 0:
+        signs[np.argmin(np.abs(rim))] *= -1
+    # sorted (1, 2), (1, n), (2, 3), ... in chain order (1, 2), ..., (n - 1, n), (1, n)
+    minus = (signs < 0).tolist()
+    if n == 3:  # a_12 C_12 + a_23 C_23 + a_13 C_13 <= 1 with s_2 = -a_12, s_3 = -a_13
+        label = "three3:1.2.3:+" + "".join("+-"[not m] for m in minus[:2])
+    else:
+        label = f"lg{n}:" + "".join("+-"[m] for m in minus[:1] + minus[2:] + minus[1:2])
+    return _Conditions(np.append(triangles.bounds, n - 2.0), np.append(triangles.scales, max(n - 2.0, 1.0)),
+                       np.vstack((triangles.terms, np.r_[np.zeros(n, np.int8), signs])),
+                       triangles.labels + (label,))
 
 
 def _refuting_rows(conditions: _Conditions, values: np.ndarray, exact: bool) -> np.ndarray:
@@ -275,16 +294,6 @@ def _refuting_rows(conditions: _Conditions, values: np.ndarray, exact: bool) -> 
     if exact and rows.size:
         rows = rows[_slacks(terms[rows], _fractions(bounds[rows]), _fractions(values)) > 0]
     return rows
-
-
-def _row_labels(families: Sequence[InequalityFamily], rows: np.ndarray) -> tuple[str, ...]:
-    """Labels of the given rows of the families' rows stacked in order."""
-    labels, start = [], 0
-    for family in families:
-        stop = start + len(family)
-        labels += family.labels(rows[(rows >= start) & (rows < stop)] - start)
-        start = stop
-    return tuple(labels)
 
 
 def lp_feasible(
@@ -301,40 +310,41 @@ def lp_feasible(
     ``exact=True`` (n <= 6) re-solves in rational arithmetic from the basis
     the float solve ends on, which settles verdicts on knife-edge inputs.
 
-    Before any tableau is built, the data goes through the condition rows
-    of its pattern (``_conditions``) by ``_screen``'s rule: a valid row
-    whose slack exceeds twice ``BOUNDARY_TOL`` times its scale proves a
-    phase-1 optimum above 2e-7, so the verdict is infeasible with no LP
-    and ``violated`` names those rows.  With ``exact=True`` a named row's
-    slack is also confirmed positive in ``Fraction``s.
-
-    Float chain data (n >= 3) that the rows leave get ``fine_build``'s
-    verdict, with no screen past n = ``ORACLE_MAX_TIMES`` and up to n = 20;
+    Float chain data (n >= 4) get ``fine_build``'s verdict, up to n = 20;
     the LP decides them only when the construction refuses a knife-edge
-    product (``OracleError`` or ``MarginalError``).  Complete data go to
-    the LP up to n = ``ORACLE_MAX_TIMES``.
+    product (``OracleError`` or ``MarginalError``) at n <= ``ORACLE_MAX_TIMES``.
+
+    Other data first go through condition rows by ``_screen``'s rule: the
+    rows of ``_conditions`` for complete data, of ``_chain_conditions`` for
+    exact chain data.  A valid row whose slack exceeds twice
+    ``BOUNDARY_TOL`` times its scale proves a phase-1 optimum above 2e-7,
+    so the verdict is infeasible with no LP and ``violated`` names those
+    rows.  With ``exact=True`` a named row's slack is also confirmed
+    positive in ``Fraction``s.  Float data at n = 3, where the chain fixes
+    every pair, that the rows leave get ``fine_build``'s verdict too.
+    Complete data go to the LP up to n = ``ORACLE_MAX_TIMES``.
     """
     n = correlators.n
     if exact and n > EXACT_MAX_TIMES:
         raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
-    # at n = 3 the chain pattern fixes every pair and reads "complete"
-    chain = not exact and (n == 3 or correlators.pattern == "chain")
-    if n > ORACLE_MAX_TIMES:
-        if not chain:
-            raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES} for complete data, got {n}")
-        return fine_build(b, correlators)
+    chain = correlators.pattern == "chain"
+    if n > ORACLE_MAX_TIMES and not chain:
+        raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES} for complete data, got {n}")
     bvec = _validate_b(b, n)
     pairs = tuple(sorted(correlators.entries))
     rhs = np.concatenate(([1.0], bvec, [correlators.entries[p] for p in pairs]))
-    conditions = _conditions(n, correlators.pattern)
-    refuting = _refuting_rows(conditions, rhs[1:], exact)
-    if refuting.size:
-        return FeasibilityVerdict(False, violated=_row_labels(conditions.families, refuting))
-    if chain:
+    if exact or not chain:
+        conditions = _chain_conditions(n, rhs[1:]) if chain else _conditions(n)
+        refuting = _refuting_rows(conditions, rhs[1:], exact)
+        if refuting.size:
+            return FeasibilityVerdict(False, violated=tuple(conditions.labels[k] for k in refuting.tolist()))
+    if not exact and (chain or n == 3):
         try:
             return fine_build(bvec, correlators)
         except (OracleError, MarginalError):
-            pass  # a knife-edge product: the LP decides
+            if n > ORACLE_MAX_TIMES:
+                raise
+            # a knife-edge product: the LP decides
 
     rows = _constraint_rows(n, _suspended(n, pairs))
     if exact:
@@ -437,19 +447,6 @@ def _closure_windows(chain: Sequence[float], c_next: float, c_closure: float,
 # constructive solver over chain data
 # ---------------------------------------------------------------------------
 
-def _block_labels(family: InequalityFamily, block: dict[tuple[int, int], float]) -> tuple[str, ...]:
-    """Labels of the members of ``family`` that read only the pairs of the
-    failing ``block`` (C_{0i} = B_i) and whose slack on its values exceeds
-    1e-12; when none does, the label of the first of them with the largest
-    slack, as ``max_violation`` picks it."""
-    outside = family.coefficients[:, [pair not in block for pair in family.pairs]].any(axis=1)
-    values = np.array([block.get(pair, 0.0) for pair in family.pairs])
-    slacks = _slacks(family.coefficients, family.bounds, values)
-    slacks[outside] = -np.inf
-    rows = np.flatnonzero(slacks > 1e-12)
-    return tuple(family.labels(rows if rows.size else [int(np.argmax(slacks))]))
-
-
 def _block_expansions(rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
     """The three-time moment expansion of each row of eight coefficients in
     subset-mask order (the unit first): one transform over all rows, then
@@ -458,18 +455,17 @@ def _block_expansions(rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
 
 
 def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVerdict:
-    """Build a joint distribution matching chain-pattern data by the product
-    construction, or report the violated family members.
+    """Decide chain-pattern data by Fine's theorem, and build a joint
+    distribution matching them by the product construction.
 
-    Working down from the closing block, each free correlator C_{1k} is
-    fixed at the midpoint of the intersection of its ``_closure_windows``;
-    each three-time block then gets its triple coefficient from the
-    midpoint of ``_d_bounds``, and the blocks multiply into the joint with
-    the 0/0 -> 0 convention.  The verdict is feasible exactly when no
-    interval on the way is empty by more than ``EMPTY_TOL`` in the slack of
-    the block's failing member; otherwise it names the members of the
-    first failing block (``_block_labels``), a negative pair probability
-    naming the ``two_time_complete`` members on that pair.
+    The data are infeasible when a condition of ``_chain_conditions`` has a
+    slack above ``EMPTY_TOL``, and the verdict names every such row.
+    Otherwise, working down from the closing block, each free correlator
+    C_{1k} is fixed at the midpoint of the intersection of its
+    ``_closure_windows``; each three-time block then gets its triple
+    coefficient from the midpoint of ``_d_bounds``, and the blocks multiply
+    into the joint with the 0/0 -> 0 convention.  ``_certified`` judges the
+    product: a knife-edge product that fails it raises ``OracleError``.
     """
     n = chain.n
     if n < 3:
@@ -477,13 +473,14 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     if n > 3 and chain.pattern != "chain":
         raise ValidationError("fine_build requires the chain correlator pattern")
     bs = _validate_b(b, n).tolist()
-    for (i, j), value in chain.sorted_items():
-        if _negative_pair(bs[i - 1], bs[j - 1], value):
-            # a pair probability is a three-time block on the times (0, i, j)
-            block = {(0, i): bs[i - 1], (0, j): bs[j - 1], (i, j): value}
-            return FeasibilityVerdict(False, violated=_block_labels(two_time_complete(n), block))
-
     c_in = dict(chain.entries)
+    pairs = sorted(c_in)
+    rhs = np.array([1.0] + bs + [c_in[pair] for pair in pairs])
+    conditions = _chain_conditions(n, rhs[1:])
+    failing = np.flatnonzero(_slacks(conditions.terms, conditions.bounds, rhs[1:]) > EMPTY_TOL)
+    if failing.size:
+        return FeasibilityVerdict(False, violated=tuple(conditions.labels[k] for k in failing.tolist()))
+
     # closures[k] is C_1k for k = 2..n: the fixed C_12 and C_1n, and between
     # them the chosen midpoints, from k = n - 1 down
     closures = [0.0] * (n + 1)
@@ -492,23 +489,12 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         chain_part = [c_in[(i, i + 1)] for i in range(1, k)]
         los, his = zip(*_closure_windows(chain_part, c_in[(k, k + 1)], closures[k + 1],
                                          bs[0], bs[k - 1]))
-        lo, hi = max(los), min(his)
-        if lo > hi + EMPTY_TOL:
-            values = [c_in[(i, i + 1)] for i in range(1, k + 1)] + [closures[k + 1]]
-            block = dict(zip(chain_pairs(k + 1), values))
-            return FeasibilityVerdict(False, violated=_block_labels(lg_family(k + 1), block))
-        closures[k] = 0.5 * (lo + hi)
+        closures[k] = 0.5 * (max(los) + min(his))
 
     rows = []
     for k in range(2, n):
         c_k, c_next, c_step = closures[k], closures[k + 1], c_in[(k, k + 1)]
         lo, hi = _d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step)
-        # lo - hi here is twice the slack of the block's failing three-time
-        # or two-time member, and a closure window's is the lg member's
-        # slack: twice the tolerance gives one cutoff in slack at every n
-        if lo > hi + 2 * EMPTY_TOL:
-            block = {(1, k): c_k, (1, k + 1): c_next, (k, k + 1): c_step}
-            return FeasibilityVerdict(False, violated=_block_labels(three_time_complete(n), block))
         rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, 0.5 * (lo + hi)])
     blocks = _block_expansions(rows)  # on the times (1, k, k + 1), k = 2..n-1
 
@@ -524,9 +510,6 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
         usable = denominator > 1e-14
         ratio[usable] = numerator[usable] / denominator[usable]
         p *= ratio
-
-    pairs = sorted(c_in)
-    rhs = np.concatenate(([1.0], bs, [c_in[pair] for pair in pairs]))
     return FeasibilityVerdict(True, _certified(n, pairs, rhs, p))
 
 
@@ -730,7 +713,7 @@ def _screen(n: int, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     from the slacks of ``_slacks``, whose bits depend on that sample
     alone; so every decision equals the one from ``_slacks`` on
     every sample, whatever the BLAS build and however samples are blocked."""
-    bounds, scales, terms, _ = _conditions(n, "complete")
+    bounds, scales, terms, _ = _conditions(n)
     stats = _screen_statistics(terms.astype(np.float64) @ bc.T - bounds[:, None], scales)
     near = (np.abs(stats - _SCREEN_THRESHOLDS) <= _SCREEN_MARGIN).any(axis=0)
     if near.any():

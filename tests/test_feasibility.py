@@ -25,6 +25,7 @@ from lgfeas import (
     lg_family,
     lp_feasible,
     lp_feasible_from_spec,
+    max_violation,
     moments_from_distribution,
     ngon_family,
     three_time_complete,
@@ -39,6 +40,7 @@ from lgfeas.feasibility import (
     ConjectureReport,
     _block_expansions,
     _certified,
+    _chain_conditions,
     _classify_stack,
     _closure_windows,
     _conditions,
@@ -393,9 +395,9 @@ def test_n3_data_reach_fine_build_through_the_oracle(monkeypatch, n, pairs, rout
 
 @pytest.mark.parametrize("pattern", ["chain", "complete"])
 def test_only_data_past_the_band_skips_the_lp(monkeypatch, pattern):
-    if pattern == "chain":
-        # in-band chain data reach the LP only past a refused construction
-        _refuse_construction(monkeypatch)
+    # float chain data go to the construction, so chain data meet the
+    # screen in exact mode
+    exact = pattern == "chain"
     calls = []
 
     def recording(rows, rhs):
@@ -405,11 +407,11 @@ def test_only_data_past_the_band_skips_the_lp(monkeypatch, pattern):
     monkeypatch.setattr(feasibility, "solve_phase1", recording)
     for past, refuted in ((1e-3, True), (3e-7, True), (1e-7, False), (1e-8, False)):
         calls.clear()
-        verdict = lp_feasible(None, _band_data(pattern, 6, past))
+        verdict = lp_feasible(None, _band_data(pattern, 6, past), exact=exact)
         assert not verdict.feasible
         assert (verdict.violated is not None, len(calls)) == (refuted, 0 if refuted else 1)
     label = "lg6:+++++-" if pattern == "chain" else "three6:1.2.3:+++"
-    assert lp_feasible(None, _band_data(pattern, 6, 1e-3)).violated == (label,)
+    assert lp_feasible(None, _band_data(pattern, 6, 1e-3), exact=exact).violated == (label,)
 
 
 def test_exact_refutation_confirms_the_named_slacks(monkeypatch):
@@ -427,19 +429,19 @@ def test_exact_refutation_confirms_the_named_slacks(monkeypatch):
     assert verdict.feasible and verdict.violated is None
 
 
-@pytest.mark.parametrize("pattern, family, n", [("complete", "three_time_complete", 5),
-                                                ("chain", "lg_family", 6)])
+@pytest.mark.parametrize("pattern, family, n", [("complete", "three_time_complete", 5)])
 def test_a_corrupted_row_gets_an_infinite_scale_and_never_refutes(monkeypatch, pattern, family, n):
     # the band data's row with its bound lowered by 1 cuts off feasible data
     original, row = getattr(feasibility, family)(n), 0
-    assert original.labels([row]) == ["three5:1.2.3:+++" if pattern == "complete" else "lg6:+++++-"]
+    assert original.labels([row]) == ["three5:1.2.3:+++"]
     lowered = original.bounds.copy()
     lowered[row] -= 1.0
     monkeypatch.setattr(feasibility, family, lambda n: replace(original, bounds=lowered))
     _conditions.cache_clear()
     try:
-        conditions = _conditions(n, pattern)
-        offset = len(conditions.families[0])
+        conditions = _conditions(n)
+        offset = len(two_time_complete(n))
+        assert conditions.labels[offset + row] == "three5:1.2.3:+++"
         assert np.isinf(conditions.scales[offset + row])
         assert np.isfinite(np.delete(conditions.scales, offset + row)).all()
         # slack -1e-3 under the true bound, +1 - 1e-3 under the lowered one
@@ -467,26 +469,66 @@ def test_outcome_maxima_hold_the_largest_sums_at_n_20():
     assert feasibility._outcome_maxima(20, _masks(pairs), terms).tolist() == [210, 10]
 
 
-def test_conditions_refuse_a_row_that_reads_a_free_pair(monkeypatch):
-    # chain data leaves C_13 free at n = 5, which three-time rows read
-    monkeypatch.setattr(feasibility, "_condition_families", lambda n, pattern: (three_time_complete(n),))
-    _conditions.cache_clear()
-    try:
-        with pytest.raises(ValidationError, match="leaves free"):
-            _conditions(5, "chain")
-    finally:
-        _conditions.cache_clear()
+def _chain_values(n, rng, averages=True):
+    """Uniform averages (zeros without ``averages``) and chain correlators,
+    in the columns of ``_suspended(n, sorted chain pairs)``."""
+    b = rng.uniform(-1, 1, n) if averages else np.zeros(n)
+    return np.concatenate((b, rng.uniform(-1, 1, n)))
 
 
 def test_chain_conditions_are_the_chain_triangles_and_the_lg_family():
-    conditions = _conditions(6, "chain")
-    two, lg = conditions.families
-    assert lg.name == "lg" and len(lg) == 32
-    # four pair-probability rows on each of the six triangles (0, i, j)
-    assert sorted({label.split(":")[1] for label in two.labels()}) == sorted(
-        f"{i}.{j}" for i, j in chain_pairs(6))
-    assert len(two) == 24 and conditions.terms.shape == (56, 12)
-    assert (conditions.scales == np.r_[np.ones(24), 4.0 * np.ones(32)]).all()
+    values = _chain_values(6, np.random.default_rng(6))
+    conditions = _chain_conditions(6, values)
+    # four pair-probability rows on each of the six triangles (0, i, j),
+    # the rows of two_time_complete(6) on those pairs in its order
+    two = two_time_complete(6)
+    columns = [two.pairs.index(pair) for pair in _suspended(6, sorted(chain_pairs(6)))]
+    rows = [k for k, label in enumerate(two.labels())
+            if tuple(map(int, label.split(":")[1].split("."))) in chain_pairs(6)]
+    assert conditions.labels[:24] == tuple(two.labels(rows))
+    assert np.array_equal(conditions.terms[:24], two.coefficients[np.ix_(rows, columns)])
+    # then one member of the lg family, over the correlator columns only
+    lg = lg_family(6)
+    member = lg.labels().index(conditions.labels[24])
+    order = [sorted(chain_pairs(6)).index(pair) for pair in lg.pairs]
+    assert conditions.terms.shape == (25, 12) and not conditions.terms[24, :6].any()
+    assert np.array_equal(conditions.terms[24, 6:][order], lg.coefficients[member])
+    assert (conditions.bounds == np.r_[np.ones(24), 4.0]).all()
+    assert (conditions.scales == np.r_[np.ones(24), 4.0]).all()
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_the_rim_row_holds_at_every_outcome(n):
+    # the rim row is built per call, so the validity check of ``_conditions``
+    # never sees it: its largest value over the 2^n outcomes is its bound
+    rng = np.random.default_rng(300 + n)
+    pairs = _suspended(n, sorted(chain_pairs(n)))
+    for averages in (True, False):
+        for _ in range(10):
+            conditions = _chain_conditions(n, _chain_values(n, rng, averages))
+            maxima = feasibility._outcome_maxima(n, _masks(pairs), conditions.terms)
+            assert (maxima == conditions.bounds).all()
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_the_rim_row_is_the_most_violated_lg_member(n):
+    rng = np.random.default_rng(400 + n)
+    lg, violated = lg_family(n), 0
+    for trial in range(60):
+        values = _chain_values(n, rng)
+        if trial % 2:  # near the +-1 vertex of a random member, past its face on most draws
+            signs = rng.choice([-1, 1], n)
+            signs[-1] = -np.prod(signs[:-1])
+            values[n:] = signs * (1 - rng.uniform(0, 3 / n, n))
+        conditions = _chain_conditions(n, values)
+        slack = _slacks(conditions.terms[-1:], conditions.bounds[-1:], values)[0]
+        data = CorrelatorSet(n, dict(zip(sorted(chain_pairs(n)), values[n:].tolist())))
+        member, most = max_violation(lg, data)
+        assert slack == pytest.approx(most, abs=1e-12)
+        if slack > 0:
+            violated += 1
+            assert conditions.labels[-1] == member.label
+    assert violated >= 5
 
 
 def test_lp_respects_oracle_scale_cap():
@@ -674,10 +716,10 @@ def test_an_infeasible_chain_inside_the_band_reaches_the_lp(monkeypatch, n):
 ])
 def test_the_oracle_does_not_name_the_failing_block_it_discards(monkeypatch, n, objective, label):
     # a refused construction leaves the LP's unnamed verdict; the
-    # construction on its own names the block
+    # construction on its own names the violated member
     named = []
-    original = feasibility._block_labels
-    monkeypatch.setattr(feasibility, "_block_labels",
+    original = feasibility._chain_conditions
+    monkeypatch.setattr(feasibility, "_chain_conditions",
                         lambda *args: named.append(args) or original(*args))
     _refuse_construction(monkeypatch)
     data = _band_data("chain", n, 1e-7)
@@ -790,11 +832,12 @@ def test_fine_build_chsh_point_names_the_violated_member():
 
 
 def test_fine_build_rejects_negative_pair_inputs():
-    # P(s_1 = s_2 = -1) = (1 - 0.9 - 0.9 - 1) / 4 < 0, and (1, 2) is the first pair
+    # P(s_i = s_j = -1) = (1 - 0.9 - 0.9 - 1) / 4 < 0 on every pair, and
+    # C_12 + C_13 + C_23 = -3 breaks 1 + C_12 + C_13 + C_23 >= 0
     chain = CorrelatorSet(3, {p: -1.0 for p in chain_pairs(3)})
     verdict = fine_build([0.9, 0.9, 0.9], chain)
     assert not verdict.feasible and verdict.certificate is None
-    assert verdict.violated == ("two3:1.2:--",)
+    assert verdict.violated == ("two3:1.2:--", "two3:1.3:--", "two3:2.3:--", "three3:1.2.3:+++")
     # only the pair (2, 3) is negative, at (s_2, s_3) = (-1, +1); the labels
     # are those of the violated two-time members on the data
     b = [0.0, 0.9, -0.9, 0.0]
@@ -874,6 +917,58 @@ def test_fine_build_violated_labels_match_brute_force_evaluation():
             verdict = fine_build(None, chain)
             assert not verdict.feasible
             assert verdict.violated == expected
+
+
+def _knife_edge_chains():
+    """A 4-cycle through time 0 and pair probabilities of about -5e-10,
+    each violated by a few 1e-9 in slack, on pairs that no lg member
+    reads."""
+    yield [0.500000003, 0.0, -0.500000003, 0.0], CorrelatorSet(
+        4, {(1, 2): 0.5, (2, 3): 0.5, (3, 4): 0.0, (1, 4): 0.0})
+    for n in (3, 4, 8):
+        for eps in (1.5e-9, 4e-9):
+            entries = {pair: 0.0 for pair in chain_pairs(n)}
+            entries[(1, 2)] = 0.5
+            yield [0.5 + eps] + [0.0] * (n - 1), CorrelatorSet(n, entries)
+
+
+def _named_slacks(verdict, b, data):
+    """The slack on the data of each member that ``verdict`` names, read
+    through the families' own ``slacks``."""
+    n = data.n
+    spec = MomentSpec(n, {**{(i,): v for i, v in enumerate(b or (), 1)}, **data.entries})
+    families = (two_time_complete(n),) + (
+        (three_time_complete(3), ngon_family(3)) if n == 3 else (lg_family(n),))
+    slacks = {label: slack for family in families
+              for label, slack in zip(family.labels(), family.slacks(spec).tolist())}
+    return [slacks[label] for label in verdict.violated or ()]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_every_printed_name_is_violated(n):
+    rng = np.random.default_rng(500 + n)
+    cases = [(b, data) for b, data in _knife_edge_chains() if data.n == n]
+    for averages in (True, False):
+        for _ in range(10):
+            values = _chain_values(n, rng, averages)
+            data = CorrelatorSet(n, dict(zip(sorted(chain_pairs(n)), values[n:].tolist())))
+            cases.append((values[:n].tolist() if averages else None, data))
+    named = 0
+    for b, data in cases:
+        verdicts = [fine_build(b, data), lp_feasible(b, data)]
+        if n <= 6:
+            verdicts.append(lp_feasible(b, data, exact=True))
+        for verdict in verdicts:
+            slacks = _named_slacks(verdict, b, data)
+            assert all(slack > 0 for slack in slacks), (verdict.violated, slacks)
+            named += len(slacks)
+    assert named
+
+
+def test_knife_edge_chains_name_the_pair_probabilities_they_break():
+    names = [fine_build(b, data).violated for b, data in _knife_edge_chains()]
+    assert names == [("two4:1.2:-+", "two4:2.3:-+")] + [
+        (f"two{n}:1.2:-+",) for n in (3, 4, 8) for _ in range(2)]
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -1007,7 +1102,7 @@ def test_draw_samples_match_default_rng_on_random_seeds_and_indices():
 
 def _screen_slacks(bc):
     # (samples x rows) slacks of the screen on the (samples x columns) draws
-    conditions = _conditions(5, "complete")
+    conditions = _conditions(5)
     return _slacks(conditions.terms, conditions.bounds, bc.T).T
 
 
@@ -1028,7 +1123,7 @@ def _condition_families():
 def lowered_ngon_bound(monkeypatch):
     # lowering an n-gon bound from 2 to 1 (row 80) makes the row cut off
     # feasible data; yields the scales of the unchanged rows
-    valid = _conditions(5, "complete").scales
+    valid = _conditions(5).scales
     ngon = ngon_family(5)
     lowered = ngon.bounds.copy()
     lowered[0] = 1.0
@@ -1066,8 +1161,11 @@ def test_condition_rows_match_evaluate_on_each_family_member():
 @pytest.mark.parametrize("pattern", ["chain", "complete"])
 def test_condition_slacks_match_the_per_row_reference_bit_for_bit(pattern):
     for n in range(3, ORACLE_MAX_TIMES + 1):
-        conditions = _conditions(n, pattern)
         rng = np.random.default_rng(n)
+        if pattern == "chain":
+            conditions = _chain_conditions(n, _chain_values(n, rng))
+        else:
+            conditions = _conditions(n)
         for values in slack_inputs(conditions.terms.shape[1], rng):
             got = _slacks(conditions.terms, conditions.bounds, values)
             want = reference_slacks(conditions.terms, conditions.bounds, values)
@@ -1082,7 +1180,7 @@ def test_conditions_refuse_a_coefficient_outside_unit_range(monkeypatch):
     _conditions.cache_clear()
     try:
         with pytest.raises(ValidationError):
-            _conditions(5, "complete")
+            _conditions(5)
     finally:
         _conditions.cache_clear()
 
@@ -1185,7 +1283,7 @@ def test_symmetric_blocks_match_a_per_sample_reference():
 
 def test_screen_scales_pin_every_n5_condition_row_as_valid():
     # 40 two-time and 40 three-time rows with bound 1, then 16 n-gon rows with bound 2
-    assert _conditions(5, "complete").scales.tolist() == [1.0] * 80 + [2.0] * 16
+    assert _conditions(5).scales.tolist() == [1.0] * 80 + [2.0] * 16
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "general"])
@@ -1193,7 +1291,7 @@ def test_screened_samples_have_a_phase1_optimum_above_their_scaled_slack(mode):
     a, bounds = dense_conditions(_condition_families())
     rows = _constraint_rows(5, _suspended(5, complete_pairs(5)))
     bc = _draw_block(5, mode, 3, 0, 3000)
-    scaled = ((bc @ a.T - bounds) / _conditions(5, "complete").scales).max(axis=1)
+    scaled = ((bc @ a.T - bounds) / _conditions(5).scales).max(axis=1)
     screened = np.flatnonzero(scaled > 2 * BOUNDARY_TOL)
     assert screened.size > 2900
     objectives = np.array([solve_phase1(rows, np.concatenate(([1.0], bc[k]))).objective
@@ -1222,7 +1320,7 @@ def _gathered_decisions(bc):
     # (holds, boundary, refuted) from the slacks of ``_slacks``
     slacks = _screen_slacks(bc)
     return (slacks.max(axis=1) <= 0.0, np.abs(slacks).min(axis=1) < BOUNDARY_TOL,
-            (slacks / _conditions(5, "complete").scales).max(axis=1) > 2 * BOUNDARY_TOL)
+            (slacks / _conditions(5).scales).max(axis=1) > 2 * BOUNDARY_TOL)
 
 
 @pytest.fixture
@@ -1270,7 +1368,7 @@ def test_a_slack_pinned_on_zero_is_re_decided_from_the_gathered_sums(fallback):
 
 def test_screen_ignores_an_invalid_row_so_necessity_bugs_still_show(lowered_ngon_bound):
     samples = 2 * CONJECTURE_BLOCK + 3
-    scales = _conditions(5, "complete").scales
+    scales = _conditions(5).scales
     report = conjecture_check(samples, 8, "symmetric")
     reference = _reference_report(samples, 8, "symmetric")
     valid = lowered_ngon_bound

@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check", _cmd_check, "decide feasibility of a moment file via the oracle",
                 strict=True)
     p.add_argument("--moments", required=True, help="MomentSpec JSON file")
-    p.add_argument("--exact", action="store_true", help="rational arithmetic (n <= 6)")
+    p.add_argument("--exact", action="store_true",
+                   help="rational arithmetic (complete data: n <= 6)")
 
     p = command("fine-build", _cmd_fine_build, "construct a joint distribution from chain data",
                 strict=True)

@@ -159,10 +159,10 @@ def _flatten(keys: Collection[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]
 
 
 def _masks(keys: Collection[tuple[int, ...]]) -> np.ndarray:
-    """The bit mask of each key of times 0..n: one or-``reduceat`` of
-    (1 << t) >> 1 over its flattened times, so that time 0 (s_0 = +1) and
-    the empty key add no bit.  Each array is dropped once used; at n = 18
-    the int32 bits alone take 9 MB."""
+    """The bit mask of each non-empty key of times 0..n: one or-``reduceat``
+    of (1 << t) >> 1 over its flattened times, so that time 0 (s_0 = +1)
+    adds no bit.  Each array is dropped once used; at n = 18 the int32 bits
+    alone take 9 MB."""
     sizes, times = _flatten(keys)
     starts = np.cumsum(sizes)
     starts -= sizes
@@ -170,13 +170,7 @@ def _masks(keys: Collection[tuple[int, ...]]) -> np.ndarray:
     del times
     np.left_shift(1, bits, out=bits)
     bits >>= 1
-    if sizes.all():
-        return np.bitwise_or.reduceat(bits, starts)
-    # reduceat gives an empty segment the next entry: skip the empty keys
-    masks = np.zeros(sizes.size, dtype=np.int32)
-    nonempty = sizes > 0
-    masks[nonempty] = np.bitwise_or.reduceat(bits, starts[nonempty]) if bits.size else 0
-    return masks
+    return np.bitwise_or.reduceat(bits, starts)
 
 
 def _well_formed(n: int, keys: Collection, values: Collection, value_types: set) -> bool:
@@ -301,9 +295,9 @@ class CorrelatorSet:
     of integer times with 1 <= i < j <= n; keys and values are checked as
     ``MomentSpec`` checks its own, and values are stored as floats.
 
-    ``pattern`` is decided once, at construction: "complete" when every
-    pair is fixed, else "chain".  At n <= 3 the chain fixes every pair, so
-    the set reads "complete".
+    ``pattern`` is decided once, at construction: "chain" when the keys are
+    the chain pairs at n >= 3, else "complete".  At n = 3 the chain fixes
+    every pair, and the set reads "chain"; at n = 2 it reads "complete".
     """
 
     n: int
@@ -314,10 +308,10 @@ class CorrelatorSet:
         _check_n(self.n, minimum=2)
         cleaned = _checked_moments(self.n, self.entries, "correlator")
         keys = cleaned.keys()
-        if len(keys) == self.n * (self.n - 1) // 2 and keys == set(complete_pairs(self.n)):
-            pattern = "complete"
-        elif keys == set(chain_pairs(self.n)):
+        if self.n >= 3 and len(keys) == self.n and keys == set(chain_pairs(self.n)):
             pattern = "chain"
+        elif len(keys) == self.n * (self.n - 1) // 2 and keys == set(complete_pairs(self.n)):
+            pattern = "complete"
         else:
             raise ValidationError(
                 "correlator key set must follow the chain pattern or be complete; "
@@ -331,9 +325,6 @@ class CorrelatorSet:
             return self.entries[(i, j)]
         except KeyError:
             raise MissingCorrelatorError(f"correlator ({i},{j}) is not fixed") from None
-
-    def sorted_items(self) -> list[tuple[tuple[int, int], float]]:
-        return sorted(self.entries.items())
 
 
 @dataclass(frozen=True, eq=False)

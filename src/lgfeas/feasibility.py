@@ -1,19 +1,20 @@
 """Existence of a joint distribution matching fixed one- and two-time data.
 
-Two independent routes answer the same question:
+``lp_feasible`` answers it by one route per correlator pattern, in floats
+or in rational arithmetic:
 
-* an LP feasibility oracle (``lp_feasible``) over the 2^n outcome
-  probabilities, built on the in-package phase-1 simplex, which first
+* Fine's theorem over chain data at n >= 3 (``fine_build``): the data are
+  feasible exactly when the two-time rows on the chain triangles and the
+  lg family hold (``_chain_conditions``), and then the product
+  construction fixes each free closing correlator inside its closure
+  windows (``_closure_windows``) and each three-time block's triple
+  coefficient inside ``_d_bounds``, and multiplies the blocks into an
+  explicit distribution; and
+* an LP feasibility oracle over the 2^n outcome probabilities for
+  complete data, built on the in-package phase-1 simplex, which first
   tries the condition rows of ``_conditions`` that hold at every +-1
-  outcome: a row violated past the band refutes the data with no LP.
-  Float chain data go to ``fine_build`` instead; and
-* Fine's theorem over chain data (``fine_build``): the data are feasible
-  exactly when the two-time rows on the chain triangles and the lg family
-  hold (``_chain_conditions``), and then the product construction fixes
-  each free closing correlator inside its closure windows
-  (``_closure_windows``) and each three-time block's triple coefficient
-  inside ``_d_bounds``, and multiplies the blocks into an explicit
-  distribution.
+  outcome: a row violated past the band refutes the data with no LP.  The
+  LP also decides chain data whose product the construction refuses.
 
 Every +-1 expansion is one in-place ``core._butterfly``.  A negative
 verdict names the violated rows by the labels that ``_Conditions``
@@ -72,11 +73,13 @@ class FeasibilityVerdict:
     """Outcome of a feasibility question, with a certificate when positive.
 
     ``violated`` names family members (by label) that explain a negative
-    verdict: the condition rows that refute the data before the oracle
-    builds a tableau, or every Fine condition that chain data violate.  An
+    verdict: every Fine condition that chain data violate, or the condition
+    rows that refute complete data before the oracle builds a tableau; in
+    exact mode each named row's slack is positive in ``Fraction``s.  An
     infeasible verdict of the LP itself leaves it as None.
     ``phase1_objective`` is the LP's residual infeasibility measure when an
-    LP ran (0 means feasible outright), and None otherwise.
+    LP ran (0 means feasible outright), and None otherwise: a chain verdict
+    carries it only when the construction refused its product.
     """
 
     feasible: bool
@@ -152,7 +155,7 @@ def _constraint_rows(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Rows of the moment-matching system over the 2^n outcome columns, in
     int8: normalization, then one character row prod_{i in p} s_i per pair
     p (s_0 = +1); a pair (0, i) fixes B_i."""
-    masks = _masks(((),) + pairs)
+    masks = np.r_[0, _masks(pairs)]
     a = 1 - 2 * (np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1).astype(np.int8)
     a.setflags(write=False)
     return a
@@ -164,7 +167,7 @@ def _certified(n: int, pairs: Sequence[tuple[int, int]], rhs: np.ndarray,
     the rows of ``_constraint_rows(n, _suspended(n, pairs))``, Walsh
     characters all read by one transform, match ``rhs``; else OracleError."""
     p = _drift_corrected(p)
-    residual = float(np.abs(_walsh_hadamard(p)[_masks(((),) + _suspended(n, pairs))] - rhs).max())
+    residual = float(np.abs(_walsh_hadamard(p)[np.r_[0, _masks(_suspended(n, pairs))]] - rhs).max())
     if residual > FEASIBILITY_TOL:
         raise OracleError(f"certificate residual {residual:.3e} above tolerance")
     if p.min() < -NONNEGATIVITY_TOL:
@@ -284,16 +287,17 @@ def _chain_conditions(n: int, values: np.ndarray) -> _Conditions:
 
 
 def _refuting_rows(conditions: _Conditions, values: np.ndarray, exact: bool) -> np.ndarray:
-    """The rows of ``conditions`` whose slack on ``values``, from
-    ``_slacks``, exceeds twice ``BOUNDARY_TOL`` times the row's scale, as
-    ``_screen`` decides; with ``exact``, those of them whose slack is also
-    positive in ``Fraction``s (the bounds too: ``Fraction`` - float is a
-    float)."""
-    terms, bounds = conditions.terms, conditions.bounds
-    rows = np.flatnonzero(_slacks(terms, bounds, values) / conditions.scales > 2 * BOUNDARY_TOL)
-    if exact and rows.size:
-        rows = rows[_slacks(terms[rows], _fractions(bounds[rows]), _fractions(values)) > 0]
-    return rows
+    """The rows of ``conditions`` that refute ``values``: by ``_screen``'s
+    rule, a ``_slacks`` slack above twice ``BOUNDARY_TOL`` times the row's
+    scale; with ``exact``, a valid row (finite scale) whose slack is
+    positive in ``Fraction``s (bounds too: ``Fraction`` - float is a
+    float), summed only where the float slack exceeds ``-_SCREEN_MARGIN``."""
+    terms, bounds, scales = conditions.terms, conditions.bounds, conditions.scales
+    slacks = _slacks(terms, bounds, values)
+    if not exact:
+        return np.flatnonzero(slacks / scales > 2 * BOUNDARY_TOL)
+    rows = np.flatnonzero(np.isfinite(scales) & (slacks > -_SCREEN_MARGIN))
+    return rows[_slacks(terms[rows], _fractions(bounds[rows]), _fractions(values)) > 0]
 
 
 def lp_feasible(
@@ -303,31 +307,30 @@ def lp_feasible(
     exact: bool = False,
 ) -> FeasibilityVerdict:
     """Decide whether some distribution matches the fixed averages and
-    correlators, by phase-1 simplex over the 2^n outcome probabilities.
+    correlators.
 
     ``b`` fixes every one-time average (None means all zero).  The stored
     correlator keys are the fixed pairs; absent pairs are unconstrained.
-    ``exact=True`` (n <= 6) re-solves in rational arithmetic from the basis
-    the float solve ends on, which settles verdicts on knife-edge inputs.
+    With ``exact=True`` every decision is made in rational arithmetic.
 
-    Float chain data (n >= 4) get ``fine_build``'s verdict, up to n = 20;
-    the LP decides them only when the construction refuses a knife-edge
-    product (``OracleError`` or ``MarginalError``) at n <= ``ORACLE_MAX_TIMES``.
-
-    Other data first go through condition rows by ``_screen``'s rule: the
-    rows of ``_conditions`` for complete data, of ``_chain_conditions`` for
-    exact chain data.  A valid row whose slack exceeds twice
-    ``BOUNDARY_TOL`` times its scale proves a phase-1 optimum above 2e-7,
-    so the verdict is infeasible with no LP and ``violated`` names those
-    rows.  With ``exact=True`` a named row's slack is also confirmed
-    positive in ``Fraction``s.  Float data at n = 3, where the chain fixes
-    every pair, that the rows leave get ``fine_build``'s verdict too.
-    Complete data go to the LP up to n = ``ORACLE_MAX_TIMES``.
+    Chain data (n >= 3, up to n = 20) get ``fine_build``'s verdict: Fine's
+    conditions, then the construction; with ``exact=True`` a condition
+    whose ``Fraction`` slack is positive refutes them first.  Complete data
+    (up to n = ``ORACLE_MAX_TIMES``, ``EXACT_MAX_TIMES`` with ``exact=True``)
+    meet the valid rows of ``_conditions`` by ``_screen``'s rule: a slack
+    above twice ``BOUNDARY_TOL`` times the row's scale proves a phase-1
+    optimum above 2e-7 (with ``exact=True``, any positive ``Fraction``
+    slack refutes), so the verdict is infeasible with no LP and names
+    those rows.  Other complete data, and chain data whose knife-edge
+    product the construction refuses (``OracleError`` or ``MarginalError``)
+    at n up to the same caps, go to phase-1 simplex over the 2^n outcome
+    probabilities; with ``exact=True`` it re-solves in rational arithmetic
+    from the basis the float solve ends on.
     """
     n = correlators.n
-    if exact and n > EXACT_MAX_TIMES:
-        raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES}, got {n}")
     chain = correlators.pattern == "chain"
+    if exact and n > EXACT_MAX_TIMES and not chain:
+        raise DimensionError(f"exact mode handles n <= {EXACT_MAX_TIMES} for complete data, got {n}")
     if n > ORACLE_MAX_TIMES and not chain:
         raise DimensionError(f"oracle handles n <= {ORACLE_MAX_TIMES} for complete data, got {n}")
     bvec = _validate_b(b, n)
@@ -338,11 +341,11 @@ def lp_feasible(
         refuting = _refuting_rows(conditions, rhs[1:], exact)
         if refuting.size:
             return FeasibilityVerdict(False, violated=tuple(conditions.labels[k] for k in refuting.tolist()))
-    if not exact and (chain or n == 3):
+    if chain:
         try:
             return fine_build(bvec, correlators)
         except (OracleError, MarginalError):
-            if n > ORACLE_MAX_TIMES:
+            if n > (EXACT_MAX_TIMES if exact else ORACLE_MAX_TIMES):
                 raise
             # a knife-edge product: the LP decides
 
@@ -419,7 +422,7 @@ def _parity_max(values: Sequence[float], parity: int) -> float:
     mismatch."""
     total = math.fsum(abs(v) for v in values)
     negatives = sum(1 for v in values if v < 0)
-    if negatives % 2 == parity or any(v == 0.0 for v in values):
+    if negatives % 2 == parity:
         return total
     return total - 2.0 * min(abs(v) for v in values)
 
@@ -470,7 +473,7 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     n = chain.n
     if n < 3:
         raise DimensionError(f"fine_build needs n >= 3, got {n}")
-    if n > 3 and chain.pattern != "chain":
+    if chain.pattern != "chain":
         raise ValidationError("fine_build requires the chain correlator pattern")
     bs = _validate_b(b, n).tolist()
     c_in = dict(chain.entries)
@@ -687,7 +690,10 @@ def _draw_block(n: int, mode: str, seed: int, first: int, stop: int) -> np.ndarr
 # screen statistic, a max or min over rows of slacks divided by scales >= 1.
 # A BLAS slack and a ``_slacks`` slack thus differ by < 2.8e-14, and a
 # statistic farther than this margin from its threshold decides the same way
-# under both; the samples within it are re-decided from ``_slacks``.
+# under both; the samples within it are re-decided from ``_slacks``.  The
+# rows ``_refuting_rows`` sums in ``Fraction``s err less: a chain row at n = 20
+# (20 unit terms, bound 18) by < 20 * 2^-53 * 38 < 1e-13, a complete one at
+# n <= 6 (15 terms, bound 3) by less.
 _SCREEN_MARGIN = 1e-12
 _SCREEN_THRESHOLDS = np.array([[0.0], [BOUNDARY_TOL], [2 * BOUNDARY_TOL]])
 _SCREEN_THRESHOLDS.setflags(write=False)
@@ -772,8 +778,9 @@ def conjecture_check(
     between the LP's tolerance and ``BOUNDARY_TOL``.  Only the rare
     non-boundary disagreements leave array code: the oracle re-decides
     each in rational arithmetic (``lp_feasible_from_spec`` with
-    ``exact=True``; its pre-screen applies ``_screen``'s rule to the same
-    slacks, so it refutes none of them), and those that still disagree are the
+    ``exact=True``; its pre-screen refutes only a sample that violates a
+    valid row in ``Fraction``s, which the exact LP would also call
+    infeasible), and those that still disagree are the
     counterexamples, in ascending sample index; "conditions hold, oracle
     infeasible" is the direction the sufficiency claim forbids, while the
     converse would indicate a necessity bug.  Reports are reproducible bit

@@ -184,6 +184,37 @@ def test_check_prints_the_fine_build_payload_on_feasible_chain_data(tmp_path, ca
     assert set(json.loads(payloads[0])) == {"feasible", "certificate"}
 
 
+def _chain_files(tmp_path):
+    """Markov-chain data (feasible) and cosine data past the all-plus lg
+    member (infeasible) at n = 3..8, then the Tsirelson point at n = 3."""
+    for n in range(3, 9):
+        b, entries = markov_chain_data(np.random.default_rng(60 + n), n)
+        cosine = {f"{i},{j}": math.cos(math.pi / n * (j - i)) for i, j in entries}
+        for name, moments in ((f"markov{n}", {**{str(i): v for i, v in enumerate(b, 1)},
+                                              **{f"{i},{j}": v for (i, j), v in entries.items()}}),
+                              (f"cosine{n}", cosine)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"n": n, "moments": moments}))
+            yield path
+    path = tmp_path / "tsirelson3.json"
+    path.write_text(json.dumps({"n": 3, "moments": {"1,2": 0.5, "2,3": 0.5, "1,3": -0.5}}))
+    yield path
+
+
+def test_check_exact_check_and_fine_build_print_one_payload_on_chain_data(tmp_path, capsys):
+    feasible = 0
+    for path in _chain_files(tmp_path):
+        payloads = []
+        for argv in (["check"], ["check", "--exact"], ["fine-build"]):
+            code, out = _run(capsys, *argv, "--moments", str(path))
+            assert code == 0
+            payloads.append(out)
+        assert payloads[0] == payloads[1] == payloads[2], path.name
+        feasible += json.loads(payloads[0])["feasible"]
+    assert feasible == 6
+    assert json.loads(payloads[0]) == {"feasible": False, "violated": ["three3:1.2.3:+-+"]}
+
+
 def test_conjecture_writes_report_deterministically(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "report.json"

@@ -333,11 +333,11 @@ def test_conversions_at_n_18_match_the_reference_on_a_sample():
 
 
 def test_masks_of_subsets_of_the_times_0_to_n_match_a_per_subset_sum():
-    # time 0 (s_0 = +1) and the empty key add no bit; the oracle's rows and
-    # certificate check read their pair masks from here
-    subsets = [s for size in range(7) for s in combinations(range(7), size)]
+    # time 0 (s_0 = +1) adds no bit; the oracle's rows and certificate
+    # check read their pair masks from here
+    subsets = [s for size in range(1, 7) for s in combinations(range(7), size)]
     rng = np.random.default_rng(5)
-    for keys in (subsets, subsets[1:], [()], [(), ()], [(0,), (), (0, 3)],
+    for keys in (subsets, [(0,), (0, 3)],
                  [subsets[k] for k in rng.integers(0, len(subsets), 300).tolist()]):
         assert core._masks(keys).tolist() == [sum((1 << t) >> 1 for t in key) for key in keys]
 
@@ -421,8 +421,9 @@ def test_correlator_set_patterns():
     assert chain.pattern == "chain"
     full = CorrelatorSet(4, {pair: 0.1 for pair in complete_pairs(4)})
     assert full.pattern == "complete"
-    # n=3 chain and complete coincide
-    assert CorrelatorSet(3, {pair: 0.0 for pair in chain_pairs(3)}).pattern == "complete"
+    # n = 3 chain and complete coincide and read "chain"; n = 2 reads "complete"
+    assert CorrelatorSet(3, {pair: 0.0 for pair in complete_pairs(3)}).pattern == "chain"
+    assert CorrelatorSet(2, {pair: 0.0 for pair in chain_pairs(2)}).pattern == "complete"
     with pytest.raises(ValidationError):
         CorrelatorSet(4, {(1, 2): 0.1, (3, 4): 0.2})
 
@@ -437,7 +438,7 @@ def test_correlator_set_pattern_is_decided_at_construction(monkeypatch):
     monkeypatch.setattr(core, "chain_pairs", refuse)
     monkeypatch.setattr(core, "complete_pairs", refuse)
     for (n, pairs), data in built.items():
-        assert data.pattern == ("chain" if n > 3 and pairs == "chain_pairs" else "complete")
+        assert data.pattern == ("chain" if n == 3 or n > 3 and pairs == "chain_pairs" else "complete")
 
 
 @pytest.mark.parametrize("value", ["0.5", True, None, math.nan, 1.5, "x"])

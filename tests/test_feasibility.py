@@ -264,7 +264,7 @@ def _assert_certified(verdict, b, correlators):
     assert cert.p.min() >= -1e-9
     spec = moments_from_distribution(cert)
     residuals = [abs(spec.b(i) - b_i) for i, b_i in enumerate(b, start=1)]
-    residuals += [abs(spec.c(i, j) - value) for (i, j), value in correlators.sorted_items()]
+    residuals += [abs(spec.c(i, j) - value) for (i, j), value in correlators.entries.items()]
     assert max(residuals) < FEASIBILITY_TOL
 
 
@@ -380,24 +380,23 @@ def _refuse_construction(monkeypatch):
 @pytest.mark.parametrize("n, pairs, routed", [(3, chain_pairs, 1), (4, chain_pairs, 1),
                                                (4, complete_pairs, 0)])
 def test_n3_data_reach_fine_build_through_the_oracle(monkeypatch, n, pairs, routed):
-    # at n = 3 the chain fixes every pair, so the set reads "complete";
-    # Fine's construction still decides it, as it does chain data at n >= 4
+    # at n = 3 the chain fixes every pair, and the set reads "chain": Fine's
+    # construction decides it in both arithmetics, as it does chain data at n >= 4
     calls = []
     real = feasibility.fine_build
     monkeypatch.setattr(feasibility, "fine_build", lambda *args: calls.append(args) or real(*args))
     data = CorrelatorSet(n, {pair: 0.25 for pair in pairs(n)})
-    assert lp_feasible(None, data).feasible
-    assert len(calls) == routed
-    calls.clear()
-    assert lp_feasible(None, data, exact=True).feasible
-    assert not calls
+    for exact in (False, True):
+        calls.clear()
+        assert lp_feasible(None, data, exact=exact).feasible
+        assert len(calls) == routed
 
 
 @pytest.mark.parametrize("pattern", ["chain", "complete"])
 def test_only_data_past_the_band_skips_the_lp(monkeypatch, pattern):
-    # float chain data go to the construction, so chain data meet the
-    # screen in exact mode
-    exact = pattern == "chain"
+    # the float screen of complete data leaves the band to the LP; Fine's
+    # conditions on chain data, and exact slacks in either pattern, name
+    # every violated row with no LP
     calls = []
 
     def recording(rows, rhs):
@@ -405,13 +404,14 @@ def test_only_data_past_the_band_skips_the_lp(monkeypatch, pattern):
         return solve_phase1(rows, rhs)
 
     monkeypatch.setattr(feasibility, "solve_phase1", recording)
-    for past, refuted in ((1e-3, True), (3e-7, True), (1e-7, False), (1e-8, False)):
-        calls.clear()
-        verdict = lp_feasible(None, _band_data(pattern, 6, past), exact=exact)
-        assert not verdict.feasible
-        assert (verdict.violated is not None, len(calls)) == (refuted, 0 if refuted else 1)
     label = "lg6:+++++-" if pattern == "chain" else "three6:1.2.3:+++"
-    assert lp_feasible(None, _band_data(pattern, 6, 1e-3), exact=exact).violated == (label,)
+    for exact in (False, True):
+        for past, beyond in ((1e-3, True), (3e-7, True), (1e-7, False), (1e-8, False)):
+            calls.clear()
+            verdict = lp_feasible(None, _band_data(pattern, 6, past), exact=exact)
+            assert not verdict.feasible
+            refuted = beyond or exact or pattern == "chain"
+            assert (verdict.violated, len(calls)) == ((label,) if refuted else None, 0 if refuted else 1)
 
 
 def test_exact_refutation_confirms_the_named_slacks(monkeypatch):
@@ -532,13 +532,14 @@ def test_the_rim_row_is_the_most_violated_lg_member(n):
 
 
 def test_lp_respects_oracle_scale_cap():
-    # chain data past n = 12 go to fine_build; complete data and exact mode keep their caps
-    with pytest.raises(DimensionError):
+    # chain data past n = 12 go to fine_build in both arithmetics; complete
+    # data keep the caps of both
+    with pytest.raises(DimensionError, match="oracle handles n <= 12 for complete data"):
         lp_feasible(None, CorrelatorSet(13, {p: 0.0 for p in complete_pairs(13)}))
-    with pytest.raises(DimensionError):
-        lp_feasible(None, CorrelatorSet(7, {p: 0.0 for p in chain_pairs(7)}), exact=True)
-    with pytest.raises(DimensionError):
-        lp_feasible(None, CorrelatorSet(13, {p: 0.0 for p in chain_pairs(13)}), exact=True)
+    with pytest.raises(DimensionError, match="exact mode handles n <= 6 for complete data"):
+        lp_feasible(None, CorrelatorSet(7, {p: 0.0 for p in complete_pairs(7)}), exact=True)
+    for n in (7, 13):
+        assert lp_feasible(None, CorrelatorSet(n, {p: 0.0 for p in chain_pairs(n)}), exact=True).feasible
 
 
 def test_certified_rejects_a_moment_off_by_1e_6_and_an_entry_at_minus_1e_6():
@@ -761,6 +762,85 @@ def test_chain_data_past_the_lp_range_are_decided_by_the_construction(monkeypatc
     # the spy sees the oracle's calls only: no screen and no LP ran
     assert calls["solve_phase1"] == [] and _conditions.cache_info().currsize == conditions
     assert [v.feasible for v in calls["fine_build"]] == [True, True, False]
+
+
+def _exact_chain_cases(n, rng):
+    """Uniform draws (mostly infeasible), Markov-chain data (feasible) and
+    Markov data pushed to knife-edge slacks on its top lg member, each with
+    and without averages."""
+    for averages in (True, False):
+        values = _chain_values(n, rng, averages)
+        yield (values[:n].tolist() if averages else None), CorrelatorSet(
+            n, dict(zip(sorted(chain_pairs(n)), values[n:].tolist())))
+        b, entries = markov_chain_data(rng, n, averages)
+        yield b, CorrelatorSet(n, entries)
+        for slack in (-1e-12, 1e-12, 5e-10, 1e-9, 1e-7):
+            yield _pushed_markov(rng, n, slack, averages)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_exact_chain_verdicts_equal_a_rational_phase1_solve(monkeypatch, n):
+    # Fine's conditions in Fractions decide, with no LP; every name has a
+    # positive exact slack, summed here term by term
+    rng = np.random.default_rng(3400 + n)
+    calls = _spies(monkeypatch)
+    infeasible = 0
+    for b, data in _exact_chain_cases(n, rng):
+        pairs = tuple(sorted(data.entries))
+        rhs = np.concatenate(([1.0], np.zeros(n) if b is None else b, [data.entries[q] for q in pairs]))
+        direct = solve_phase1(_constraint_rows(n, _suspended(n, pairs)).astype(object), rhs.astype(object))
+        verdict = lp_feasible(b, data, exact=True)
+        assert verdict.feasible == direct.feasible
+        assert verdict.feasible or verdict.violated
+        infeasible += not verdict.feasible
+        conditions = _chain_conditions(n, rhs[1:])
+        for label in verdict.violated or ():
+            k = conditions.labels.index(label)
+            total = sum(int(c) * Fraction(v) for c, v in zip(conditions.terms[k], rhs[1:]))
+            assert total > conditions.bounds[k]
+    assert calls["solve_phase1"] == [] and 0 < infeasible < 14
+
+
+@pytest.mark.parametrize("n", range(7, 21))
+def test_exact_chain_data_past_n_6_are_decided(monkeypatch, n):
+    rng = np.random.default_rng(3500 + n)
+    calls = _spies(monkeypatch)
+    for b, data in _chain_cases(n, rng, 1):
+        verdict = lp_feasible(b, data, exact=True)
+        if verdict.feasible:
+            assert calls["fine_build"][-1] is verdict
+        else:
+            assert verdict.violated == lp_feasible(b, data).violated == (f"lg{n}:" + "+" * (n - 1) + "-",)
+    assert calls["solve_phase1"] == []
+    assert [v.feasible for v in calls["fine_build"]] == [True, True, False]
+
+
+@pytest.mark.parametrize("n", [3, 6, 7, 12])
+def test_a_refused_exact_product_reaches_the_exact_lp_up_to_n_6(monkeypatch, n):
+    b, entries = markov_chain_data(np.random.default_rng(80 + n), n)
+    data = CorrelatorSet(n, entries)
+    original, refused = feasibility._certified, []
+
+    def refusing(*args):
+        if not refused:  # the first call belongs to the construction
+            refused.append(args)
+            raise OracleError("knife edge")
+        return original(*args)
+
+    monkeypatch.setattr(feasibility, "_certified", refusing)
+    systems, solve = [], feasibility.solve_phase1
+    monkeypatch.setattr(feasibility, "solve_phase1",
+                        lambda rows, rhs: systems.append(rows.dtype) or solve(rows, rhs))
+    if n > 6:
+        with pytest.raises(OracleError, match="knife edge"):
+            lp_feasible(b, data, exact=True)
+        assert systems == []
+    else:
+        verdict = lp_feasible(b, data, exact=True)
+        assert systems == [object]
+        assert verdict.feasible and verdict.phase1_objective == 0.0
+        _assert_certified(verdict, b, data)
+    assert len(refused) == 1
 
 
 def _old_d_bounds(b, c):

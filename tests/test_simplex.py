@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import lgfeas.simplex as simplex
-from lgfeas.core import CorrelatorSet, complete_pairs
-from lgfeas.feasibility import _constraint_rows, _draw_block, _suspended, lp_feasible
+from lgfeas.core import complete_pairs
+from lgfeas.feasibility import _constraint_rows, _draw_block, _suspended
 from lgfeas.simplex import solve_phase1
 from util import gauss_jordan
 
@@ -165,12 +165,13 @@ def test_exact_continues_pivoting_from_the_float_basis(routes):
 
 
 def test_exact_restarts_cold_when_float_basis_is_infeasible(routes):
-    b = [0.3333333333333333, 0.3333333333333333, -0.6666666666666666]
-    data = CorrelatorSet(3, {(1, 2): 1.0, (1, 3): 0.0, (2, 3): 0.0})
-    assert lp_feasible(b, data, exact=True).feasible
+    # B = (1/3, 1/3, -2/3) and C_12 = 1, C_13 = C_23 = 0, read from floats
+    a = _constraint_rows(3, _suspended(3, complete_pairs(3))).astype(object)
+    rhs = np.array([1.0, 0.3333333333333333, 0.3333333333333333, -0.6666666666666666,
+                    1.0, 0.0, 0.0], dtype=object)
+    assert solve_phase1(a, rhs).feasible
     # 2^-60 beyond the facet the float run still ends feasible, on a basis
     # with a negative basic value in rationals
-    a = _constraint_rows(3, _suspended(3, complete_pairs(3))).astype(object)
     beyond = _triangle_rhs(Fraction(-1, 3) - Fraction(1, 2**60))
     assert solve_phase1(a.astype(float), beyond.astype(float)).feasible
     result = solve_phase1(a, beyond)

@@ -19,7 +19,7 @@ from lgfeas import (
 
 def test_cosine_full_periods_give_unit_correlators():
     corr = cosine_correlators(1.0, (0.0, 2 * math.pi, 4 * math.pi))
-    assert all(v == pytest.approx(1.0, abs=1e-12) for _, v in corr.sorted_items())
+    assert all(v == pytest.approx(1.0, abs=1e-12) for v in corr.entries.values())
 
 
 def test_cosine_tsirelson_point():

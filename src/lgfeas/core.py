@@ -54,10 +54,6 @@ class MissingCorrelatorError(LgError, KeyError):
     """Requested a correlator that the data set does not fix."""
 
 
-class MarginalError(LgError, ValueError):
-    """Pairwise marginals are negative or mutually incompatible."""
-
-
 class OracleError(LgError, RuntimeError):
     """The feasibility oracle failed to converge or to certify its answer."""
 

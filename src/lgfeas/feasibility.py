@@ -8,8 +8,8 @@ or in rational arithmetic:
   lg family hold (``_chain_conditions``), and then the product
   construction fixes each free closing correlator inside its closure
   windows (``_closure_windows``) and each three-time block's triple
-  coefficient inside ``_d_bounds``, and multiplies the blocks into an
-  explicit distribution; and
+  coefficient inside its range from one transform (``_d_bounds``), and
+  multiplies the blocks into an explicit distribution; and
 * an LP feasibility oracle over the 2^n outcome probabilities for
   complete data, built on the in-package phase-1 simplex, which first
   tries the condition rows of ``_conditions`` that hold at every +-1
@@ -39,7 +39,6 @@ from .core import (
     CorrelatorSet,
     DimensionError,
     JointDistribution,
-    MarginalError,
     MomentSpec,
     NONNEGATIVITY_TOL,
     OracleError,
@@ -322,8 +321,8 @@ def lp_feasible(
     optimum above 2e-7 (with ``exact=True``, any positive ``Fraction``
     slack refutes), so the verdict is infeasible with no LP and names
     those rows.  Other complete data, and chain data whose knife-edge
-    product the construction refuses (``OracleError`` or ``MarginalError``)
-    at n up to the same caps, go to phase-1 simplex over the 2^n outcome
+    product the construction refuses (``OracleError``) at n up to the
+    same caps, go to phase-1 simplex over the 2^n outcome
     probabilities; with ``exact=True`` it re-solves in rational arithmetic
     from the basis the float solve ends on.
     """
@@ -344,7 +343,7 @@ def lp_feasible(
     if chain:
         try:
             return fine_build(bvec, correlators)
-        except (OracleError, MarginalError):
+        except OracleError:
             if n > (EXACT_MAX_TIMES if exact else ORACLE_MAX_TIMES):
                 raise
             # a knife-edge product: the LP decides
@@ -376,44 +375,19 @@ def lp_feasible_from_spec(spec: MomentSpec, *, exact: bool = False) -> Feasibili
 # interval bounds of the chain construction
 # ---------------------------------------------------------------------------
 
-def _negative_pair(b_i: float, b_j: float, c_ij: float) -> tuple[int, int] | None:
-    """The first signs (s_i, s_j) whose pair probability is negative, if any."""
-    for s_i in (1, -1):
-        for s_j in (1, -1):
-            if pairwise_probability(b_i, b_j, c_ij, s_i, s_j) < -NONNEGATIVITY_TOL:
-                return s_i, s_j
-    return None
+def _d_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The admissible ranges (lo, hi) of the triple coefficients d of
+    three-time blocks, one per row of eight coefficients in subset-mask
+    order (the unit first) whose last entry, d, is zero.
 
-
-# the signs of the terms (B_1, B_2, B_3, C_12, C_13, C_23) of A(s) at each
-# outcome s, by mask, and whether the outcome's sign product is even
-_D_OUTCOMES = tuple(
-    ((s[0], s[1], s[2], s[0] * s[1], s[0] * s[2], s[1] * s[2]), s[0] * s[1] * s[2] == 1)
-    for s in ([1 if not (mask >> k) & 1 else -1 for k in range(3)] for mask in range(8)))
-
-
-def _d_bounds(b1: float, b2: float, b3: float,
-              c12: float, c13: float, c23: float) -> tuple[float, float]:
-    """The admissible range (lo, hi) of the triple coefficient of a
-    three-time block.
-
-    The three pair probabilities are checked first (MarginalError).  With
-    A(s) = 1 + sum B_i s_i + sum C_ij s_i s_j, each the ``math.fsum`` of
-    its six signed terms, outcomes with even sign product give lower bounds
-    -A(s) and odd ones give upper bounds A(s), within [-1, 1]."""
-    b = (b1, b2, b3)
-    for (i, j), value in (((1, 2), c12), ((1, 3), c13), ((2, 3), c23)):
-        if signs := _negative_pair(b[i - 1], b[j - 1], value):
-            raise MarginalError(f"pair probability for {(i, j)} at signs ({signs[0]},{signs[1]}) is negative")
-    terms = (b1, b2, b3, c12, c13, c23)
-    lower, upper = -1.0, 1.0
-    for signs, even in _D_OUTCOMES:
-        a_val = 1.0 + math.fsum([term * sign for term, sign in zip(terms, signs)])
-        if even:
-            lower = max(lower, -a_val)
-        else:
-            upper = min(upper, a_val)
-    return lower, upper
+    One transform over the rows gives each block's A(s) = 1 + sum B_i s_i
+    + sum C_ij s_i s_j at its outcomes s by mask, a set bit a minus sign,
+    and the entry there is (A(s) + d s_1 s_2 s_3) / 8: the masks with even
+    popcount (0, 3, 5, 6) give lower bounds -A(s) and the odd ones upper
+    bounds A(s), within [-1, 1]."""
+    a = _walsh_hadamard(rows)
+    return (np.maximum(-a[:, [0, 3, 5, 6]].min(axis=1), -1.0),
+            np.minimum(a[:, [1, 2, 4, 7]].min(axis=1), 1.0))
 
 
 def _parity_max(values: Sequence[float], parity: int) -> float:
@@ -465,10 +439,11 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
     slack above ``EMPTY_TOL``, and the verdict names every such row.
     Otherwise, working down from the closing block, each free correlator
     C_{1k} is fixed at the midpoint of the intersection of its
-    ``_closure_windows``; each three-time block then gets its triple
-    coefficient from the midpoint of ``_d_bounds``, and the blocks multiply
-    into the joint with the 0/0 -> 0 convention.  ``_certified`` judges the
-    product: a knife-edge product that fails it raises ``OracleError``.
+    ``_closure_windows``; the n - 2 three-time blocks then take their
+    triple coefficients at the midpoints of the ranges that ``_d_bounds``
+    reads off their stacked rows, and multiply into the joint with the
+    0/0 -> 0 convention.  ``_certified`` judges the product: a knife-edge
+    product that fails it raises ``OracleError``.
     """
     n = chain.n
     if n < 3:
@@ -494,11 +469,10 @@ def fine_build(b: Sequence[float] | None, chain: CorrelatorSet) -> FeasibilityVe
                                          bs[0], bs[k - 1]))
         closures[k] = 0.5 * (max(los) + min(his))
 
-    rows = []
-    for k in range(2, n):
-        c_k, c_next, c_step = closures[k], closures[k + 1], c_in[(k, k + 1)]
-        lo, hi = _d_bounds(bs[0], bs[k - 1], bs[k], c_k, c_next, c_step)
-        rows.append([1.0, bs[0], bs[k - 1], c_k, bs[k], c_next, c_step, 0.5 * (lo + hi)])
+    rows = np.array([[1.0, bs[0], bs[k - 1], closures[k], bs[k], closures[k + 1], c_in[(k, k + 1)], 0.0]
+                     for k in range(2, n)])
+    lo, hi = _d_bounds(rows)
+    rows[:, 7] = 0.5 * (lo + hi)
     blocks = _block_expansions(rows)  # on the times (1, k, k + 1), k = 2..n-1
 
     idx = np.arange(1 << n)

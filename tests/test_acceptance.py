@@ -86,7 +86,7 @@ def test_criterion_3_three_time_equivalence():
             for m in family.members
         ]
         family_ok = max(slacks) <= 0.0
-        lo, hi = _d_bounds(*b.tolist(), c[(1, 2)], c[(1, 3)], c[(2, 3)])
+        (lo,), (hi,) = _d_bounds(np.array([[1.0, b[0], b[1], c[(1, 2)], b[2], c[(1, 3)], c[(2, 3)], 0.0]]))
         verdict = lp_feasible(b, CorrelatorSet(3, c))
         lp = _phase1(3, complete_pairs(3), b, c)
         near_edge = (

@@ -14,7 +14,6 @@ from lgfeas import (
     CorrelatorSet,
     DimensionError,
     JointDistribution,
-    MarginalError,
     MomentSpec,
     ValidationError,
     chain_pairs,
@@ -80,7 +79,8 @@ def _d_interval_oracle(b, c):
 
 
 def _d_bounds_of(b, c):
-    return _d_bounds(*b, c[(1, 2)], c[(1, 3)], c[(2, 3)])
+    lo, hi = _d_bounds(np.array([[1.0, b[0], b[1], c[(1, 2)], b[2], c[(1, 3)], c[(2, 3)], 0.0]]))
+    return float(lo[0]), float(hi[0])
 
 
 def test_d_interval_zero_data():
@@ -100,11 +100,6 @@ def test_d_interval_perfect_correlations_pin_the_triple_coefficient():
     lo, hi = _d_bounds_of([0.0] * 3, c)
     assert _d_interval_oracle([0.0, 0.0, 0.0], c) == (0.0, 0.0)
     assert abs(lo) == 0.0 and abs(hi) == 0.0
-
-
-def test_d_interval_requires_nonneg_pairs():
-    with pytest.raises(MarginalError):
-        _d_bounds(1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
 
 
 def test_d_interval_agrees_with_oracle_on_random_data():
@@ -651,35 +646,63 @@ def test_chain_data_past_an_lg_member_by_1e_9_are_named():
     assert not verdict.feasible and verdict.violated == ("lg4:+++-",)
 
 
-def _pushed_markov(rng, n, slack, averages):
-    """Markov-chain data moved straight toward the +-1 correlators of its
-    largest-slack lg member, whose slack there is 2, until that slack is
-    ``slack``; the pair conditions hold along the way."""
+def _pushed_markov(rng, n, slack, averages, face="lg"):
+    """Markov-chain data moved straight toward the +-1 vertex of its
+    largest-slack row, where that slack is 2, until the slack is
+    ``slack``: the row is an lg member, or with ``face="pair"`` (and
+    ``averages``) a two-time row on a chain triangle (0, i, j), and every
+    value off the row moves toward 0.  Every other condition holds at both
+    ends, so along the way."""
     b, entries = markov_chain_data(rng, n, averages)
-    lg = lg_family(n)
-    slacks = _slacks(lg.coefficients, lg.bounds, np.array([entries[pair] for pair in lg.pairs]))
+    family = lg_family(n) if face == "lg" else two_time_complete(n)
+    values = {} if face == "lg" else dict(zip(_suspended(n, ()), b))
+    values.update(entries)
+    columns = [k for k, pair in enumerate(family.pairs) if pair in values]
+    # the rows over the values alone: every lg row, the chain-triangle two-time rows
+    rows = np.flatnonzero(~np.delete(family.coefficients, columns, axis=1).any(axis=1))
+    coefficients = family.coefficients[np.ix_(rows, columns)]
+    slacks = _slacks(coefficients, family.bounds[rows], np.array([values[family.pairs[k]] for k in columns]))
     top = int(np.argmax(slacks))
     t = (slack - slacks[top]) / (2.0 - slacks[top])
-    target = dict(zip(lg.pairs, lg.coefficients[top].tolist()))
-    entries = {pair: float((1 - t) * value + t * target[pair]) for pair, value in entries.items()}
-    return (None if b is None else [float((1 - t) * value) for value in b]), CorrelatorSet(n, entries)
+    target = dict(zip((family.pairs[k] for k in columns), coefficients[top].tolist()))
+    moved = {pair: float((1 - t) * value + t * target[pair]) for pair, value in values.items()}
+    if face == "lg":
+        b = None if b is None else [float((1 - t) * value) for value in b]
+    else:
+        b = [moved[(0, i)] for i in range(1, n + 1)]
+    return b, CorrelatorSet(n, {pair: moved[pair] for pair in entries})
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-def test_chain_data_near_an_lg_face_get_the_construction_verdict(monkeypatch, n):
-    # slacks up to 1e-9 lie inside the LP's tolerance; the construction
-    # turns the data infeasible past a slack of 1e-9 at every n, the
-    # three-time block of n = 3 included
-    rng = np.random.default_rng(2029 + n)
+def _assert_construction_verdicts(monkeypatch, rng, n, faces):
+    """Data pushed to slacks around 1e-9 on each (averages, face) of
+    ``faces`` turn infeasible past 1e-9, and get the construction's
+    verdict with no LP.  Past n = 12 no LP could take over a refused
+    product, so the construction certifies every slack up to 1e-9."""
     calls = _spies(monkeypatch)
     for slack in (-2e-9, 0.0, 6e-10, 9e-10, 9.9e-10, 1e-9, 4e-9, 1.1e-9):
-        for averages in (True, False):
-            b, data = _pushed_markov(rng, n, slack, averages)
+        for averages, face in faces:
+            b, data = _pushed_markov(rng, n, slack, averages, face)
             verdict = lp_feasible(b, data)
             _same_verdict(verdict, fine_build(b, data))
             if slack != 1e-9:
                 assert verdict.feasible == (slack < 1e-9)
-    assert calls["solve_phase1"] == [] and len(calls["fine_build"]) == 16
+    assert calls["solve_phase1"] == [] and len(calls["fine_build"]) == 8 * len(faces)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_chain_data_near_an_lg_face_get_the_construction_verdict(monkeypatch, n):
+    # slacks up to 1e-9 lie inside the LP's tolerance; the construction
+    # turns the data infeasible past a slack of 1e-9 at every n, the
+    # three-time block of n = 3 included
+    _assert_construction_verdicts(monkeypatch, np.random.default_rng(2029 + n), n,
+                                  ((True, "lg"), (False, "lg")))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_chain_data_near_a_two_time_face_get_the_construction_verdict(monkeypatch, n):
+    # a pair probability of -2.5e-10 at a slack of 1e-9, where the
+    # construction still certifies the data
+    _assert_construction_verdicts(monkeypatch, np.random.default_rng(2129 + n), n, ((True, "pair"),))
 
 
 def test_interval_emptiness_tolerance():
@@ -731,23 +754,41 @@ def test_the_oracle_does_not_name_the_failing_block_it_discards(monkeypatch, n, 
     assert fine_build(None, data).violated == (label,) and len(named) == 1
 
 
-@pytest.mark.parametrize("refusal, target", [(OracleError, "_certified"), (MarginalError, "_d_bounds")])
-def test_a_refused_construction_falls_back_to_the_lp(monkeypatch, refusal, target):
+@pytest.mark.parametrize("target", ["_certified", "_d_bounds"])
+def test_a_refused_construction_falls_back_to_the_lp(monkeypatch, target):
+    # ``_certified`` refuses the product outright, or refuses it for the
+    # negative entry of a block given an empty triple range
     b, entries = markov_chain_data(np.random.default_rng(77), 7)
     data = CorrelatorSet(7, entries)
-    original, refused = getattr(feasibility, target), []
+    certified, bounds, refused = feasibility._certified, feasibility._d_bounds, []
 
-    def refusing(*args):
-        if not refused:  # the first call belongs to the construction
-            refused.append(args)
-            raise refusal("knife edge")
-        return original(*args)
+    def certifying(*args):
+        if target == "_certified" and not refused:  # the first call belongs to the construction
+            error = OracleError("knife edge")
+        else:
+            try:
+                return certified(*args)
+            except OracleError as raised:
+                error = raised
+        refused.append(str(error))
+        raise error
 
-    monkeypatch.setattr(feasibility, target, refusing)
+    def emptied(rows):
+        # the first block's triple coefficient, 2.5, passes A(s) at some odd
+        # outcome, as the four odd A(s) sum to 4
+        lo, hi = bounds(rows)
+        lo[0], hi[0] = 3.0, 2.0
+        return lo, hi
+
+    monkeypatch.setattr(feasibility, "_certified", certifying)
+    if target == "_d_bounds":
+        monkeypatch.setattr(feasibility, "_d_bounds", emptied)
     calls = _spies(monkeypatch)
     verdict = lp_feasible(b, data)
     # the spy records only what returns, so fine_build's refusal leaves no entry
-    assert refused and calls["fine_build"] == [] and len(calls["solve_phase1"]) == 1
+    assert len(refused) == 1 and calls["fine_build"] == [] and len(calls["solve_phase1"]) == 1
+    if target == "_d_bounds":
+        assert refused[0].startswith("certificate has a negative entry")
     assert verdict.feasible and verdict.phase1_objective is not None
     _assert_certified(verdict, b, data)
 
@@ -843,21 +884,6 @@ def test_a_refused_exact_product_reaches_the_exact_lp_up_to_n_6(monkeypatch, n):
     assert len(refused) == 1
 
 
-def _old_d_bounds(b, c):
-    """The triple-coefficient bounds with each outcome's terms in
-    ``MomentSpec`` order: the averages, then the pairs in ``c``'s order."""
-    lower, upper = -1.0, 1.0
-    for mask in range(8):
-        s = [1 if not (mask >> k) & 1 else -1 for k in range(3)]
-        a_val = 1.0 + math.fsum([b[0] * s[0], b[1] * s[1], b[2] * s[2]]
-                                + [c[(i, j)] * s[i - 1] * s[j - 1] for (i, j) in c])
-        if s[0] * s[1] * s[2] == 1:
-            lower = max(lower, -a_val)
-        else:
-            upper = min(upper, a_val)
-    return lower, upper
-
-
 def test_fan_blocks_match_the_moment_spec_route_bit_for_bit():
     rng = np.random.default_rng(2406)
     rows, dists = [], []
@@ -869,11 +895,8 @@ def test_fan_blocks_match_the_moment_spec_route_bit_for_bit():
         b = [float(v) for v in b]
         spec = MomentSpec(3, {**{(i,): b[i - 1] for i in (1, 2, 3)}, **c})
         if not all(pair_table_nonneg(b[i - 1], b[j - 1], c[(i, j)]) for i, j in c):
-            with pytest.raises(MarginalError):
-                _d_bounds_of(b, c)
             continue
         lo, hi = _d_bounds_of(b, c)
-        assert repr((lo, hi)) == repr(_old_d_bounds(b, c))
         d = 0.5 * (lo + hi)
         rows.append([1.0, b[0], b[1], c[(1, 2)], b[2], c[(1, 3)], c[(2, 3)], d])
         dists.append(distribution_from_moments(MomentSpec(3, {**spec.moments, (1, 2, 3): d})))
